@@ -59,7 +59,6 @@ from .solver import (
     SolveConfig,
     SolveResult,
     SweepReport,
-    composition_guided_order,
     pack,
     star_identity_labeling,
     sweep,

@@ -8,10 +8,10 @@ partner mask per vertex, one mask of consumed loop vertices, one
 used-vertex mask per tree — which makes candidate generation a couple of
 machine-word operations per node.
 
-Placement order is fixed: trees in the configured order, vertices of each
-tree breadth-first from the root with children ascending.  Candidates are
-tried in ascending vertex order.  Together these make node counts a pure
-function of (family, options).
+Placement order is fixed: trees largest first, vertices of each tree
+breadth-first from the root with children ascending (the tree's compiled
+``order``).  Candidates are tried in ascending vertex order.  Together
+these make node counts a pure function of (family, options).
 
 Three structural prunes cut branches with no completion; none of them can
 cut a branch that completes, so enumeration results are unaffected:
@@ -50,9 +50,7 @@ import sys
 import time
 from dataclasses import dataclass
 
-from .functree import AugFuncTree, AugTreeFamily, leaf_sibling_groups
-
-TREE_ORDERS = ("largest-first", "smallest-first")
+from .functree import AugTreeFamily, leaf_sibling_groups
 
 RESTART_BASE_BUDGET = 1 << 16  # nodes granted to the first attempt
 RESTART_MAX_ATTEMPTS = 10
@@ -67,28 +65,6 @@ class SearchOutcome:
     nodes: int
     timed_out: bool
     symmetry_factor: int
-
-
-def _tree_layout(tree: AugFuncTree, sibling_sort: bool):
-    """BFS placement order plus parent / previous-leaf-sibling positions."""
-    comp = tree.component()
-    children: dict[int, list[int]] = {v: [] for v in comp}
-    for v in comp:
-        if v != tree.root:
-            children[tree.map[v]].append(v)  # ascending: comp is sorted
-    order = [tree.root]
-    qi = 0
-    while qi < len(order):
-        order.extend(children[order[qi]])
-        qi += 1
-    pos = {v: j for j, v in enumerate(order)}
-    parent_local = [0] + [pos[tree.map[v]] for v in order[1:]]
-    sib_local = [-1] * len(order)
-    if sibling_sort:
-        for group in leaf_sibling_groups(tree):
-            for prev, cur in zip(group, group[1:]):
-                sib_local[pos[cur]] = pos[prev]
-    return order, parent_local, sib_local
 
 
 def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
@@ -132,7 +108,6 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
 def search(
     family: AugTreeFamily,
     *,
-    tree_order: str = "largest-first",
     symmetry_pruning: bool = True,
     classical: bool = False,
     first_only: bool = True,
@@ -156,37 +131,34 @@ def search(
     full enumeration always runs a single unbounded pass in ascending
     order.
     """
-    if tree_order not in TREE_ORDERS:
-        raise ValueError(f"unknown tree order {tree_order!r}")
     n = family.n
     full = (1 << n) - 1
-    slot_seq = range(n - 1, -1, -1) if tree_order == "largest-first" else range(n)
+    slot_seq = range(n - 1, -1, -1)
 
     step_slot: list[int] = []
     step_parent: list[int] = []  # global image position of the parent, -1 at roots
     step_prev: list[int] = []  # global position of the previous leaf sibling, -1
     slot_base = [0] * n
-    slot_vertex_order: list[list[int]] = [[] for _ in range(n)]
+    slot_vertex_order: list[tuple[int, ...]] = [()] * n
     block_root_deg: list[int] = []  # per tree in placement order
     block_max_deg: list[int] = []
+    factor = n if symmetry_pruning else 1
     for slot in slot_seq:
         base = len(step_slot)
         tree = family.trees[slot]
-        order, parent_local, sib_local = _tree_layout(tree, symmetry_pruning)
+        lay = tree.compiled()
         slot_base[slot] = base
-        slot_vertex_order[slot] = order
-        for j in range(len(order)):
-            step_slot.append(slot)
-            step_parent.append(-1 if j == 0 else base + parent_local[j])
-            step_prev.append(-1 if sib_local[j] < 0 else base + sib_local[j])
-        kids = [0] * n
-        for v in tree.component():
-            if v != tree.root:
-                kids[tree.map[v]] += 1
-        block_root_deg.append(kids[tree.root])
-        block_max_deg.append(max(
-            kids[v] + (v != tree.root) for v in tree.component()
-        ))
+        slot_vertex_order[slot] = lay.order
+        step_slot += [slot] * tree.m
+        step_parent += [p if p < 0 else base + p for p in lay.parent_pos]
+        if symmetry_pruning:
+            step_prev += [p if p < 0 else base + p for p in lay.prev_leaf_pos]
+            for g in leaf_sibling_groups(tree):
+                factor *= math.factorial(len(g))
+        else:
+            step_prev += [-1] * tree.m
+        block_root_deg.append(lay.root_degree)
+        block_max_deg.append(lay.max_degree)
     total = len(step_slot)
 
     # future-tree requirement tables: entry j describes the last j trees
@@ -402,13 +374,6 @@ def search(
             if done:
                 return True
         return False
-
-    factor = 1
-    if symmetry_pruning:
-        factor = n
-        for t in family.trees:
-            for g in leaf_sibling_groups(t):
-                factor *= math.factorial(len(g))
 
     if first_only:
         attempts = []

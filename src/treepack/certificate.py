@@ -373,16 +373,10 @@ def vertex_poly_eval(point) -> int:
     return out
 
 
-def _slot_arcs(family: AugTreeFamily, k: int) -> list[tuple[int, int]]:
-    # arcs of slot k in root-at-k coordinates: (parent, child) per vertex
-    g = family.slot_form(k).map
-    return [(g[v], v) for v in range(k + 1)]
-
-
 def edge_poly_eval(family: AugTreeFamily, point) -> YPoly:
     """Product over cross-slot arc pairs of their quadratic differences.
 
-    Each arc (p, c) of slot k owns the monic quadratic
+    Each root-at-k arc (c, p) of slot k owns the monic quadratic
     (y - x[k][p])(y - x[k][c]); for slots i < j the factor is the later
     slot's quadratic minus the earlier one's, which is linear in y and
     vanishes identically exactly when the two arcs collide as unordered
@@ -390,13 +384,13 @@ def edge_poly_eval(family: AugTreeFamily, point) -> YPoly:
     """
     rows = _check_point(point, family.n)
     n = family.n
-    arcs = [_slot_arcs(family, k) for k in range(n)]
+    arcs = [tuple(t.compiled().slot_arcs()) for t in family.trees]
     acc = [1]
     for i in range(n):
         for j in range(i + 1, n):
-            for (pu, cu) in arcs[i]:
+            for (cu, pu) in arcs[i]:
                 c, d = rows[i][pu], rows[i][cu]
-                for (pv, cv) in arcs[j]:
+                for (cv, pv) in arcs[j]:
                     a, b = rows[j][pv], rows[j][cv]
                     if a * b == c * d and a + b == c + d:
                         return YPoly((0,))  # identical unordered arc pair

@@ -45,7 +45,7 @@ from .certificate import (
     composition_implication_check,
     nonvanishing_equivalence_check,
 )
-from .errors import ParseError, TreePackError, ValidationError
+from .errors import InvalidFamilyError, ParseError, TreePackError, ValidationError
 from .functree import (
     GENERATOR_KINDS,
     AugTreeFamily,
@@ -73,14 +73,22 @@ def parse_family(text: str) -> AugTreeFamily:
     trees = doc.get("trees")
     if not isinstance(trees, list):
         raise ParseError("field 'trees' must be a list of parent arrays")
-    parents = []
     for k, row in enumerate(trees):
         if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
             raise ParseError(f"field 'trees[{k}]' must be a list of integers")
-        parents.append(row)
+    # check the shape before build_tree allocates n entries per row
+    if len(trees) != n:
+        raise InvalidFamilyError(
+            f"family on Z_{n} needs {n} trees, got {len(trees)}"
+        )
+    for k, row in enumerate(trees):
+        if len(row) != k + 1:
+            raise InvalidFamilyError(
+                f"slot {k} must have component size {k + 1}, got {len(row)}"
+            )
     try:
         return AugTreeFamily(
-            n=n, trees=tuple(build_tree(row, n) for row in parents)
+            n=n, trees=tuple(build_tree(row, n) for row in trees)
         )
     except TreePackError:
         raise
@@ -181,7 +189,6 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
     return SolveConfig(
         time_limit_ms=getattr(args, "time_limit_ms", None),
         classical_mode=getattr(args, "classical_mode", False),
-        seed=getattr(args, "seed", None) or 0,
     )
 
 
@@ -444,13 +451,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "enumerate",
         parents=[jsonish, outish, famsrc],
         help="list the essential complete labelings",
-    )
-    p.add_argument(
-        "--parallel",
-        type=int,
-        default=1,
-        metavar="T",
-        help="accepted for symmetry with sweep; enumeration is one pass",
     )
     p.set_defaults(func=_cmd_enumerate)
 

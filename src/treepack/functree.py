@@ -15,7 +15,7 @@ Conventions used throughout:
 * stored families keep every root at vertex 0 with ``map[u] < u`` inside
   the component ("semigroup form"); the packing semantics for slot k wants
   the root at vertex k, obtained by conjugating with the transposition
-  (0 k) — see :meth:`AugTreeFamily.slot_form`;
+  (0 k) — see :class:`CompiledTree`, the one place that applies it;
 * a one-vertex component is a bare loop, so edge-oriented operations
   (sibling leaves, local composition) refuse it with SingletonTreeError.
 """
@@ -26,6 +26,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import product
+from typing import NamedTuple
 
 from .errors import (
     BadSizeError,
@@ -120,6 +121,73 @@ def _component_depths(g: Mapping, root: int, members: frozenset[int]) -> dict[in
 # Augmented functional trees
 # =====================================================================
 
+class CompiledTree(NamedTuple):
+    """The structure every layer reads off one tree, computed once.
+
+    ``component`` is ascending.  ``order`` is the breadth-first placement
+    order (root first, children ascending); ``parent_pos[j]`` and
+    ``prev_leaf_pos[j]`` are the positions in ``order`` of vertex j's
+    parent and of the previous member of its leaf-sibling group, -1 where
+    there is none.  ``leaf_groups`` are the maximal groups of >= 2 leaves
+    sharing a parent, ascending, and ``max_degree`` counts the parent edge.
+
+    ``slot_vertex`` and ``slot_parent`` give, per component vertex in
+    ascending order, the vertex and its parent in the tree conjugated by
+    the transposition (0 m-1).  A semigroup-form tree of size m sits at
+    slot m-1 of its family, and this moves its root from 0 to the slot:
+    :meth:`slot_arcs` are the arcs a labeling relabels.  For such a tree
+    ``slot_vertex[v]`` is vertex v's slot position, and arc 0 is the
+    root's loop.
+    """
+
+    component: tuple[int, ...]
+    order: tuple[int, ...]
+    parent_pos: tuple[int, ...]
+    prev_leaf_pos: tuple[int, ...]
+    leaf_groups: tuple[tuple[int, ...], ...]
+    root_degree: int
+    max_degree: int
+    slot_vertex: tuple[int, ...]
+    slot_parent: tuple[int, ...]
+
+    def slot_arcs(self):
+        """Iterator over the arcs (vertex, parent) read at the slot."""
+        return zip(self.slot_vertex, self.slot_parent)
+
+
+def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
+    comp = tuple(v for v in range(len(g)) if g[v] != v or v == root)
+    kids: dict[int, list[int]] = {v: [] for v in comp}
+    for v in comp:
+        if v != root:
+            kids[g[v]].append(v)  # ascending: comp is sorted
+    order = [root]
+    for v in order:  # breadth-first: the loop runs over what it appends
+        order.extend(kids[v])
+    pos = {v: j for j, v in enumerate(order)}
+    prev_leaf_pos = [-1] * m
+    groups = []
+    for v in comp:
+        leaves = tuple(u for u in kids[v] if not kids[u])
+        if len(leaves) >= 2:
+            groups.append(leaves)
+            for a, b in zip(leaves, leaves[1:]):
+                prev_leaf_pos[pos[b]] = pos[a]
+    k = m - 1
+    swap = {0: k, k: 0}
+    return CompiledTree(
+        component=comp,
+        order=tuple(order),
+        parent_pos=tuple(-1 if v == root else pos[g[v]] for v in order),
+        prev_leaf_pos=tuple(prev_leaf_pos),
+        leaf_groups=tuple(groups),
+        root_degree=len(kids[root]),
+        max_degree=max(len(kids[v]) + (v != root) for v in comp),
+        slot_vertex=tuple(swap.get(v, v) for v in comp),
+        slot_parent=tuple(swap.get(g[v], g[v]) for v in comp),
+    )
+
+
 @dataclass(frozen=True)
 class AugFuncTree:
     """An m-vertex functional tree inside Z_n, every other vertex a loop.
@@ -157,10 +225,18 @@ class AugFuncTree:
 
     # -- structure -----------------------------------------------------
 
+    def compiled(self) -> CompiledTree:
+        """The tree's structure, built on first use and cached on the
+        instance; the cache is not a dataclass field, so equality, hashing
+        and repr ignore it."""
+        cache = self.__dict__.get("_compiled_cache")
+        if cache is None:
+            cache = _compile(self.map, self.root, self.m)
+            object.__setattr__(self, "_compiled_cache", cache)
+        return cache
+
     def component(self) -> tuple[int, ...]:
-        return tuple(sorted(
-            v for v in range(self.n) if self.map[v] != v or v == self.root
-        ))
+        return self.compiled().component
 
     def depth_map(self) -> dict[int, int]:
         """Component vertex -> distance to the root."""
@@ -169,9 +245,11 @@ class AugFuncTree:
 
     def children(self, v: int) -> tuple[int, ...]:
         """Component vertices pointing at v, the root's self-edge excluded."""
-        return tuple(sorted(
-            u for u in self.component() if self.map[u] == v and u != v
-        ))
+        c = self.compiled()
+        # breadth-first order lists each vertex's children together, ascending
+        return tuple(
+            u for u, p in zip(c.order, c.parent_pos) if p >= 0 and c.order[p] == v
+        )
 
     def is_spanning(self) -> bool:
         return self.m == self.n
@@ -241,16 +319,10 @@ def canonical_form(tree: AugFuncTree) -> tuple[AugFuncTree, Mapping]:
     order, and vertices outside the component take the remaining labels
     in ascending original order.
     """
-    new_label: dict[int, int] = {tree.root: 0}
-    queue = [tree.root]
-    while queue:
-        v = queue.pop(0)
-        for u in tree.children(v):
-            new_label[u] = len(new_label)
-            queue.append(u)
-    outside = (v for v in range(tree.n) if v not in new_label)
-    for v in sorted(outside):
-        new_label[v] = len(new_label)
+    new_label = {v: j for j, v in enumerate(tree.compiled().order)}
+    for v in range(tree.n):
+        if v not in new_label:
+            new_label[v] = len(new_label)
     gamma = tuple(new_label[v] for v in range(tree.n))
     relabeled = AugFuncTree(
         n=tree.n, m=tree.m, map=conjugate(tree.map, gamma), root=0
@@ -423,16 +495,10 @@ class AugTreeFamily:
         """
         if not 0 <= k < self.n:
             raise OutOfRangeError(f"slot {k} outside Z_{self.n}")
-        if k == 0:
-            return self.trees[0]
-        swap = list(range(self.n))
-        swap[0], swap[k] = k, 0
-        return AugFuncTree(
-            n=self.n,
-            m=k + 1,
-            map=conjugate(self.trees[k].map, tuple(swap)),
-            root=k,
-        )
+        g = list(range(self.n))
+        for v, p in self.trees[k].compiled().slot_arcs():
+            g[v] = p
+        return AugFuncTree(n=self.n, m=k + 1, map=tuple(g), root=k)
 
     def with_tree(self, k: int, tree: AugFuncTree) -> AugTreeFamily:
         """Copy of the family with slot k replaced (revalidated)."""
@@ -480,10 +546,4 @@ def leaf_sibling_groups(tree: AugFuncTree) -> list[tuple[int, ...]]:
     Used for search-space pruning (group images may be demanded in
     ascending order) and to enumerate the leaf-swap symmetries.
     """
-    groups = []
-    for v in tree.component():
-        kids = tree.children(v)
-        leaf_kids = tuple(u for u in kids if not tree.children(u))
-        if len(leaf_kids) >= 2:
-            groups.append(leaf_kids)
-    return groups
+    return list(tree.compiled().leaf_groups)

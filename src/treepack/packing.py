@@ -30,8 +30,11 @@ from .functree import (
     conjugate,
 )
 
-# Full enumeration of essential injections is exponential in n; these caps
-# keep the exhaustive modes inside interactive budgets (~seconds).
+# Full enumeration of essential injections is exponential in n.  At the
+# essential cap the cost is minutes, not seconds: the mixed family
+# generate_family(6, "mixed", 3) has 1 215 360 members, and listing them
+# took 70 s in the search alone (12.1 M nodes) and 115 s through
+# phi_enumerate (Python 3.11 on a 2-core machine).
 PHI_ESSENTIAL_MAX_N = 6
 PHI_FULL_COUNT_MAX_N = 4
 
@@ -64,20 +67,25 @@ class EdgeOrientation:
     arcs: frozenset[tuple[int, int]]
 
     def __post_init__(self) -> None:
-        arcs = frozenset((int(a), int(b)) for a, b in self.arcs)
-        object.__setattr__(self, "arcs", arcs)
-        seen = set()
-        for a, b in arcs:
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise NotCompleteError(f"arc ({a},{b}) outside Z_{self.n}")
-            edge = (a, b) if a <= b else (b, a)
-            if edge in seen:
-                raise NotCompleteError(f"edge {edge} oriented twice")
-            seen.add(edge)
-        want = self.n * (self.n + 1) // 2
-        if len(seen) != want:
+        n = self.n
+        arcs = set()
+        edges = set()
+        for a, b in self.arcs:
+            a, b = int(a), int(b)
+            if not (0 <= a < n and 0 <= b < n):
+                raise NotCompleteError(f"arc ({a},{b}) outside Z_{n}")
+            arcs.add((a, b))
+            edges.add((a, b) if a <= b else (b, a))
+        object.__setattr__(self, "arcs", frozenset(arcs))
+        # a set cannot hold one arc twice, so a repeated edge is a pair
+        # oriented both ways
+        if len(edges) != len(arcs):
+            edge = min((a, b) for a, b in arcs if a < b and (b, a) in arcs)
+            raise NotCompleteError(f"edge {edge} oriented both ways")
+        want = n * (n + 1) // 2
+        if len(edges) != want:
             raise NotCompleteError(
-                f"{len(seen)} distinct edges, an orientation of looped K_{self.n} has {want}"
+                f"{len(edges)} distinct edges, an orientation of looped K_{n} has {want}"
             )
 
     def sorted_arcs(self) -> list[tuple[int, int]]:
@@ -107,10 +115,10 @@ def _pair_bit(a: int, b: int, n: int) -> int:
 def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = False) -> bool:
     """True iff the labeling's arcs tile looped K_n edge-disjointly.
 
-    The arcs of slot k are read from the stored root-0 tree through the
-    (0 k) swap, avoiding any tree reconstruction: this is the hot
-    verification path.  ``classical`` drops the n loops and only asks the
-    binomial(n, 2) proper edges to be distinct.
+    The arcs of slot k are the compiled root-at-k arcs of the stored tree,
+    so no tree is rebuilt: this is the hot verification path.
+    ``classical`` drops the n loops and only asks the binomial(n, 2)
+    proper edges to be distinct.
     """
     if labeling.n != family.n:
         raise DimensionMismatchError(
@@ -119,14 +127,12 @@ def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = Fal
     n = family.n
     seen = 0
     for k in range(n):
-        h = family.trees[k].map
         sig = labeling.sigmas[k]
-        start = 1 if classical else 0
-        for v in range(start, k + 1):
-            cv = k if v == 0 else 0 if v == k else v
-            w = h[v]
-            cw = k if w == 0 else 0 if w == k else w
-            bit = _pair_bit(sig[cv], sig[cw], n)
+        arcs = family.trees[k].compiled().slot_arcs()
+        if classical:
+            next(arcs)  # arc 0 is the root's loop
+        for a, b in arcs:
+            bit = _pair_bit(sig[a], sig[b], n)
             if seen & bit:
                 return False
             seen |= bit
@@ -134,38 +140,37 @@ def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = Fal
 
 
 def orientation(family: AugTreeFamily, labeling: Labeling) -> EdgeOrientation:
-    """The arc set of a complete labeling; NotCompleteError on any clash."""
+    """The arc set of a complete labeling; EdgeOrientation raises
+    NotCompleteError on any clash."""
     if labeling.n != family.n:
         raise DimensionMismatchError(
             f"labeling on Z_{labeling.n} against family on Z_{family.n}"
         )
-    arcs: list[tuple[int, int]] = []
-    seen = 0
-    for k in range(family.n):
-        for a, b in induced_edges(family.slot_form(k), labeling.sigmas[k]):
-            bit = _pair_bit(a, b, family.n)
-            if seen & bit:
-                raise NotCompleteError(
-                    f"slot {k} reuses edge {(min(a, b), max(a, b))}"
-                )
-            seen |= bit
-            arcs.append((a, b))
-    return EdgeOrientation(n=family.n, arcs=frozenset(arcs))
+    arcs = frozenset(
+        (sig[u], sig[w])
+        for tree, sig in zip(family.trees, labeling.sigmas)
+        for u, w in tree.compiled().slot_arcs()
+    )
+    return EdgeOrientation(n=family.n, arcs=arcs)
 
 
 # =====================================================================
 # Phi enumeration
 # =====================================================================
 
-def _labeling_from_injections(n: int, injections) -> Labeling:
+def _labeling_from_injections(family: AugTreeFamily, injections) -> Labeling:
     """Extend per-slot component injections to permutations, unused values
-    filled ascending into the positions above the component."""
+    filled ascending into the positions above the component.
+
+    ``injections[k][v]`` is the image of stored vertex v, which sits at
+    its compiled slot position.
+    """
+    n = family.n
     sigmas = []
     for k, phi in enumerate(injections):
         sig = [-1] * n
-        for v in range(k + 1):
-            cv = k if v == 0 else 0 if v == k else v
-            sig[cv] = phi[v]
+        for u, x in zip(family.trees[k].compiled().slot_vertex, phi):
+            sig[u] = x
         fill = sorted(set(range(n)) - set(phi))
         for pos in range(k + 1, n):
             sig[pos] = fill.pop(0)
@@ -192,13 +197,12 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
         )
     outcome = search(
         family,
-        tree_order="largest-first",
         symmetry_pruning=False,
         classical=False,
         first_only=False,
     )
     members = sorted(
-        (_labeling_from_injections(n, sol) for sol in outcome.solutions),
+        (_labeling_from_injections(family, sol) for sol in outcome.solutions),
         key=lambda lab: lab.sigmas,
     )
     count = len(members)

@@ -14,9 +14,9 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from itertools import islice
 
-from ._search import TREE_ORDERS, search
+from ._search import search
 from .errors import BoundExceededError, TreePackError
-from .functree import AugTreeFamily, family_count, family_enumerate, local_compose
+from .functree import AugTreeFamily, family_count, family_enumerate
 from .packing import Labeling, _labeling_from_injections, is_complete
 
 PACKED = "packed"
@@ -28,22 +28,13 @@ SWEEP_MAX_N = 8
 
 @dataclass(frozen=True)
 class SolveConfig:
-    """Search options; identical configs give identical SolveResults.
+    """Search options; identical configs give identical SolveResults."""
 
-    ``seed`` is recorded for reproducibility of future stochastic
-    strategies; the present search is deterministic and never draws from
-    it.
-    """
-
-    tree_order: str = "largest-first"
     time_limit_ms: int | None = None
     symmetry_pruning: bool = True
-    seed: int = 0
     classical_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.tree_order not in TREE_ORDERS:
-            raise ValueError(f"unknown tree order {self.tree_order!r}")
         if self.time_limit_ms is not None and self.time_limit_ms <= 0:
             raise ValueError("time limit must be positive when present")
 
@@ -99,7 +90,6 @@ def pack(
     t0 = time.perf_counter()
     outcome = search(
         family,
-        tree_order=cfg.tree_order,
         symmetry_pruning=cfg.symmetry_pruning,
         classical=cfg.classical_mode,
         first_only=True,
@@ -108,7 +98,7 @@ def pack(
     )
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if outcome.solutions:
-        labeling = _labeling_from_injections(family.n, outcome.solutions[0])
+        labeling = _labeling_from_injections(family, outcome.solutions[0])
         if not is_complete(family, labeling, classical=cfg.classical_mode):
             raise TreePackError("engine produced a non-complete labeling")
         return SolveResult(
@@ -163,7 +153,7 @@ def sweep(
     """pack() every family on Z_n and tally the outcomes.
 
     Refuses n beyond ``max_n`` (the enumeration is a product of
-    factorials; n = 8 already means 1.7e9 families).  ``workers`` > 1
+    factorials; n = 8 already means 1.25e11 families).  ``workers`` > 1
     splits the enumeration index range over a process pool.
     """
     if n > max_n:
@@ -199,28 +189,3 @@ def sweep(
         elapsed_ms=elapsed_ms,
         rows=tuple(rows),
     )
-
-
-# =====================================================================
-# Composition-guided ordering heuristic
-# =====================================================================
-
-def star_distance(tree) -> int:
-    """Number of one-step leaf compositions until the component is a star."""
-    d = 0
-    t = tree
-    while any(t.map[v] != t.root for v in t.component() if v != t.root):
-        t = local_compose(t)
-        d += 1
-    return d
-
-
-def composition_guided_order(family: AugTreeFamily) -> list[int]:
-    """Slots with at least one edge, farthest-from-star first.
-
-    Advisory only: pack() never consults it.  Distance is the number of
-    sibling-leaf composition steps to reach the star of the same size;
-    ties break toward the smaller slot index.
-    """
-    slots = [k for k in range(family.n) if family.trees[k].m >= 2]
-    return sorted(slots, key=lambda k: (-star_distance(family.trees[k]), k))

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 from treepack import (
+    InvalidFamilyError,
     Labeling,
     ParseError,
     build_tree,
@@ -21,6 +22,7 @@ from treepack import (
     star_family,
     star_identity_labeling,
 )
+from treepack import cli
 from treepack.cli import (
     DEFAULT_SEED,
     emit_family,
@@ -294,6 +296,17 @@ def test_bad_document_is_exit_two(capsys, tmp_path):
     fam_path = write(tmp_path, "fam.json", '{"n": 2, "trees": [[0], [1, 1]]}')
     assert run(["pack", "-f", fam_path]) == 2  # second tree has no fixed point
     assert "error: " in capsys.readouterr().err
+
+
+def test_family_shape_is_checked_before_any_tree_is_built(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("build_tree called before the shape check")
+
+    monkeypatch.setattr(cli, "build_tree", refuse)
+    with pytest.raises(InvalidFamilyError):
+        parse_family('{"n": 300000000, "trees": [[0]]}')
+    with pytest.raises(InvalidFamilyError):
+        parse_family('{"n": 2, "trees": [[0], [0, 0, 0]]}')
 
 
 def test_family_source_is_required(capsys):

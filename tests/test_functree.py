@@ -295,6 +295,24 @@ def test_slot_form_conjugates_root_to_k():
         assert conjugate(rooted.map, tuple(swap)) == fam.trees[k].map
 
 
+def test_compiled_form_is_cached_and_invisible_to_equality():
+    t = build_tree([0, 0, 1, 1, 0], 6)
+    fresh = build_tree([0, 0, 1, 1, 0], 6)
+    assert t.compiled() is t.compiled()
+    assert t == fresh and hash(t) == hash(fresh) and repr(t) == repr(fresh)
+    c = t.compiled()
+    assert c.component == (0, 1, 2, 3, 4)
+    assert c.order == (0, 1, 4, 2, 3)
+    assert c.parent_pos == (-1, 0, 0, 1, 1)
+    assert c.leaf_groups == ((2, 3),)
+    assert c.prev_leaf_pos == (-1, -1, -1, -1, 3)
+    assert (c.root_degree, c.max_degree) == (2, 3)
+    # read at slot 4: the root moves to 4 and vertex 4 to 0
+    assert tuple(c.slot_arcs()) == ((4, 4), (1, 4), (2, 1), (3, 1), (0, 4))
+    assert t.children(0) == (1, 4) and t.children(1) == (2, 3)
+    assert t.children(2) == t.children(5) == ()
+
+
 def test_with_tree_replaces_one_slot():
     fam = star_family(4)
     path3 = build_tree([0, 0, 1], 4)

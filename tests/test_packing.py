@@ -13,6 +13,7 @@ from treepack import (
     NotAutomorphismError,
     NotCompleteError,
     closure_check,
+    conjugate,
     diagonal_relabel,
     family_enumerate,
     generate_family,
@@ -25,6 +26,24 @@ from treepack import (
 from treepack.solver import pack, star_identity_labeling
 
 
+def root_at_k(family, k):
+    """Slot k's map with its root moved to k, built here without the
+    package's compiled slot arcs: conjugation by the transposition (0 k)."""
+    swap = list(range(family.n))
+    swap[0], swap[k] = swap[k], swap[0]
+    return conjugate(family.trees[k].map, tuple(swap))
+
+
+def oracle_arcs(family, labeling):
+    """Every arc (sigma_k(v), sigma_k(g_k(v))) of the root-at-k trees."""
+    arcs = set()
+    for k in range(family.n):
+        g = root_at_k(family, k)
+        sig = labeling.sigmas[k]
+        arcs.update((sig[v], sig[g[v]]) for v in range(k + 1))
+    return arcs
+
+
 def complete_oracle(family, labeling, classical=False):
     """Straight reimplementation of the tiling condition.
 
@@ -35,7 +54,7 @@ def complete_oracle(family, labeling, classical=False):
     n = family.n
     pairs = []
     for k in range(n):
-        g = family.slot_form(k).map
+        g = root_at_k(family, k)
         sig = labeling.sigmas[k]
         for v in range(k + 1):
             a, b = sig[v], sig[g[v]]
@@ -127,6 +146,14 @@ def test_orientation_arcs_and_not_complete():
     if not is_complete(fam, bad):
         with pytest.raises(NotCompleteError):
             orientation(fam, bad)
+
+
+@pytest.mark.parametrize("n", [5, 9, 12])
+def test_orientation_arcs_match_independent_arcs(n):
+    for seed in range(5):
+        fam = generate_family(n, "mixed", seed=seed)
+        lab = pack(fam).labeling
+        assert orientation(fam, lab).arcs == oracle_arcs(fam, lab)
 
 
 def test_edge_orientation_validation():

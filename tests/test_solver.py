@@ -11,7 +11,6 @@ from treepack import (
     BoundExceededError,
     Labeling,
     SolveConfig,
-    composition_guided_order,
     family_enumerate,
     generate_family,
     is_complete,
@@ -21,7 +20,6 @@ from treepack import (
 )
 from treepack._search import RESTART_BASE_BUDGET, search
 from treepack.packing import phi_enumerate
-from treepack.solver import star_distance
 
 
 def brute_force_phi(fam):
@@ -142,18 +140,6 @@ def test_classical_mode_packs_and_verifies():
         assert is_complete(fam, res.labeling, classical=True)
 
 
-def test_tree_orders():
-    # smallest-first is a deliberately bad ordering (small trees commit
-    # nothing), so keep it to a size where its wandering stays cheap
-    fam = generate_family(7, "random-uniform", seed=55)
-    for order in ("largest-first", "smallest-first"):
-        res = pack(fam, SolveConfig(tree_order=order))
-        assert res.status == PACKED
-        assert is_complete(fam, res.labeling)
-    with pytest.raises(ValueError):
-        SolveConfig(tree_order="widest")
-
-
 def test_solve_config_validation():
     with pytest.raises(ValueError):
         SolveConfig(time_limit_ms=0)
@@ -182,25 +168,3 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_bound():
     with pytest.raises(BoundExceededError):
         sweep(9)
-
-
-# --- advisory ordering ---------------------------------------------------
-
-
-def test_star_distance():
-    from treepack.functree import build_tree
-
-    assert star_distance(build_tree([0, 0, 0, 0])) == 0
-    assert star_distance(build_tree([0, 0, 1, 1])) == 1
-    assert star_distance(build_tree([0, 0, 1, 2])) > 1
-
-
-def test_composition_guided_order_properties():
-    fam = star_family(5)
-    assert composition_guided_order(fam) == [1, 2, 3, 4]  # all distance 0
-    fam = generate_family(6, "path", seed=0)
-    order = composition_guided_order(fam)
-    assert sorted(order) == [1, 2, 3, 4, 5]
-    dists = [star_distance(fam.trees[k]) for k in order]
-    assert dists == sorted(dists, reverse=True)
-    assert composition_guided_order(star_family(1)) == []
