@@ -10,11 +10,23 @@ machine-word operations per node.
 
 Placement order is fixed: trees largest first, vertices of each tree
 breadth-first from the root with children ascending (the tree's compiled
-``order``).  Candidates are tried in ascending vertex order.  Together
+``order``).  Each placement is one step, so a family has ``total`` =
+n(n+1)/2 steps.  Candidates are tried in ascending vertex order.  Together
 these make node counts a pure function of (family, options).
 
+The backtracking is one explicit loop over per-step arrays, not a
+recursion, so its depth is not bounded by the interpreter's stack and no
+process-wide setting is touched.  ``work[i]`` holds step i's untried
+candidates and ``images[i]`` its current image.  Entering a step computes
+its candidates (none when a prune fires); the loop then backs out of
+every exhausted step, undoing each image it leaves, and places the next
+candidate of the deepest step that has one.  Step ``total`` is the
+solution leaf: entering it records a solution, and it has no candidates,
+so enumeration backs out of it through the same undo path.
+
 Three structural prunes cut branches with no completion; none of them can
-cut a branch that completes, so enumeration results are unaffected:
+cut a branch that completes, so enumeration results are unaffected (the
+soundness argument of each sits next to its code):
 
 * roots of the not-yet-started trees must land on distinct vertices whose
   loop is still free, and each needs as many free pairs there as the root
@@ -46,9 +58,9 @@ counts stay reproducible.  Full enumeration never restarts.
 from __future__ import annotations
 
 import math
-import sys
 import time
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .functree import AugTreeFamily, leaf_sibling_groups
 
@@ -67,6 +79,115 @@ class SearchOutcome:
     symmetry_factor: int
 
 
+def _degrees_fit(
+    free_deg: list[int],
+    loops_used: int,
+    root_degs: tuple[int, ...],
+    max_prefix: tuple[int, ...],
+    classical: bool,
+) -> bool:
+    """Can the not-yet-started trees still find room for roots and hubs?
+
+    ``root_degs`` holds those trees' root degrees and ``max_prefix`` the
+    partial sums of their maximum degrees, both descending.  Pairs are
+    only ever consumed, so a free degree can only fall and a used loop
+    never comes back: a test that fails now fails on every extension.
+    """
+    # Root Hall: each root claims its own vertex's loop (so roots sit on
+    # distinct free-loop vertices) and needs a free pair there for each
+    # child.  Requirements are thresholds, so an assignment exists iff
+    # the i-th largest requirement fits the i-th largest capacity.  In
+    # classical mode roots claim no loop and may share a vertex: no test.
+    if not classical:
+        caps = sorted(
+            [free_deg[a] for a in range(len(free_deg)) if not loops_used >> a & 1],
+            reverse=True,
+        )
+        for c, r in zip(caps, root_degs):
+            if c < r:
+                return False
+    # Degree dominance: pick one maximum-degree hub per tree.  Hubs of
+    # different trees use disjoint pairs, so the t largest hubs need the
+    # sum of their degrees from the free pairs at the at most t vertices
+    # they land on, which is at most the sum of the t largest free degrees.
+    caps = sorted(free_deg, reverse=True)
+    s = 0
+    for idx, need in enumerate(max_prefix):
+        s += caps[idx]
+        if s < need:
+            return False
+    return True
+
+
+def _boundary_feasible(
+    j: int,
+    pairfree: list[int],
+    free_deg: list[int],
+    loops_used: int,
+    classical: bool,
+) -> bool:
+    """Exact-cover test for the last ``j`` trees at a tree boundary.
+
+    At a boundary every placed tree is complete, and a complete labeling
+    uses each remaining pair and (unless ``classical``) each remaining
+    loop exactly once.  A tree is connected and only takes free pairs, so
+    all of it lies in one component of the free-pair graph; the trees in
+    a component must therefore use exactly its pairs, and their roots
+    exactly its free loops.  False means no completion exists.
+    """
+    n = len(free_deg)
+    rem = list(range(j, 0, -1))  # slot k holds size k + 1: sizes descend
+    live = 0  # vertices with a free pair
+    for v in range(n):
+        if free_deg[v]:
+            live |= 1 << v
+    if not classical:
+        # a vertex with no free pairs but a free loop can only take the
+        # family's single one-vertex tree
+        iso = (((1 << n) - 1) & ~live & ~loops_used).bit_count()
+        if iso:
+            if iso > rem.count(1):
+                return False
+            del rem[len(rem) - iso:]
+    elif rem and rem[-1] == 1:
+        rem.pop()  # no loops to claim: a one-vertex tree fits anywhere
+    comps: list[list[int]] = []
+    while live:
+        comp = live & -live
+        frontier = comp
+        while frontier:
+            nxt = 0
+            m = frontier
+            while m:
+                b = m & -m
+                m ^= b
+                nxt |= pairfree[b.bit_length() - 1]
+            frontier = nxt & ~comp
+            comp |= frontier
+        live &= ~comp
+        pairs = 0
+        m = comp
+        while m:
+            b = m & -m
+            m ^= b
+            pairs += free_deg[b.bit_length() - 1]
+        comps.append([
+            comp.bit_count(),
+            pairs // 2,
+            0 if classical else (comp & ~loops_used).bit_count(),
+        ])
+    if not rem:
+        return not comps
+    if (
+        len(comps) == 1
+        and comps[0][0] >= rem[0]
+        and comps[0][1] == sum(rem) - len(rem)
+        and (classical or comps[0][2] == len(rem))
+    ):
+        return True
+    return _cover_fits(rem, comps, not classical)
+
+
 def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
     """Can the remaining tree sizes exactly tile the free-pair components?
 
@@ -74,35 +195,52 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
     m claims m - 1 pairs and (with ``loops``) one root loop from a single
     component that has at least m vertices; success requires every row to
     end at zero pairs and zero loops.  Sizes arrive sorted descending so
-    the most constrained trees are matched first.
+    the most constrained trees are matched first.  Tree i tries one
+    component of each distinct (fits, pairs, loops) signature: components
+    that agree on it are interchangeable for every later tree.
+
+    Failed states are memoized under (i, sorted (pairs, loops) rows),
+    without vertex counts.  That is sound because sizes descend: a
+    component some earlier tree took has at least rem[i - 1] >= rem[i]
+    vertices, so it passes every remaining size test whatever its count,
+    and a component with fewer than rem[i] vertices was never taken and
+    still holds its initial row.  Two states with equal keys therefore
+    differ only in which large components carry which rows, which no
+    remaining tree can tell apart.
     """
     seen: set[tuple] = set()
-
-    def place(i: int) -> bool:
-        if i == len(rem):
-            return all(c[1] == 0 and (not loops or c[2] == 0) for c in comps)
+    path: list[list[int]] = []  # the row each placed tree occupies
+    work: list[tuple[tuple, list[list[int]]]] = []  # per level: key, rows to try
+    while True:
+        # enter level i: the rows tree i may take, last-tried first
+        i = len(path)
         key = (i, tuple(sorted((c[1], c[2]) for c in comps)))
-        if key in seen:
-            return False
-        m = rem[i]
-        need = m - 1
-        tried = set()
-        for c in comps:
-            sig = (c[0] >= m, c[1], c[2])
-            if sig in tried:
-                continue
-            tried.add(sig)
-            if c[0] >= m and c[1] >= need and (not loops or c[2] >= 1):
-                c[1] -= need
-                c[2] -= 1
-                if place(i + 1):
-                    return True
-                c[1] += need
-                c[2] += 1
-        seen.add(key)
-        return False
-
-    return place(0)
+        todo: list[list[int]] = []
+        if i == len(rem):
+            if all(c[1] == 0 and (not loops or c[2] == 0) for c in comps):
+                return True
+        elif key not in seen:
+            m = rem[i]
+            tried = set()
+            for c in comps:
+                sig = (c[0] >= m, c[1], c[2])
+                if sig not in tried:
+                    tried.add(sig)
+                    if c[0] >= m and c[1] >= m - 1 and (not loops or c[2] >= 1):
+                        todo.append(c)
+            todo.reverse()
+        work.append((key, todo))
+        while not work[-1][1]:  # back out of exhausted levels, returning rows
+            seen.add(work.pop()[0])
+            if not path:
+                return False
+            c = path.pop()
+            c[1] += rem[len(path)] - 1
+            c[2] += 1
+        c = work[-1][1].pop()
+        c[1] -= rem[len(path)] - 1
+        c[2] -= 1
+        path.append(c)
 
 
 def search(
@@ -133,279 +271,154 @@ def search(
     """
     n = family.n
     full = (1 << n) - 1
-    slot_seq = range(n - 1, -1, -1)
+    lays = [tree.compiled() for tree in family.trees]
 
     step_slot: list[int] = []
-    step_parent: list[int] = []  # global image position of the parent, -1 at roots
-    step_prev: list[int] = []  # global position of the previous leaf sibling, -1
-    slot_base = [0] * n
-    slot_vertex_order: list[tuple[int, ...]] = [()] * n
-    block_root_deg: list[int] = []  # per tree in placement order
-    block_max_deg: list[int] = []
+    step_parent: list[int] = []  # step of the parent, -1 at roots
+    step_prev: list[int] = []  # step of the previous leaf sibling, -1
+    step_unstarted: list[int] = []  # trees whose root is not yet placed
+    slot_steps: list[list[int]] = [[]] * n  # per slot: the step placing each vertex
     factor = n if symmetry_pruning else 1
-    for slot in slot_seq:
+    for slot in range(n - 1, -1, -1):  # largest tree first
         base = len(step_slot)
-        tree = family.trees[slot]
-        lay = tree.compiled()
-        slot_base[slot] = base
-        slot_vertex_order[slot] = lay.order
-        step_slot += [slot] * tree.m
+        lay = lays[slot]
+        m = slot + 1
+        steps = [0] * m
+        for j, vert in enumerate(lay.order):
+            steps[vert] = base + j
+        slot_steps[slot] = steps
+        step_slot += [slot] * m
         step_parent += [p if p < 0 else base + p for p in lay.parent_pos]
+        # at this root, slots 0..slot are unstarted; after it, 0..slot-1
+        step_unstarted += [slot + 1] + [slot] * (m - 1)
         if symmetry_pruning:
             step_prev += [p if p < 0 else base + p for p in lay.prev_leaf_pos]
-            for g in leaf_sibling_groups(tree):
+            for g in leaf_sibling_groups(family.trees[slot]):
                 factor *= math.factorial(len(g))
         else:
-            step_prev += [-1] * tree.m
-        block_root_deg.append(lay.root_degree)
-        block_max_deg.append(lay.max_degree)
+            step_prev += [-1] * m
     total = len(step_slot)
 
-    # future-tree requirement tables: entry j describes the last j trees
-    # of the placement order (exactly those whose root is not yet placed)
-    blocks = len(block_root_deg)
-    fut_root_degs: list[tuple[int, ...]] = [()] * (blocks + 1)
-    fut_max_prefix: list[tuple[int, ...]] = [()] * (blocks + 1)
-    for j in range(1, blocks + 1):
-        tail_roots = sorted(block_root_deg[blocks - j:], reverse=True)
-        fut_root_degs[j] = tuple(tail_roots)
-        tail_max = sorted(block_max_deg[blocks - j:], reverse=True)
-        acc = 0
-        fut_max_prefix[j] = tuple(acc := acc + d for d in tail_max)
-    block_sizes = [family.trees[slot].m for slot in slot_seq]
-    rem_sizes: list[tuple[int, ...]] = [
-        tuple(sorted(block_sizes[blocks - j:], reverse=True))
-        for j in range(blocks + 1)
+    # requirement tables of the last j trees placed (slots 0..j-1),
+    # exactly those whose root is not yet placed
+    fut_root_degs = [
+        tuple(sorted((lay.root_degree for lay in lays[:j]), reverse=True))
+        for j in range(n + 1)
     ]
-    root_steps = sorted(
-        (i for i, p in enumerate(step_parent) if p < 0), reverse=True
-    )
-    fut_count = [0] * (total + 1)
-    for i in range(total + 1):
-        fut_count[i] = sum(1 for r in root_steps if r >= i)
+    fut_max_prefix = [
+        tuple(accumulate(sorted((lay.max_degree for lay in lays[:j]), reverse=True)))
+        for j in range(n + 1)
+    ]
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
     for a, b in blocked_pairs:
         base_pairfree[a] &= ~(1 << b)
         base_pairfree[b] &= ~(1 << a)
-    pairfree = list(base_pairfree)
-    free_deg = [pf.bit_count() for pf in pairfree]
-    loops_used = 0
-    tree_used = [0] * n
     images = [0] * total
+    work = [0] * (total + 1)  # untried candidates per step, rotated by rot
     nodes = 0
     timed_out = False
     solutions: list[tuple[tuple[int, ...], ...]] = []
     root_fix_slot = n - 1 if symmetry_pruning else -1
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
-    pairs_mask = 0
-    edges_placed = 0
-    rot = 0  # current scan origin; attempt-local, see the restart ladder
-    nrot = n
-    budget_abs = UNBOUNDED
-    budget_tripped = False
-
-    def snapshot() -> tuple[tuple[int, ...], ...]:
-        out = []
-        for k in range(n):
-            phi = [0] * (k + 1)
-            base = slot_base[k]
-            for j, vert in enumerate(slot_vertex_order[k]):
-                phi[vert] = images[base + j]
-            out.append(tuple(phi))
-        return tuple(out)
-
-    def boundary_feasible(j: int) -> bool:
-        """Exact-cover test for the last ``j`` trees at a tree boundary."""
-        rem = list(rem_sizes[j])
-        if not classical:
-            # a vertex with no free pairs but a free loop can only take the
-            # family's single one-vertex tree
-            iso = 0
-            for v in range(n):
-                if not free_deg[v] and not loops_used >> v & 1:
-                    iso += 1
-            if iso:
-                if iso > rem.count(1):
-                    return False
-                del rem[len(rem) - iso:]
-        elif rem and rem[-1] == 1:
-            rem.pop()  # no loops to claim: a one-vertex tree fits anywhere
-        live = 0
-        for v in range(n):
-            if free_deg[v]:
-                live |= 1 << v
-        comps: list[list[int]] = []
-        while live:
-            comp = live & -live
-            frontier = comp
-            while frontier:
-                nxt = 0
-                m = frontier
-                while m:
-                    b = m & -m
-                    m ^= b
-                    nxt |= pairfree[b.bit_length() - 1]
-                frontier = nxt & ~comp
-                comp |= frontier
-            live &= ~comp
-            pairs = 0
-            m = comp
-            while m:
-                b = m & -m
-                m ^= b
-                pairs += free_deg[b.bit_length() - 1]
-            comps.append([
-                comp.bit_count(),
-                pairs // 2,
-                0 if classical else (comp & ~loops_used).bit_count(),
-            ])
-        if not rem:
-            return not comps
-        if (
-            len(comps) == 1
-            and comps[0][0] >= rem[0]
-            and comps[0][1] == sum(rem) - len(rem)
-            and (classical or comps[0][2] == len(rem))
-        ):
-            return True
-        return _cover_fits(rem, comps, not classical)
-
-    def go(i: int) -> bool:
-        nonlocal nodes, timed_out, loops_used, pairs_mask, edges_placed
-        nonlocal budget_tripped
-        if i == total:
-            solutions.append(snapshot())
-            return first_only
-        j = fut_count[i]
-        if j:
-            if not classical:
-                caps = sorted(
-                    (free_deg[a] for a in range(n) if not loops_used >> a & 1),
-                    reverse=True,
-                )
-                for c, r in zip(caps, fut_root_degs[j]):
-                    if c < r:
-                        return False
-            caps = sorted(free_deg, reverse=True)
-            s = 0
-            for idx, need in enumerate(fut_max_prefix[j]):
-                s += caps[idx]
-                if s < need:
-                    return False
-        slot = step_slot[i]
-        ppos = step_parent[i]
-        if ppos < 0:
-            if not boundary_feasible(j):
-                return False
-            cand = full if classical else full & ~loops_used
-            if slot == root_fix_slot:
-                cand &= 1
-            work = ((cand >> rot) | (cand << nrot)) & full
-            while work:
-                w = work & -work
-                work ^= w
-                v = w.bit_length() - 1 + rot
-                if v >= n:
-                    v -= n
-                b = 1 << v
-                nodes += 1
-                if nodes > budget_abs:
-                    budget_tripped = True
-                    return True
-                if deadline is not None and not nodes & 4095 and monotonic() > deadline:
-                    timed_out = True
-                    return True
-                images[i] = v
-                saved = tree_used[slot]
-                tree_used[slot] = b
-                if not classical:
-                    loops_used |= b
-                if go(i + 1):
-                    return True
-                tree_used[slot] = saved
-                if not classical:
-                    loops_used ^= b
-            return False
-        p = images[ppos]
-        cand = pairfree[p] & ~tree_used[slot]
-        sp = step_prev[i]
-        if sp >= 0:
-            cand &= -2 << images[sp]
-        work = ((cand >> rot) | (cand << nrot)) & full
-        while work:
-            w = work & -work
-            work ^= w
-            v = w.bit_length() - 1 + rot
-            if v >= n:
-                v -= n
-            b = 1 << v
-            nodes += 1
-            if nodes > budget_abs:
-                budget_tripped = True
-                return True
-            if deadline is not None and not nodes & 4095 and monotonic() > deadline:
-                timed_out = True
-                return True
-            images[i] = v
-            old_p = pairfree[p]
-            old_v = pairfree[v]
-            pairfree[p] = old_p & ~b
-            pairfree[v] = old_v & ~(1 << p)
-            free_deg[p] -= 1
-            free_deg[v] -= 1
-            tree_used[slot] |= b
-            if debug:
-                lo, hi = (p, v) if p < v else (v, p)
-                pairs_mask |= 1 << (lo * n + hi)
-                edges_placed += 1
-                assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
-            done = go(i + 1)
-            if debug:
-                lo, hi = (p, v) if p < v else (v, p)
-                pairs_mask &= ~(1 << (lo * n + hi))
-                edges_placed -= 1
-            pairfree[p] = old_p
-            pairfree[v] = old_v
-            free_deg[p] += 1
-            free_deg[v] += 1
-            tree_used[slot] ^= b
-            if done:
-                return True
-        return False
 
     if first_only:
-        attempts = []
-        grant = RESTART_BASE_BUDGET
-        for idx in range(min(n, RESTART_MAX_ATTEMPTS)):
-            attempts.append((idx % n, grant))
-            grant *= 4
+        attempts = [
+            (rot, RESTART_BASE_BUDGET << 2 * rot)
+            for rot in range(min(n, RESTART_MAX_ATTEMPTS))
+        ]
         attempts[-1] = (attempts[-1][0], UNBOUNDED)
     else:
         attempts = [(0, UNBOUNDED)]
 
-    limit = sys.getrecursionlimit()
-    if total + 64 > limit:
-        sys.setrecursionlimit(total + 64)
-    try:
-        for rot, grant in attempts:
-            nrot = n - rot
-            pairfree[:] = base_pairfree
-            for a in range(n):
-                free_deg[a] = pairfree[a].bit_count()
-            loops_used = 0
-            tree_used[:] = [0] * n
-            pairs_mask = 0
-            edges_placed = 0
-            budget_abs = nodes + grant
-            budget_tripped = False
-            go(0)
-            if timed_out or solutions or not budget_tripped:
-                break
-    finally:
-        if sys.getrecursionlimit() != limit:
-            sys.setrecursionlimit(limit)
+    for rot, grant in attempts:
+        nrot = n - rot
+        pairfree = list(base_pairfree)
+        free_deg = [pf.bit_count() for pf in pairfree]
+        loops_used = 0
+        tree_used = [0] * n
+        pairs_mask = 0
+        edges_placed = 0
+        budget_abs = nodes + grant
+        budget_tripped = False
+        i = 0
+        enter = True
+        while True:
+            if enter:  # step i's candidates, or none where a prune fires
+                cand = 0
+                if i == total:
+                    solutions.append(
+                        tuple(tuple([images[s] for s in steps]) for steps in slot_steps)
+                    )
+                    if first_only:
+                        break
+                elif _degrees_fit(
+                    free_deg,
+                    loops_used,
+                    fut_root_degs[step_unstarted[i]],
+                    fut_max_prefix[step_unstarted[i]],
+                    classical,
+                ):
+                    ppos = step_parent[i]
+                    if ppos >= 0:
+                        cand = pairfree[images[ppos]] & ~tree_used[step_slot[i]]
+                        sp = step_prev[i]
+                        if sp >= 0:
+                            cand &= -2 << images[sp]
+                    elif _boundary_feasible(
+                        step_unstarted[i], pairfree, free_deg, loops_used, classical
+                    ):
+                        cand = full if classical else full & ~loops_used
+                        if step_slot[i] == root_fix_slot:
+                            cand &= 1
+                work[i] = ((cand >> rot) | (cand << nrot)) & full
+            w = work[i]
+            if w:  # place the next candidate, in rotated ascending order
+                low = w & -w
+                work[i] = w ^ low
+                v = low.bit_length() - 1 + rot
+                if v >= n:
+                    v -= n
+                nodes += 1
+                if nodes > budget_abs:
+                    budget_tripped = True
+                    break
+                if deadline is not None and not nodes & 4095 and monotonic() > deadline:
+                    timed_out = True
+                    break
+                images[i] = v
+                d = 1
+            elif i:  # step i is exhausted: undo the image of step i - 1
+                i -= 1
+                v = images[i]
+                d = -1
+            else:
+                break  # step 0 is exhausted: the attempt saw every branch
+            # placing and undoing both flip the same bits: every bit a
+            # placement clears was set, and the undo sets it back
+            b = 1 << v
+            tree_used[step_slot[i]] ^= b
+            ppos = step_parent[i]
+            if ppos < 0:
+                if not classical:
+                    loops_used ^= b
+            else:
+                p = images[ppos]
+                pairfree[p] ^= b
+                pairfree[v] ^= 1 << p
+                free_deg[p] -= d
+                free_deg[v] -= d
+                if debug:
+                    lo, hi = (p, v) if p < v else (v, p)
+                    pairs_mask ^= 1 << (lo * n + hi)
+                    edges_placed += d
+                    assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
+            enter = d > 0
+            if enter:
+                i += 1
+        if timed_out or solutions or not budget_tripped:
+            break
     return SearchOutcome(
         solutions=solutions,
         nodes=nodes,

@@ -529,38 +529,21 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
             raise BoundExceededError(
                 f"phi-sum canonical form capped at n = {CANONICAL_PHI_MAX_N}"
             )
-        # every slot of a full labeling uses each value exactly once, so
-        # all basis denominators coincide and integer accumulation works
-        d_slot = 1
-        for fv in range(n):
-            for j in range(n):
-                if j != fv:
-                    d_slot *= fv - j
-        denom = d_slot**n
-        acc: dict[Monomial, int] = {}
-        for lab in _phi_full(family):
-            cert = certificate_eval(family, lab.sigmas)
-            if cert.is_zero():  # pragma: no cover - Phi members never vanish
-                continue
-            vals = [(k * n + v, lab.sigmas[k][v]) for k in range(n) for v in range(n)]
-            numer, _ = _basis_numerator(vals, n)
-            for t, c in enumerate(cert.coeffs):
-                if not c:
-                    continue
-                for mono, a in numer.items():
-                    key = mono + ((y_id, t),) if t else mono
-                    acc[key] = acc.get(key, 0) + c * a
-        return SparsePoly(
-            n=n, terms={m: Fraction(c, denom) for m, c in acc.items() if c}
-        )
-
-    if n > CANONICAL_LATTICE_MAX_N:
-        raise BoundExceededError(
-            f"lattice canonical form capped at n = {CANONICAL_LATTICE_MAX_N} "
-            f"(n^(n*n) points)"
-        )
-    total: dict[Monomial, Fraction] = {}
-    for rows in product(product(range(n), repeat=n), repeat=n):
+        points = (lab.sigmas for lab in _phi_full(family))
+    else:
+        if n > CANONICAL_LATTICE_MAX_N:
+            raise BoundExceededError(
+                f"lattice canonical form capped at n = {CANONICAL_LATTICE_MAX_N} "
+                f"(n^(n*n) points)"
+            )
+        points = product(product(range(n), repeat=n), repeat=n)
+    # the certificate vanishes unless every slot is a permutation, and a
+    # basis denominator depends only on each slot's set of values, so every
+    # point that contributes has the same one and integer accumulation is
+    # exact
+    acc: dict[Monomial, int] = {}
+    denom = 1
+    for rows in points:
         cert = certificate_eval(family, rows)
         if cert.is_zero():
             continue
@@ -571,8 +554,8 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
                 continue
             for mono, a in numer.items():
                 key = mono + ((y_id, t),) if t else mono
-                total[key] = total.get(key, Fraction(0)) + Fraction(c * a, denom)
-    return SparsePoly(n=n, terms=total)
+                acc[key] = acc.get(key, 0) + c * a
+    return SparsePoly(n=n, terms={m: Fraction(c, denom) for m, c in acc.items()})
 
 
 # === reduction and the small mechanical checks ==========================

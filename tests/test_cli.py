@@ -6,8 +6,10 @@ point is wired up.
 """
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -315,11 +317,15 @@ def test_family_source_is_required(capsys):
 
 
 def test_module_entry_point():
+    # the child imports the same treepack as this process, installed or not
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "treepack.cli", "gen", "--n", "3", "--seed", "1"],
         capture_output=True,
         text=True,
         timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert parse_family(proc.stdout) == generate_family(3, seed=1)

@@ -1,6 +1,7 @@
 """Backtracking engine: soundness, exhaustiveness, determinism, restarts."""
 
 import itertools
+import sys
 
 import pytest
 
@@ -112,6 +113,19 @@ def test_restart_ladder_recovers_heavy_tail():
         # the first rung's budget was exhausted before the solution came
         assert res.nodes_expanded > RESTART_BASE_BUDGET
         assert res.nodes_expanded == pack(fam).nodes_expanded
+
+
+def test_deep_family_leaves_the_recursion_limit_alone(monkeypatch):
+    """1275 steps is deeper than the default recursion limit; the engine
+    must neither recurse that deep nor change the limit to cope."""
+
+    def refuse(limit):
+        raise AssertionError(f"search changed the recursion limit to {limit}")
+
+    monkeypatch.setattr(sys, "setrecursionlimit", refuse)
+    res = pack(star_family(50))
+    assert res.status == PACKED
+    assert res.nodes_expanded == 1275
 
 
 def test_enumeration_deterministic_and_counts_match():
