@@ -24,18 +24,14 @@ candidate of the deepest step that has one.  Step ``total`` is the
 solution leaf: entering it records a solution, and it has no candidates,
 so enumeration backs out of it through the same undo path.
 
-Three structural prunes cut branches with no completion; none of them can
-cut a branch that completes, so enumeration results are unaffected (the
+Two structural prunes cut branches with no completion; neither can cut a
+branch that completes, so enumeration results are unaffected (the
 soundness argument of each sits next to its code):
 
 * roots of the not-yet-started trees must land on distinct vertices whose
   loop is still free, and each needs as many free pairs there as the root
   has children — a sorted pointwise comparison (Hall condition for unit
   assignments);
-* every not-yet-started tree has some vertex of its maximum degree, and a
-  vertex can host several such hubs only within its free-pair budget, so
-  descending partial sums of free degrees must dominate those of the
-  future maximum degrees;
 * a complete labeling uses every pair and every loop exactly once, so at
   each tree boundary the components of the free-pair graph must admit an
   exact cover: each remaining tree inside a single component, every
@@ -60,7 +56,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import accumulate
 
 from .functree import AugTreeFamily, leaf_sibling_groups
 
@@ -79,42 +74,24 @@ class SearchOutcome:
     symmetry_factor: int
 
 
-def _degrees_fit(
-    free_deg: list[int],
-    loops_used: int,
-    root_degs: tuple[int, ...],
-    max_prefix: tuple[int, ...],
-    classical: bool,
-) -> bool:
-    """Can the not-yet-started trees still find room for roots and hubs?
+def _roots_fit(free_deg: list[int], loops_used: int, root_degs: tuple[int, ...]) -> bool:
+    """Root Hall: can the not-yet-started trees still place their roots?
 
-    ``root_degs`` holds those trees' root degrees and ``max_prefix`` the
-    partial sums of their maximum degrees, both descending.  Pairs are
-    only ever consumed, so a free degree can only fall and a used loop
-    never comes back: a test that fails now fails on every extension.
+    ``root_degs`` holds those trees' root degrees, descending.  Each root
+    claims its own vertex's loop (so roots sit on distinct free-loop
+    vertices) and needs a free pair there for each child.  Requirements
+    are thresholds, so an assignment exists iff the i-th largest
+    requirement fits the i-th largest capacity.  Pairs are only ever
+    consumed, so a free degree can only fall and a used loop never comes
+    back: a test that fails now fails on every extension.  In classical
+    mode roots claim no loop and may share a vertex, so there is no test.
     """
-    # Root Hall: each root claims its own vertex's loop (so roots sit on
-    # distinct free-loop vertices) and needs a free pair there for each
-    # child.  Requirements are thresholds, so an assignment exists iff
-    # the i-th largest requirement fits the i-th largest capacity.  In
-    # classical mode roots claim no loop and may share a vertex: no test.
-    if not classical:
-        caps = sorted(
-            [free_deg[a] for a in range(len(free_deg)) if not loops_used >> a & 1],
-            reverse=True,
-        )
-        for c, r in zip(caps, root_degs):
-            if c < r:
-                return False
-    # Degree dominance: pick one maximum-degree hub per tree.  Hubs of
-    # different trees use disjoint pairs, so the t largest hubs need the
-    # sum of their degrees from the free pairs at the at most t vertices
-    # they land on, which is at most the sum of the t largest free degrees.
-    caps = sorted(free_deg, reverse=True)
-    s = 0
-    for idx, need in enumerate(max_prefix):
-        s += caps[idx]
-        if s < need:
+    caps = sorted(
+        [free_deg[a] for a in range(len(free_deg)) if not loops_used >> a & 1],
+        reverse=True,
+    )
+    for c, r in zip(caps, root_degs):
+        if c < r:
             return False
     return True
 
@@ -299,14 +276,10 @@ def search(
             step_prev += [-1] * m
     total = len(step_slot)
 
-    # requirement tables of the last j trees placed (slots 0..j-1),
-    # exactly those whose root is not yet placed
+    # root degrees of the last j trees placed (slots 0..j-1), exactly
+    # those whose root is not yet placed
     fut_root_degs = [
         tuple(sorted((lay.root_degree for lay in lays[:j]), reverse=True))
-        for j in range(n + 1)
-    ]
-    fut_max_prefix = [
-        tuple(accumulate(sorted((lay.max_degree for lay in lays[:j]), reverse=True)))
         for j in range(n + 1)
     ]
 
@@ -353,12 +326,8 @@ def search(
                     )
                     if first_only:
                         break
-                elif _degrees_fit(
-                    free_deg,
-                    loops_used,
-                    fut_root_degs[step_unstarted[i]],
-                    fut_max_prefix[step_unstarted[i]],
-                    classical,
+                elif classical or _roots_fit(
+                    free_deg, loops_used, fut_root_degs[step_unstarted[i]]
                 ):
                     ppos = step_parent[i]
                     if ppos >= 0:

@@ -33,7 +33,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -54,7 +53,14 @@ from .functree import (
     generate_family,
     star_family,
 )
-from .packing import EdgeOrientation, Labeling, is_complete, orientation, phi_enumerate
+from .packing import (
+    EdgeOrientation,
+    Labeling,
+    full_count_multiplier,
+    is_complete,
+    orientation,
+    phi_enumerate,
+)
 from .solver import PACKED, SolveConfig, pack, star_identity_labeling, sweep
 
 DEFAULT_SEED = 1729
@@ -178,6 +184,12 @@ def _family_from_args(args: argparse.Namespace) -> tuple[AugTreeFamily, int | No
         return parse_family(Path(path).read_text()), None
     if getattr(args, "n", None) is None:
         raise ValidationError("provide --family FILE or --n SIZE")
+    return _generated_family(args)
+
+
+def _generated_family(args: argparse.Namespace) -> tuple[AugTreeFamily, int]:
+    """The family --n/--kind/--seed name; without --seed the default
+    seed is used and printed to stderr, so the run can be reproduced."""
     seed = args.seed
     if seed is None:
         seed = DEFAULT_SEED
@@ -196,11 +208,7 @@ def _solve_config(args: argparse.Namespace) -> SolveConfig:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        seed = DEFAULT_SEED
-        print(f"seed: {seed}", file=sys.stderr)
-    family = generate_family(args.n, args.kind, seed)
+    family, seed = _generated_family(args)
     if args.json:
         doc = json.loads(emit_family(family))
         payload = {"family": doc, "kind": args.kind, "seed": seed}
@@ -254,9 +262,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     family, _ = _family_from_args(args)
     members, essential = phi_enumerate(family, mode="essential")
     n = family.n
-    full = essential * math.prod(
-        math.factorial(n - k - 1) for k in range(n)
-    )
+    full = essential * full_count_multiplier(n)
     if args.json:
         payload = {
             "essential": essential,

@@ -22,6 +22,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from dataclasses import dataclass
@@ -129,7 +130,7 @@ class CompiledTree(NamedTuple):
     ``prev_leaf_pos[j]`` are the positions in ``order`` of vertex j's
     parent and of the previous member of its leaf-sibling group, -1 where
     there is none.  ``leaf_groups`` are the maximal groups of >= 2 leaves
-    sharing a parent, ascending, and ``max_degree`` counts the parent edge.
+    sharing a parent, ascending.
 
     ``slot_vertex`` and ``slot_parent`` give, per component vertex in
     ascending order, the vertex and its parent in the tree conjugated by
@@ -146,7 +147,6 @@ class CompiledTree(NamedTuple):
     prev_leaf_pos: tuple[int, ...]
     leaf_groups: tuple[tuple[int, ...], ...]
     root_degree: int
-    max_degree: int
     slot_vertex: tuple[int, ...]
     slot_parent: tuple[int, ...]
 
@@ -182,7 +182,6 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
         prev_leaf_pos=tuple(prev_leaf_pos),
         leaf_groups=tuple(groups),
         root_degree=len(kids[root]),
-        max_degree=max(len(kids[v]) + (v != root) for v in comp),
         slot_vertex=tuple(swap.get(v, v) for v in comp),
         slot_parent=tuple(swap.get(g[v], g[v]) for v in comp),
     )
@@ -384,18 +383,13 @@ def _uniform_rooted_tree(m: int, rng: random.Random) -> tuple[list[int], int]:
     for v in seq:
         degree[v] += 1
     edges: list[tuple[int, int]] = []
-    candidates = sorted(v for v in range(m) if degree[v] == 1)
+    leaves = [v for v in range(m) if degree[v] == 1]  # ascending: a heap
     for v in seq:
-        leaf = candidates.pop(0)
-        edges.append((leaf, v))
+        edges.append((heapq.heappop(leaves), v))
         degree[v] -= 1
         if degree[v] == 1:
-            # keep the candidate list sorted; insertion point found linearly
-            i = 0
-            while i < len(candidates) and candidates[i] < v:
-                i += 1
-            candidates.insert(i, v)
-    edges.append((candidates[0], candidates[1]))
+            heapq.heappush(leaves, v)
+    edges.append((leaves[0], leaves[1]))  # the last two: smaller first
     root = rng.randrange(m)
     adj: dict[int, list[int]] = {v: [] for v in range(m)}
     for a, b in edges:

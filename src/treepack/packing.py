@@ -171,11 +171,16 @@ def _labeling_from_injections(family: AugTreeFamily, injections) -> Labeling:
         sig = [-1] * n
         for u, x in zip(family.trees[k].compiled().slot_vertex, phi):
             sig[u] = x
-        fill = sorted(set(range(n)) - set(phi))
-        for pos in range(k + 1, n):
-            sig[pos] = fill.pop(0)
+        used = set(phi)
+        sig[k + 1:] = [x for x in range(n) if x not in used]
         sigmas.append(tuple(sig))
     return Labeling(n=n, sigmas=tuple(sigmas))
+
+
+def full_count_multiplier(n: int) -> int:
+    """Members of Phi per essential member: slot k has n - k - 1 values
+    outside its component, free in any order, so prod_k (n-k-1)!."""
+    return math.prod(math.factorial(n - k - 1) for k in range(n))
 
 
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
@@ -185,7 +190,7 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     component (each listed member extends its injections by the ascending
     fill).  ``full-count`` returns the same member list but the count of
     the whole of Phi, which is the essential count times
-    prod_k (n-k-1)!.  Bounds: n <= 6 / n <= 4 (BoundExceededError).
+    :func:`full_count_multiplier`.  Bounds: n <= 6 / n <= 4 (BoundExceededError).
     """
     n = family.n
     if mode not in ("essential", "full-count"):
@@ -207,7 +212,7 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     )
     count = len(members)
     if mode == "full-count":
-        count *= math.prod(math.factorial(n - k - 1) for k in range(n))
+        count *= full_count_multiplier(n)
     return members, count
 
 

@@ -102,9 +102,9 @@ def test_restart_ladder_recovers_heavy_tail():
     """Two seeds whose ascending-order search wanders for millions of
     nodes; the rotating restart schedule must still pack them quickly and
     deterministically."""
-    for n, kind, seed in (
-        (11, "mixed", 1083213135),
-        (13, "random-uniform", 260134706000),
+    for n, kind, seed, nodes in (
+        (11, "mixed", 1083213135, 66059),
+        (13, "random-uniform", 260134706000, 65659),
     ):
         fam = generate_family(n, kind, seed=seed)
         res = pack(fam)
@@ -112,7 +112,17 @@ def test_restart_ladder_recovers_heavy_tail():
         assert is_complete(fam, res.labeling)
         # the first rung's budget was exhausted before the solution came
         assert res.nodes_expanded > RESTART_BASE_BUDGET
-        assert res.nodes_expanded == pack(fam).nodes_expanded
+        assert res.nodes_expanded == pack(fam).nodes_expanded == nodes
+
+
+def test_node_counts_are_frozen():
+    """Node counts are a pure function of (family, options), so they pin
+    down what the prunes cut: a prune that cuts more or less changes them.
+    (The restart-ladder counts are frozen in the test above.)"""
+    assert sweep(5, SolveConfig(classical_mode=True)).nodes_total == 5701
+    for n, j, nodes in ((16, 20, 2085), (12, 25, 3687)):
+        fam = generate_family(n, "random-uniform", 7919 * n + j)
+        assert pack(fam).nodes_expanded == nodes
 
 
 def test_deep_family_leaves_the_recursion_limit_alone(monkeypatch):
@@ -174,6 +184,7 @@ def test_sweep_n4_all_pack():
 def test_sweep_parallel_matches_serial():
     serial = sweep(5)
     parallel = sweep(5, workers=2)
+    assert serial.nodes_total == 5616
     assert [(r.index, r.status, r.nodes) for r in serial.rows] == [
         (r.index, r.status, r.nodes) for r in parallel.rows
     ]
