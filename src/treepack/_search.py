@@ -30,8 +30,10 @@ soundness argument of each sits next to its code):
 
 * roots of the not-yet-started trees must land on distinct vertices whose
   loop is still free, and each needs as many free pairs there as the root
-  has children — a sorted pointwise comparison (Hall condition for unit
-  assignments);
+  has children (Hall condition for unit assignments).  A threshold table,
+  ``ge[t]`` = free-loop vertices with at least t free pairs, is kept
+  up to date by the place/undo block, so the test is a few comparisons
+  ``ge[t] >= need`` per node;
 * a complete labeling uses every pair and every loop exactly once, so at
   each tree boundary the components of the free-pair graph must admit an
   exact cover: each remaining tree inside a single component, every
@@ -74,26 +76,54 @@ class SearchOutcome:
     symmetry_factor: int
 
 
-def _roots_fit(free_deg: list[int], loops_used: int, root_degs: tuple[int, ...]) -> bool:
-    """Root Hall: can the not-yet-started trees still place their roots?
+def _threshold_counts(free_deg: list[int], loops_used: int) -> list[int]:
+    """``ge[t]``: the number of free-loop vertices with at least t free pairs.
 
-    ``root_degs`` holds those trees' root degrees, descending.  Each root
-    claims its own vertex's loop (so roots sit on distinct free-loop
-    vertices) and needs a free pair there for each child.  Requirements
-    are thresholds, so an assignment exists iff the i-th largest
-    requirement fits the i-th largest capacity.  Pairs are only ever
-    consumed, so a free degree can only fall and a used loop never comes
-    back: a test that fails now fails on every extension.  In classical
-    mode roots claim no loop and may share a vertex, so there is no test.
+    Root Hall reads this table.  The roots of the j not-yet-started trees
+    must sit on distinct free-loop vertices, each with a free pair per
+    child.  Requirements are thresholds, so the roots fit iff, with both
+    lists sorted descending, the i-th root degree is at most the i-th
+    free-loop degree for every i.
+
+    In loop mode every started tree holds one loop, so exactly j loops are
+    free and the two lists have equal length.  For equal-length lists the
+    sorted comparison holds iff, for every threshold t, at least as many
+    free loops reach t as roots need it:
+
+    * if the i-th root degree r exceeds the i-th capacity, at least i roots
+      need r and at most i - 1 loops reach it;
+    * if the sorted comparison holds, the k roots that need t sit opposite
+      k capacities of at least t.
+
+    The root count changes only at the distinct root degrees and the loop
+    count can only fall as t grows, so testing t at each distinct positive
+    root degree is enough: those are the pairs `_hall_needs` lists.
+
+    Pairs are only ever consumed, so a free degree can only fall and a used
+    loop never comes back: a test that fails now fails on every extension.
+    In classical mode roots claim no loop and may share a vertex, so there
+    is no test and the table goes unread.  Building it is a degree
+    histogram and a suffix sum, O(n); the search keeps it current in its
+    place/undo block.
     """
-    caps = sorted(
-        [free_deg[a] for a in range(len(free_deg)) if not loops_used >> a & 1],
-        reverse=True,
+    n = len(free_deg)
+    ge = [0] * (n + 1)  # free degrees are at most n - 1, so ge[n] stays 0
+    for a in range(n):
+        if not loops_used >> a & 1:
+            ge[free_deg[a]] += 1
+    for t in range(n - 1, -1, -1):
+        ge[t] += ge[t + 1]
+    return ge
+
+
+def _hall_needs(degs: list[int]) -> tuple[tuple[int, int], ...]:
+    """Root Hall's ``(t, need)`` pairs for the root degrees ``degs``
+    (descending): one per distinct positive degree t, need being how many
+    roots have degree >= t.  The test passes iff ``ge[t] >= need`` for
+    every pair (see `_threshold_counts`)."""
+    return tuple(
+        (t, k) for k, t in enumerate(degs, 1) if t and (k == len(degs) or degs[k] < t)
     )
-    for c, r in zip(caps, root_degs):
-        if c < r:
-            return False
-    return True
 
 
 def _boundary_feasible(
@@ -239,7 +269,8 @@ def search(
     ``blocked_pairs`` pre-consumes edges; it exists so tests can force the
     exhausted branch, which no valid family reaches on its own.
     ``debug`` maintains a global used-edge mask and asserts its popcount
-    matches the number of embedded edges at every node.
+    matches the number of embedded edges at every node, and recounts the
+    root Hall threshold table at every node.
 
     With ``first_only`` the deterministic restart ladder described in the
     module docstring is active and ``nodes`` accumulates over attempts;
@@ -276,12 +307,15 @@ def search(
             step_prev += [-1] * m
     total = len(step_slot)
 
-    # root degrees of the last j trees placed (slots 0..j-1), exactly
-    # those whose root is not yet placed
-    fut_root_degs = [
-        tuple(sorted((lay.root_degree for lay in lays[:j]), reverse=True))
-        for j in range(n + 1)
-    ]
+    # root Hall's needs while j trees are unstarted: the root degrees of
+    # the last j trees placed (slots 0..j-1); classical mode has no test
+    needs: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
+    if not classical:
+        degs: list[int] = []
+        for j, lay in enumerate(lays, 1):
+            degs.append(lay.root_degree)
+            degs.sort(reverse=True)
+            needs[j] = _hall_needs(degs)
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
     for a, b in blocked_pairs:
@@ -310,6 +344,7 @@ def search(
         pairfree = list(base_pairfree)
         free_deg = [pf.bit_count() for pf in pairfree]
         loops_used = 0
+        ge = _threshold_counts(free_deg, loops_used)
         tree_used = [0] * n
         pairs_mask = 0
         edges_placed = 0
@@ -326,21 +361,23 @@ def search(
                     )
                     if first_only:
                         break
-                elif classical or _roots_fit(
-                    free_deg, loops_used, fut_root_degs[step_unstarted[i]]
-                ):
-                    ppos = step_parent[i]
-                    if ppos >= 0:
-                        cand = pairfree[images[ppos]] & ~tree_used[step_slot[i]]
-                        sp = step_prev[i]
-                        if sp >= 0:
-                            cand &= -2 << images[sp]
-                    elif _boundary_feasible(
-                        step_unstarted[i], pairfree, free_deg, loops_used, classical
-                    ):
-                        cand = full if classical else full & ~loops_used
-                        if step_slot[i] == root_fix_slot:
-                            cand &= 1
+                else:
+                    for t, need in needs[step_unstarted[i]]:
+                        if ge[t] < need:
+                            break  # root Hall fails
+                    else:
+                        ppos = step_parent[i]
+                        if ppos >= 0:
+                            cand = pairfree[images[ppos]] & ~tree_used[step_slot[i]]
+                            sp = step_prev[i]
+                            if sp >= 0:
+                                cand &= -2 << images[sp]
+                        elif _boundary_feasible(
+                            step_unstarted[i], pairfree, free_deg, loops_used, classical
+                        ):
+                            cand = full if classical else full & ~loops_used
+                            if step_slot[i] == root_fix_slot:
+                                cand &= 1
                 work[i] = ((cand >> rot) | (cand << nrot)) & full
             w = work[i]
             if w:  # place the next candidate, in rotated ascending order
@@ -357,11 +394,11 @@ def search(
                     timed_out = True
                     break
                 images[i] = v
-                d = 1
+                d, enter = 1, True
             elif i:  # step i is exhausted: undo the image of step i - 1
                 i -= 1
                 v = images[i]
-                d = -1
+                d, enter = -1, False
             else:
                 break  # step 0 is exhausted: the attempt saw every branch
             # placing and undoing both flip the same bits: every bit a
@@ -369,21 +406,32 @@ def search(
             b = 1 << v
             tree_used[step_slot[i]] ^= b
             ppos = step_parent[i]
+            # ge: a vertex whose loop is taken or freed leaves or rejoins
+            # every threshold up to its degree; an endpoint with a free
+            # loop crosses one threshold, the larger of its two degrees
+            # (the new one plus one when placing)
             if ppos < 0:
                 if not classical:
                     loops_used ^= b
+                    for t in range(free_deg[v] + 1):
+                        ge[t] -= d
             else:
                 p = images[ppos]
                 pairfree[p] ^= b
                 pairfree[v] ^= 1 << p
                 free_deg[p] -= d
                 free_deg[v] -= d
+                if not loops_used >> p & 1:
+                    ge[free_deg[p] + enter] -= d
+                if not loops_used >> v & 1:
+                    ge[free_deg[v] + enter] -= d
                 if debug:
                     lo, hi = (p, v) if p < v else (v, p)
                     pairs_mask ^= 1 << (lo * n + hi)
                     edges_placed += d
                     assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
-            enter = d > 0
+            if debug:
+                assert ge == _threshold_counts(free_deg, loops_used), "threshold table drift"
             if enter:
                 i += 1
         if timed_out or solutions or not budget_tripped:

@@ -33,8 +33,9 @@ from .functree import (
 # Full enumeration of essential injections is exponential in n.  At the
 # essential cap the cost is minutes, not seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members, and listing them
-# took 70 s in the search alone (12.1 M nodes) and 115 s through
-# phi_enumerate (Python 3.11 on a 2-core machine).
+# took 44 s of CPU time in the search alone (12.1 M nodes) and 81 s
+# through phi_enumerate, which peaked at 1.6 GB of memory (Python 3.11 on
+# a 2-core machine).
 PHI_ESSENTIAL_MAX_N = 6
 PHI_FULL_COUNT_MAX_N = 4
 

@@ -1,6 +1,7 @@
 """Backtracking engine: soundness, exhaustiveness, determinism, restarts."""
 
 import itertools
+import random
 import sys
 
 import pytest
@@ -19,7 +20,7 @@ from treepack import (
     star_family,
     sweep,
 )
-from treepack._search import RESTART_BASE_BUDGET, search
+from treepack._search import RESTART_BASE_BUDGET, _hall_needs, _threshold_counts, search
 from treepack.packing import phi_enumerate
 
 
@@ -120,9 +121,12 @@ def test_node_counts_are_frozen():
     down what the prunes cut: a prune that cuts more or less changes them.
     (The restart-ladder counts are frozen in the test above.)"""
     assert sweep(5, SolveConfig(classical_mode=True)).nodes_total == 5701
-    for n, j, nodes in ((16, 20, 2085), (12, 25, 3687)):
+    # root Hall fires at 74 974 of the 327 958 nodes of frontier family 20:10
+    for n, j, nodes in ((16, 20, 2085), (12, 25, 3687), (20, 10, 327958)):
         fam = generate_family(n, "random-uniform", 7919 * n + j)
         assert pack(fam).nodes_expanded == nodes
+    full = search(generate_family(5, "mixed", 0), symmetry_pruning=False, first_only=False)
+    assert full.nodes == 36685
 
 
 def test_deep_family_leaves_the_recursion_limit_alone(monkeypatch):
@@ -149,11 +153,42 @@ def test_enumeration_deterministic_and_counts_match():
 
 
 def test_debug_mode_runs_the_bitset_audit():
-    fam = generate_family(6, "mixed", seed=9)
-    checked = search(fam, debug=True)
-    plain = search(fam)
-    assert checked.solutions == plain.solutions
-    assert checked.nodes == plain.nodes
+    """The debug audits (edge mask, root Hall threshold table) pass at
+    every node and change nothing, with and without pre-consumed pairs."""
+    for fam, blocked in (
+        (generate_family(6, "mixed", seed=9), ()),
+        (generate_family(12, "random-uniform", 7919 * 12 + 25), ()),
+        (generate_family(7, "mixed", seed=2), ((0, 1), (2, 5))),
+        (star_family(3), ((0, 1),)),
+    ):
+        checked = search(fam, debug=True, blocked_pairs=blocked)
+        plain = search(fam, blocked_pairs=blocked)
+        assert checked.solutions == plain.solutions
+        assert checked.nodes == plain.nodes
+
+
+def test_root_hall_threshold_table_matches_sorted_comparison():
+    """With as many free loops as roots, the threshold-count verdict
+    equals the sorted pointwise comparison of capacities and root degrees."""
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(3000):
+        n = rng.randint(1, 12)
+        free_deg = [rng.randint(0, n - 1) for _ in range(n)]
+        loops_used = rng.getrandbits(n)
+        j = n - loops_used.bit_count()
+        roots = [rng.randint(0, n - 1) for _ in range(j)]
+        # oracle: the i-th largest root degree fits the i-th largest
+        # free-loop degree, for every i
+        caps = sorted(
+            (free_deg[a] for a in range(n) if not loops_used >> a & 1), reverse=True
+        )
+        expected = all(c >= r for c, r in zip(caps, sorted(roots, reverse=True)))
+        ge = _threshold_counts(free_deg, loops_used)
+        got = all(ge[t] >= need for t, need in _hall_needs(sorted(roots, reverse=True)))
+        assert got == expected, (free_deg, loops_used, roots)
+        verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_classical_mode_packs_and_verifies():
