@@ -41,6 +41,7 @@ from .functree import (
     check_permutation,
     compose_square,
     family_enumerate,
+    is_int,
     local_compose,
 )
 from .packing import Labeling, phi_enumerate
@@ -121,13 +122,13 @@ class SparsePoly:
             coef = Fraction(coef)
             if not coef:
                 continue
-            parts = tuple(sorted((int(v), int(e)) for v, e in mono))
+            parts = [(vid, e) for vid, e in mono]
             for vid, e in parts:
-                if not 0 <= vid <= self.n * self.n:
-                    raise OutOfRangeError(f"variable id {vid} outside universe")
-                if e <= 0:
-                    raise ValidationError("exponents must be positive")
-            clean[parts] = coef
+                if not is_int(vid) or not 0 <= vid <= self.n * self.n:
+                    raise OutOfRangeError(f"variable id {vid!r} outside universe")
+                if not is_int(e) or e <= 0:
+                    raise ValidationError(f"exponent {e!r} is not a positive integer")
+            clean[tuple(sorted(parts))] = coef
         object.__setattr__(self, "terms", clean)
 
     # --- constructors ---------------------------------------------------
@@ -336,7 +337,7 @@ def _mono_mul(m1: Monomial, m2: Monomial) -> Monomial:
 
 def _check_point(point, n: int | None = None):
     """Validate an assignment of a value in Z_n to every x[k][v]."""
-    rows = tuple(tuple(int(x) for x in row) for row in point)
+    rows = tuple(tuple(row) for row in point)
     if n is None:
         n = len(rows)
     if len(rows) != n:
@@ -349,9 +350,9 @@ def _check_point(point, n: int | None = None):
                 f"row {k} has {len(row)} entries, expected {n}"
             )
         for v, value in enumerate(row):
-            if not 0 <= value < n:
+            if not is_int(value) or not 0 <= value < n:
                 raise OutOfRangeError(
-                    f"x[{k}][{v}] = {value} outside Z_{n}"
+                    f"x[{k}][{v}] = {value!r} outside Z_{n}"
                 )
     return rows
 
@@ -415,16 +416,16 @@ def _basis_variables(f):
     seq = tuple(f)
     if not seq:
         raise ValidationError("empty basis index")
-    if isinstance(seq[0], int):
-        n = len(seq)
-        vals = [(i, int(x)) for i, x in enumerate(seq)]
-    else:
+    if isinstance(seq[0], (tuple, list)):
         rows = _check_point(seq)
         n = len(rows)
         vals = [(k * n + v, rows[k][v]) for k in range(n) for v in range(n)]
+    else:
+        n = len(seq)
+        vals = list(enumerate(seq))
     for vid, value in vals:
-        if not 0 <= value < n:
-            raise OutOfRangeError(f"basis value {value} outside Z_{n}")
+        if not is_int(value) or not 0 <= value < n:
+            raise OutOfRangeError(f"basis value {value!r} outside Z_{n}")
     return n, vals
 
 
@@ -575,7 +576,10 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
     if variables is None:
         vset = frozenset(v for v in p.variables() if v != n * n)
     else:
-        vset = frozenset(int(v) for v in variables)
+        variables = tuple(variables)
+        if not all(map(is_int, variables)):
+            raise OutOfRangeError(f"variable ids {variables} must be integers")
+        vset = frozenset(variables)
     fall = [1]  # falling factorial, low degree first
     for t in range(n):
         fall = [0] + fall

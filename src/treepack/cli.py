@@ -51,6 +51,7 @@ from .functree import (
     build_tree,
     family_enumerate,
     generate_family,
+    is_int,
     star_family,
 )
 from .packing import (
@@ -80,7 +81,7 @@ def parse_family(text: str) -> AugTreeFamily:
     if not isinstance(trees, list):
         raise ParseError("field 'trees' must be a list of parent arrays")
     for k, row in enumerate(trees):
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(is_int(x) for x in row):
             raise ParseError(f"field 'trees[{k}]' must be a list of integers")
     # check the shape before build_tree allocates n entries per row
     if len(trees) != n:
@@ -117,7 +118,7 @@ def parse_labeling(text: str) -> Labeling:
     if not isinstance(sigma, list):
         raise ParseError("field 'sigma' must be a list of permutations")
     for k, row in enumerate(sigma):
-        if not isinstance(row, list) or not all(isinstance(x, int) for x in row):
+        if not isinstance(row, list) or not all(is_int(x) for x in row):
             raise ParseError(f"field 'sigma[{k}]' must be a list of integers")
     return Labeling(n=n, sigmas=tuple(tuple(row) for row in sigma))
 
@@ -160,8 +161,7 @@ def _load_object(text: str, what: str) -> dict:
 
 def _int_field(doc: dict, name: str) -> int:
     value = doc.get(name)
-    # bool is an int subclass but n=true is nonsense, reject it explicitly
-    if not isinstance(value, int) or isinstance(value, bool):
+    if not is_int(value):
         raise ParseError(f"field {name!r} must be an integer")
     return value
 

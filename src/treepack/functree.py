@@ -10,6 +10,9 @@ component sizes 1, 2, ..., n (one tree per size, in a canonical
 parent-decreasing form) are the families the rest of the package packs
 into the looped complete graph and certifies algebraically.
 
+A tree is validated by compiling it (:func:`_compile`), so every
+constructed tree carries the :class:`CompiledTree` the other layers read.
+
 Conventions used throughout:
 
 * stored families keep every root at vertex 0 with ``map[u] < u`` inside
@@ -47,13 +50,19 @@ GENERATOR_KINDS = ("star", "path", "caterpillar", "random-recursive", "random-un
 # Plain self-map operations
 # =====================================================================
 
+def is_int(x) -> bool:
+    """True for a genuine int: the shared check on input vertices,
+    coordinates and counts.  bool is an int subclass but never one of them."""
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def _check_self_map(g) -> Mapping:
     g = tuple(g)
     if not g:
         raise BadSizeError("a self-map needs at least one vertex")
     n = len(g)
     for v, w in enumerate(g):
-        if not isinstance(w, int) or isinstance(w, bool) or not 0 <= w < n:
+        if not is_int(w) or not 0 <= w < n:
             raise OutOfRangeError(f"map value {w!r} at vertex {v} is outside Z_{n}")
     return g
 
@@ -90,32 +99,6 @@ def check_permutation(p, n: int) -> Mapping:
     if len(p) != n or sorted(p) != list(range(n)):
         raise NotAPermutationError(f"{p!r} is not a permutation of Z_{n}")
     return p
-
-
-def _component_depths(g: Mapping, root: int, members: frozenset[int]) -> dict[int, int]:
-    """Distance to the root for every member, following the map.
-
-    Raises NotATreeError when a member's orbit cycles or escapes the
-    member set before reaching the root.  O(len(members)) overall.
-    """
-    depth = {root: 0}
-    for start in members:
-        path: list[int] = []
-        on_path: set[int] = set()
-        v = start
-        while v not in depth:
-            if v in on_path or v not in members:
-                raise NotATreeError(
-                    f"vertex {start} does not reach the root {root}"
-                )
-            on_path.add(v)
-            path.append(v)
-            v = g[v]
-        d = depth[v]
-        for u in reversed(path):
-            d += 1
-            depth[u] = d
-    return depth
 
 
 # =====================================================================
@@ -156,14 +139,30 @@ class CompiledTree(NamedTuple):
 
 
 def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
+    """Compile a self-map with fixed root into its tree structure.
+
+    This is the tree check: it raises NotATreeError unless the component
+    (the non-fixed vertices and the root) has m vertices that all reach
+    the root.  Every member has one parent, so the breadth-first order
+    lists each member at most once and reaches exactly the members whose
+    path ends at the root; a member on a cycle missing the root is never
+    reached.
+    """
     comp = tuple(v for v in range(len(g)) if g[v] != v or v == root)
+    if len(comp) != m:
+        raise NotATreeError(f"component has {len(comp)} vertices, expected {m}")
     kids: dict[int, list[int]] = {v: [] for v in comp}
     for v in comp:
         if v != root:
+            if g[v] not in kids:  # a fixed point other than the root
+                raise NotATreeError(f"vertex {v} does not reach the root {root}")
             kids[g[v]].append(v)  # ascending: comp is sorted
     order = [root]
     for v in order:  # breadth-first: the loop runs over what it appends
         order.extend(kids[v])
+    if len(order) != m:
+        missed = min(set(comp).difference(order))
+        raise NotATreeError(f"vertex {missed} does not reach the root {root}")
     pos = {v: j for j, v in enumerate(order)}
     prev_leaf_pos = [-1] * m
     groups = []
@@ -193,8 +192,9 @@ class AugFuncTree:
 
     ``m == n`` is the plain spanning functional tree.  The component is
     the set of non-fixed vertices together with the root; validation
-    checks that it has exactly m vertices all of which reach the root.
-    Instances are immutable and safe to share between families.
+    compiles the tree, which checks that the component has exactly m
+    vertices all of which reach the root.  Instances are immutable and
+    safe to share between families.
     """
 
     n: int
@@ -215,32 +215,25 @@ class AugFuncTree:
             raise OutOfRangeError(f"root {self.root} outside Z_{self.n}")
         if g[self.root] != self.root:
             raise NotATreeError(f"root {self.root} is not a fixed point")
-        members = frozenset(v for v in range(self.n) if g[v] != v) | {self.root}
-        if len(members) != self.m:
-            raise NotATreeError(
-                f"component has {len(members)} vertices, expected {self.m}"
-            )
-        _component_depths(g, self.root, members)
+        # not a dataclass field, so equality, hashing and repr ignore it
+        object.__setattr__(self, "_compiled", _compile(g, self.root, self.m))
 
     # -- structure -----------------------------------------------------
 
     def compiled(self) -> CompiledTree:
-        """The tree's structure, built on first use and cached on the
-        instance; the cache is not a dataclass field, so equality, hashing
-        and repr ignore it."""
-        cache = self.__dict__.get("_compiled_cache")
-        if cache is None:
-            cache = _compile(self.map, self.root, self.m)
-            object.__setattr__(self, "_compiled_cache", cache)
-        return cache
+        """The tree's structure, built once when the tree is validated."""
+        return self._compiled
 
     def component(self) -> tuple[int, ...]:
         return self.compiled().component
 
     def depth_map(self) -> dict[int, int]:
         """Component vertex -> distance to the root."""
-        members = frozenset(self.component())
-        return _component_depths(self.map, self.root, members)
+        c = self.compiled()
+        depth = [0] * self.m
+        for j in range(1, self.m):  # a parent precedes its children
+            depth[j] = depth[c.parent_pos[j]] + 1
+        return dict(zip(c.order, depth))
 
     def children(self, v: int) -> tuple[int, ...]:
         """Component vertices pointing at v, the root's self-edge excluded."""
@@ -269,7 +262,7 @@ def build_tree(parents, n: int | None = None) -> AugFuncTree:
     if m < 1 or m > n:
         raise BadSizeError(f"parent array of length {m} does not fit in Z_{n}")
     for v, p in enumerate(parents):
-        if not isinstance(p, int) or isinstance(p, bool) or not 0 <= p < m:
+        if not is_int(p) or not 0 <= p < m:
             raise OutOfRangeError(f"parent {p!r} of vertex {v} is outside Z_{m}")
     roots = [v for v, p in enumerate(parents) if p == v]
     if len(roots) != 1:
@@ -444,7 +437,10 @@ class AugTreeFamily:
     Slot k holds the tree with component Z_(k+1): root 0, every other
     component vertex pointing strictly downward, identity outside.  The
     family therefore fixes exactly the data the packing solver and the
-    certificate consume.
+    certificate consume.  Each tree was checked when it was built, so
+    the family checks only what it adds: the slot's size, root 0 and
+    parent below child on 1..k.  Those k vertices are then non-fixed, so
+    with a component of k+1 vertices every vertex above k is a loop.
     """
 
     n: int
@@ -470,15 +466,10 @@ class AugTreeFamily:
                 raise InvalidFamilyError(
                     f"slot {k} must have component size {k + 1} rooted at 0"
                 )
-            for u in range(self.n):
-                w = t.map[u]
-                if u <= k and not (w < u or u == 0):
+            for u in range(1, k + 1):
+                if t.map[u] >= u:
                     raise InvalidFamilyError(
                         f"slot {k} is not in semigroup form at vertex {u}"
-                    )
-                if u > k and w != u:
-                    raise InvalidFamilyError(
-                        f"slot {k} moves vertex {u} outside its component"
                     )
 
     def slot_form(self, k: int) -> AugFuncTree:

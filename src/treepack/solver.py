@@ -31,7 +31,6 @@ class SolveConfig:
     """Search options; identical configs give identical SolveResults."""
 
     time_limit_ms: int | None = None
-    symmetry_pruning: bool = True
     classical_mode: bool = False
 
     def __post_init__(self) -> None:
@@ -90,7 +89,6 @@ def pack(
     t0 = time.perf_counter()
     outcome = search(
         family,
-        symmetry_pruning=cfg.symmetry_pruning,
         classical=cfg.classical_mode,
         first_only=True,
         time_limit_s=None if cfg.time_limit_ms is None else cfg.time_limit_ms / 1000.0,
@@ -148,17 +146,17 @@ def sweep(
     config: SolveConfig | None = None,
     *,
     workers: int = 1,
-    max_n: int = SWEEP_MAX_N,
 ) -> SweepReport:
     """pack() every family on Z_n and tally the outcomes.
 
-    Refuses n beyond ``max_n`` (the enumeration is a product of
+    Refuses n beyond ``SWEEP_MAX_N`` (the enumeration is a product of
     factorials; n = 8 already means 1.25e11 families).  ``workers`` > 1
     splits the enumeration index range over a process pool.
     """
-    if n > max_n:
+    if n > SWEEP_MAX_N:
         raise BoundExceededError(
-            f"sweep over {family_count(n)} families at n={n} exceeds the cap {max_n}"
+            f"sweep over {family_count(n)} families at n={n} exceeds "
+            f"the cap {SWEEP_MAX_N}"
         )
     cfg = config or SolveConfig()
     total = family_count(n)

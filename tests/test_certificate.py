@@ -192,6 +192,28 @@ def test_point_validation():
         certificate_eval(FAM2, ((0, 2), (0, 1)))
 
 
+def test_non_integer_inputs_are_rejected_not_truncated():
+    # int() would read 1.9 as 1 and 1.5 as 1; bool is no coordinate either
+    with pytest.raises(OutOfRangeError):
+        vertex_poly_eval(((1.9, 0), (0, 1)))
+    with pytest.raises(OutOfRangeError):
+        certificate_eval(FAM2, ((0, 1), (1.0, 0)))
+    with pytest.raises(OutOfRangeError):
+        certificate_eval(FAM2, ((0, True), (1, 0)))
+    with pytest.raises(OutOfRangeError):
+        lagrange_basis((1.0, 0), point=ID2)
+    with pytest.raises(ValidationError):
+        SparsePoly(n=2, terms={((0, 1.5),): 1})
+    with pytest.raises(ValidationError):
+        SparsePoly(n=2, terms={((0, True),): 1})
+    with pytest.raises(OutOfRangeError):
+        SparsePoly(n=2, terms={((0.0, 1),): 1})
+    with pytest.raises(OutOfRangeError):
+        poly_reduce(SparsePoly.x(2, 0, 1) ** 2, variables=[1.0])
+    with pytest.raises(OutOfRangeError):
+        SparsePoly.x(2, 0, 1).evaluate(((0, 1.5), (0, 1)))
+
+
 # --- Lagrange bases ------------------------------------------------------
 
 

@@ -78,6 +78,7 @@ def test_labeling_document_round_trip():
         '{"n": true, "trees": [[0]]}',  # bool is not an acceptable int
         '{"n": 1, "trees": 5}',
         '{"n": 1, "trees": [["a"]]}',
+        '{"n": 2, "trees": [[0], [false, 0]]}',
     ],
 )
 def test_family_document_parse_errors(text):
@@ -92,7 +93,12 @@ def test_parse_error_carries_json_position():
 
 @pytest.mark.parametrize(
     "text",
-    ['{"n": 2}', '{"n": 2, "sigma": {"0": [0, 1]}}', '{"n": 2, "sigma": [[0, "x"]]}'],
+    [
+        '{"n": 2}',
+        '{"n": 2, "sigma": {"0": [0, 1]}}',
+        '{"n": 2, "sigma": [[0, "x"]]}',
+        '{"n": 2, "sigma": [[0, 1], [true, false]]}',  # bools are no labels
+    ],
 )
 def test_labeling_document_parse_errors(text):
     with pytest.raises(ParseError):

@@ -54,7 +54,13 @@ def test_iterate_matches_repeated_application():
 
 def test_is_functional_tree_agrees_with_brute_force_exhaustively():
     """Every self-map of Z_m for m <= 4, both predicates, plus Cayley's
-    count m^(m-1) of rooted labeled trees as an external anchor."""
+    count m^(m-1) of rooted labeled trees as an external anchor.
+
+    The augmented constructor is held to the same oracle: AugFuncTree(n,
+    m, g, r) builds iff r is fixed, the non-fixed vertices plus r number
+    m, and each of them reaches r under ``iterate``; its depth_map is
+    the iterate count.  The maps include cycles that miss the root, which
+    build_tree never passes on."""
     for m in range(1, 5):
         trees = 0
         for g in itertools.product(range(m), repeat=m):
@@ -62,6 +68,26 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
             assert mine == brute_is_tree(g), g
             trees += mine
         assert trees == m ** (m - 1)
+    for n in range(1, 5):
+        for g in itertools.product(range(n), repeat=n):
+            powers = [iterate(g, j) for j in range(n)]
+            for r, size in itertools.product(range(n), range(1, n + 1)):
+                members = {v for v in range(n) if g[v] != v} | {r}
+                builds = (
+                    g[r] == r
+                    and len(members) == size
+                    and all(powers[n - 1][v] == r for v in members)
+                )
+                if not builds:
+                    with pytest.raises(NotATreeError):
+                        AugFuncTree(n=n, m=size, map=g, root=r)
+                    continue
+                t = AugFuncTree(n=n, m=size, map=g, root=r)
+                assert t.component() == tuple(sorted(members))
+                assert t.depth_map() == {
+                    v: min(j for j in range(n) if powers[j][v] == r)
+                    for v in members
+                }
 
 
 def test_conjugate_is_a_group_action():
@@ -291,6 +317,14 @@ def test_family_validation():
         AugTreeFamily(n=3, trees=(t1, t2))  # missing a size
     with pytest.raises(InvalidFamilyError):
         AugTreeFamily(n=3, trees=(t1, t3, t2))  # sizes out of order
+    with pytest.raises(InvalidFamilyError, match="semigroup form at vertex 1"):
+        AugTreeFamily(n=3, trees=(t1, t2, build_tree([0, 2, 0], 3)))
+    with pytest.raises(InvalidFamilyError, match="rooted at 0"):
+        AugTreeFamily(n=3, trees=(t1, build_tree([1, 1], 3), t3))
+    # the right size and root, but the component is {0, 2}, not Z_2
+    off = AugFuncTree(n=3, m=2, map=(0, 1, 0), root=0)
+    with pytest.raises(InvalidFamilyError, match="semigroup form at vertex 1"):
+        AugTreeFamily(n=3, trees=(t1, off, t3))
     with pytest.raises(BadSizeError):
         AugTreeFamily(n=0, trees=())
 
