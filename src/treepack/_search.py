@@ -44,26 +44,50 @@ soundness argument of each sits next to its code):
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
-scan order, while almost any other order dispatches it in hundreds.  When
-only one solution is wanted the engine therefore runs a restart ladder:
-attempt 0 uses the documented ascending order with a node budget, and
-each later attempt rotates the candidate scan origin by one vertex and
-quadruples the budget (the final rung is unbounded, so exhaustion proofs
-still complete).  The ladder is a pure function of the inputs, so node
-counts stay reproducible.  Full enumeration never restarts.
+scan order, while a slightly different order dispatches it in thousands.
+When only one solution is wanted the engine therefore restarts on the
+schedule of Luby, Sinclair and Zuckerman (1993).  Attempt 0 scans every
+step in ascending order with a budget of ``RESTART_BASE_BUDGET`` nodes,
+the schedule's unit.  Attempt a >= 1 gets ``luby(a + 1)`` units, and in
+it about one step in ``RESTART_SHIFT_ODDS`` starts its candidate scan at
+a random vertex instead of 0.  The perturbation stays light on purpose:
+at large n the ascending order is the better heuristic, and fully random
+scans time out where it packs (the "heuristic equivalence" randomization
+of Gomes, Selman, Crato and Kautz, 2000).  The offsets come from one
+``random.Random(RESTART_SEED)`` per search, so node counts stay a pure
+function of the inputs.  Every attempt is a complete search and the
+budgets grow without bound, so attempts run until one ends within its
+budget: a solution, the deadline, or a proof that none exists.  Full
+enumeration never restarts.
 """
 
 from __future__ import annotations
 
 import math
+import random
 import time
 from dataclasses import dataclass
 
 from .functree import AugTreeFamily, leaf_sibling_groups
 
-RESTART_BASE_BUDGET = 1 << 16  # nodes granted to the first attempt
-RESTART_MAX_ATTEMPTS = 10
+RESTART_BASE_BUDGET = 1 << 11  # the Luby unit: attempt 0's node budget
+RESTART_SEED = 1  # seeds the scan offsets of attempts 1, 2, ...
+RESTART_SHIFT_ODDS = 16  # a restarted step gets a random offset with odds 1 in 16
 UNBOUNDED = 1 << 62
+
+
+def luby(i: int) -> int:
+    """The i-th term (from 1) of the Luby sequence 1, 1, 2, 1, 1, 2, 4, 1, ...
+
+    Term ``2**k - 1`` is ``2**(k-1)``; the terms after it repeat the
+    sequence from its start, so for ``2**(k-1) <= i < 2**k - 1`` the term
+    is that of ``i - (2**(k-1) - 1)``.
+    """
+    while True:
+        k = i.bit_length()
+        if i == (1 << k) - 1:
+            return 1 << (k - 1)
+        i -= (1 << (k - 1)) - 1
 
 
 @dataclass
@@ -272,10 +296,13 @@ def search(
     matches the number of embedded edges at every node, and recounts the
     root Hall threshold table at every node.
 
-    With ``first_only`` the deterministic restart ladder described in the
-    module docstring is active and ``nodes`` accumulates over attempts;
-    full enumeration always runs a single unbounded pass in ascending
-    order.
+    With ``first_only`` the Luby restart schedule described in the module
+    docstring is active and ``nodes`` accumulates over attempts.  Each
+    attempt reads a per-step list of scan offsets: all zero in attempt 0,
+    drawn from ``random.Random(RESTART_SEED)`` afterwards.  The generator
+    is built only once attempt 0 has run out of budget, so a family that
+    packs within it pays nothing for the schedule.  Full enumeration always
+    runs a single unbounded pass in ascending order.
     """
     n = family.n
     full = (1 << n) - 1
@@ -322,7 +349,7 @@ def search(
         base_pairfree[a] &= ~(1 << b)
         base_pairfree[b] &= ~(1 << a)
     images = [0] * total
-    work = [0] * (total + 1)  # untried candidates per step, rotated by rot
+    work = [0] * (total + 1)  # untried candidates per step, rotated by shift
     nodes = 0
     timed_out = False
     solutions: list[tuple[tuple[int, ...], ...]] = []
@@ -330,17 +357,11 @@ def search(
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
-    if first_only:
-        attempts = [
-            (rot, RESTART_BASE_BUDGET << 2 * rot)
-            for rot in range(min(n, RESTART_MAX_ATTEMPTS))
-        ]
-        attempts[-1] = (attempts[-1][0], UNBOUNDED)
-    else:
-        attempts = [(0, UNBOUNDED)]
-
-    for rot, grant in attempts:
-        nrot = n - rot
+    shift = [0] * (total + 1)  # scan offset per step of work: all 0 in attempt 0
+    grant = RESTART_BASE_BUDGET if first_only else UNBOUNDED
+    attempt = 0
+    rng = None
+    while True:
         pairfree = list(base_pairfree)
         free_deg = [pf.bit_count() for pf in pairfree]
         loops_used = 0
@@ -378,12 +399,15 @@ def search(
                             cand = full if classical else full & ~loops_used
                             if step_slot[i] == root_fix_slot:
                                 cand &= 1
-                work[i] = ((cand >> rot) | (cand << nrot)) & full
+                r = shift[i]
+                if r:  # scan from vertex r: rotate bit r down to bit 0
+                    cand = ((cand >> r) | (cand << n - r)) & full
+                work[i] = cand
             w = work[i]
             if w:  # place the next candidate, in rotated ascending order
                 low = w & -w
                 work[i] = w ^ low
-                v = low.bit_length() - 1 + rot
+                v = low.bit_length() - 1 + shift[i]
                 if v >= n:
                     v -= n
                 nodes += 1
@@ -436,6 +460,12 @@ def search(
                 i += 1
         if timed_out or solutions or not budget_tripped:
             break
+        attempt += 1
+        grant = luby(attempt + 1) * RESTART_BASE_BUDGET
+        if rng is None:
+            rng = random.Random(RESTART_SEED)
+        draw = rng.randrange
+        shift = [draw(n) if not draw(RESTART_SHIFT_ODDS) else 0 for _ in work]
     return SearchOutcome(
         solutions=solutions,
         nodes=nodes,

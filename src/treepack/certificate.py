@@ -75,9 +75,12 @@ class YPoly:
         cs = list(self.coeffs)
         if not cs:
             cs = [0]
+        for c in cs:
+            if not is_int(c):
+                raise ValidationError(f"coefficient {c!r} is not an integer")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(int(c) for c in cs))
+        object.__setattr__(self, "coeffs", tuple(cs))
 
     def is_zero(self) -> bool:
         return self.coeffs == (0,)
@@ -632,7 +635,10 @@ def monomial_support_check(sigma) -> bool:
     """Every monomial of the expanded basis for a single permutation must
     touch at least n-1 distinct variables, and the only variable a
     monomial may skip is the one the permutation sends to zero."""
-    sig = tuple(int(x) for x in sigma)
+    sig = tuple(sigma)
+    for x in sig:
+        if not is_int(x):
+            raise OutOfRangeError(f"permutation value {x!r} is not a vertex")
     n = len(sig)
     if n > SUPPORT_CHECK_MAX_N:
         raise BoundExceededError(

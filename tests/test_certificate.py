@@ -214,6 +214,19 @@ def test_non_integer_inputs_are_rejected_not_truncated():
         SparsePoly.x(2, 0, 1).evaluate(((0, 1.5), (0, 1)))
 
 
+def test_ypoly_and_support_check_reject_non_integers():
+    # int() would read (1.5, 2.7) as (1, 2) and (1.5, 0) as the
+    # permutation (1, 0)
+    with pytest.raises(ValidationError):
+        YPoly((1.5, 2.7))
+    with pytest.raises(ValidationError):
+        YPoly((1, True))
+    with pytest.raises(OutOfRangeError):
+        monomial_support_check((1.5, 0))
+    with pytest.raises(OutOfRangeError):
+        monomial_support_check((True, False))
+
+
 # --- Lagrange bases ------------------------------------------------------
 
 

@@ -20,7 +20,8 @@ from treepack import (
     star_family,
     sweep,
 )
-from treepack._search import RESTART_BASE_BUDGET, _hall_needs, _threshold_counts, search
+from treepack import _search
+from treepack._search import RESTART_BASE_BUDGET, _hall_needs, _threshold_counts, luby, search
 from treepack.packing import phi_enumerate
 
 
@@ -91,27 +92,49 @@ def test_blocked_pairs_force_exhausted():
     assert res.labeling is None
 
 
+def test_blocked_pairs_stay_exhausted_across_restarts(monkeypatch):
+    """With a one-node unit nearly every attempt runs out of budget; the
+    schedule must still end in an exhaustion proof, not a timeout or an
+    endless loop."""
+    monkeypatch.setattr(_search, "RESTART_BASE_BUDGET", 1)
+    res = pack(star_family(3), _blocked_pairs=((0, 1),))
+    assert res.status == EXHAUSTED
+    assert res.labeling is None
+    # the exact cover refutes that at the root, in 0 nodes; without it the
+    # refutation takes 4 nodes, so the attempts of 1, 1, 2, 1, 1 and 2
+    # units run out of budget before the one of 4 units completes
+    monkeypatch.setattr(_search, "_boundary_feasible", lambda *args: True)
+    res = pack(star_family(4), _blocked_pairs=((0, 1),))
+    assert res.status == EXHAUSTED
+    assert res.nodes_expanded > 4
+
+
 def test_time_limit_reports_timed_out():
-    # a family known to stall its first restart rung for >> 4096 nodes
-    fam = generate_family(13, "random-uniform", seed=260134706000)
-    res = pack(fam, SolveConfig(time_limit_ms=1))
+    # 5050 steps and no backtracking: the deadline check at node 4096
+    # fires whatever the restart schedule does
+    res = pack(star_family(100), SolveConfig(time_limit_ms=1))
     assert res.status == TIMED_OUT
     assert res.labeling is None
+    assert res.nodes_expanded == 4096
 
 
-def test_restart_ladder_recovers_heavy_tail():
+def test_luby_sequence():
+    assert [luby(i) for i in range(1, 16)] == [1, 1, 2, 1, 1, 2, 4, 1, 1, 2, 1, 1, 2, 4, 8]
+
+
+def test_restart_schedule_recovers_heavy_tail():
     """Two seeds whose ascending-order search wanders for millions of
-    nodes; the rotating restart schedule must still pack them quickly and
+    nodes; the perturbed restarts must still pack them quickly and
     deterministically."""
     for n, kind, seed, nodes in (
-        (11, "mixed", 1083213135, 66059),
-        (13, "random-uniform", 260134706000, 65659),
+        (11, "mixed", 1083213135, 2123),
+        (13, "random-uniform", 260134706000, 2147),
     ):
         fam = generate_family(n, kind, seed=seed)
         res = pack(fam)
         assert res.status == PACKED
         assert is_complete(fam, res.labeling)
-        # the first rung's budget was exhausted before the solution came
+        # attempt 0's budget was exhausted before the solution came
         assert res.nodes_expanded > RESTART_BASE_BUDGET
         assert res.nodes_expanded == pack(fam).nodes_expanded == nodes
 
@@ -119,14 +142,34 @@ def test_restart_ladder_recovers_heavy_tail():
 def test_node_counts_are_frozen():
     """Node counts are a pure function of (family, options), so they pin
     down what the prunes cut: a prune that cuts more or less changes them.
-    (The restart-ladder counts are frozen in the test above.)"""
+    Every frontier family here outlasts attempt 0, so these also pin
+    down the restart schedule's offsets."""
     assert sweep(5, SolveConfig(classical_mode=True)).nodes_total == 5701
-    # root Hall fires at 74 974 of the 327 958 nodes of frontier family 20:10
-    for n, j, nodes in ((16, 20, 2085), (12, 25, 3687), (20, 10, 327958)):
+    for n, j, nodes in (
+        (16, 20, 3321), (12, 25, 3565), (20, 10, 4349), (24, 0, 2760), (24, 2, 8724)
+    ):
         fam = generate_family(n, "random-uniform", 7919 * n + j)
         assert pack(fam).nodes_expanded == nodes
     full = search(generate_family(5, "mixed", 0), symmetry_pruning=False, first_only=False)
     assert full.nodes == 36685
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_restart_seed_packs_the_frontier_reproducibly(monkeypatch, seed):
+    """Frontier families 24:0 and 24:2 run for seconds in ascending order;
+    under any of these schedule seeds they pack after a restart, verify,
+    and repeat their labeling and node count exactly."""
+    monkeypatch.setattr(_search, "RESTART_SEED", seed)
+    for j in (0, 2):
+        fam = generate_family(24, "random-uniform", 7919 * 24 + j)
+        first = pack(fam)
+        again = pack(fam)
+        assert first.status == PACKED
+        assert is_complete(fam, first.labeling)
+        assert first.nodes_expanded > RESTART_BASE_BUDGET
+        assert (first.labeling, first.nodes_expanded) == (
+            again.labeling, again.nodes_expanded
+        )
 
 
 def test_deep_family_leaves_the_recursion_limit_alone(monkeypatch):
@@ -160,6 +203,8 @@ def test_debug_mode_runs_the_bitset_audit():
         (generate_family(12, "random-uniform", 7919 * 12 + 25), ()),
         (generate_family(7, "mixed", seed=2), ((0, 1), (2, 5))),
         (star_family(3), ((0, 1),)),
+        # restarts with nonzero scan offsets: the audits under rotated scans
+        (generate_family(24, "random-uniform", 7919 * 24), ()),
     ):
         checked = search(fam, debug=True, blocked_pairs=blocked)
         plain = search(fam, blocked_pairs=blocked)
