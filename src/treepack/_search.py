@@ -42,6 +42,20 @@ soundness argument of each sits next to its code):
   the engine from re-proving, thousands of times, that the small trees
   cannot tile whatever pairs the large ones left behind.
 
+Full enumeration also memoizes tree boundaries.  Below the root step of
+a tree, the search reads nothing but the step, the free pairs and the
+used loops (the soundness note sits at the lookup), and in enumeration
+most boundary states recur: 97 % of those reached over forty n = 5
+families had been reached before.  So the engine keys each boundary it
+leaves by ``(step, free-pair masks, used loops)`` and stores the images
+of the unstarted slots for every completion found below it, in DFS
+order, with the nodes the subtree took.  A later visit with the same key
+appends those completions to the placed slots, adds the node count and
+treats the step as exhausted, so solutions, their order and node counts
+are those of the plain search.  First-only search keeps no memo: a
+boundary state there rarely recurs, and skipping a failed subtree would
+change node counts and with them the restart schedule.
+
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
 scan order, while a slightly different order dispatches it in thousands.
@@ -302,7 +316,8 @@ def search(
     drawn from ``random.Random(RESTART_SEED)`` afterwards.  The generator
     is built only once attempt 0 has run out of budget, so a family that
     packs within it pays nothing for the schedule.  Full enumeration always
-    runs a single unbounded pass in ascending order.
+    runs a single unbounded pass in ascending order, with the boundary
+    memo of the module docstring.
     """
     n = family.n
     full = (1 << n) - 1
@@ -357,6 +372,13 @@ def search(
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
+    # full enumeration: per tree-boundary state, the unstarted slots of
+    # each completion below it and the nodes it took (first-only search
+    # keeps none, and close_at stays -1)
+    memo: dict[tuple, tuple[tuple, int]] | None = None if first_only else {}
+    frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
+    close_at = -1  # step of the innermost open boundary
+
     shift = [0] * (total + 1)  # scan offset per step of work: all 0 in attempt 0
     grant = RESTART_BASE_BUDGET if first_only else UNBOUNDED
     attempt = 0
@@ -393,12 +415,48 @@ def search(
                             sp = step_prev[i]
                             if sp >= 0:
                                 cand &= -2 << images[sp]
-                        elif _boundary_feasible(
-                            step_unstarted[i], pairfree, free_deg, loops_used, classical
-                        ):
-                            cand = full if classical else full & ~loops_used
-                            if step_slot[i] == root_fix_slot:
-                                cand &= 1
+                        else:
+                            hit = None
+                            if memo is not None and i:
+                                # Everything the subtree below this boundary
+                                # reads is a function of the key: the free
+                                # pairs (and so free_deg and ge), the used
+                                # loops, the unstarted trees' empty
+                                # tree_used, all-zero scan offsets, and no
+                                # root pin past step 0.  Its images of the
+                                # unstarted slots, their DFS order and its
+                                # node count are therefore the same at every
+                                # visit; only the placed slots differ.
+                                key = (i, tuple(pairfree), loops_used)
+                                hit = memo.get(key)
+                                if hit is None:  # closed when step i is exhausted
+                                    frames.append((close_at, key, len(solutions), nodes))
+                                    close_at = i
+                            if hit is not None:
+                                done, took = hit
+                                if done:
+                                    placed = tuple(
+                                        tuple([images[s] for s in steps])
+                                        for steps in slot_steps[step_unstarted[i]:]
+                                    )
+                                    solutions += [d + placed for d in done]
+                                before = nodes
+                                nodes += took
+                                # a bulk add may pass a multiple of 4096
+                                # that the placement check never sees
+                                if (
+                                    deadline is not None
+                                    and nodes >> 12 != before >> 12
+                                    and monotonic() > deadline
+                                ):
+                                    timed_out = True
+                                    break
+                            elif _boundary_feasible(
+                                step_unstarted[i], pairfree, free_deg, loops_used, classical
+                            ):
+                                cand = full if classical else full & ~loops_used
+                                if step_slot[i] == root_fix_slot:
+                                    cand &= 1
                 r = shift[i]
                 if r:  # scan from vertex r: rotate bit r down to bit 0
                     cand = ((cand >> r) | (cand << n - r)) & full
@@ -420,6 +478,10 @@ def search(
                 images[i] = v
                 d, enter = 1, True
             elif i:  # step i is exhausted: undo the image of step i - 1
+                if i == close_at:  # store the completions below its boundary
+                    close_at, key, start, before = frames.pop()
+                    j = step_unstarted[i]
+                    memo[key] = (tuple([sol[:j] for sol in solutions[start:]]), nodes - before)
                 i -= 1
                 v = images[i]
                 d, enter = -1, False

@@ -94,9 +94,23 @@ def conjugate(g, gamma) -> Mapping:
     return tuple(out)
 
 
+_all_exact_int = frozenset({int}).issuperset
+
+
 def check_permutation(p, n: int) -> Mapping:
+    """``p`` as a tuple, if it lists each of 0..n-1 once as an `is_int`
+    value: bools and floats compare equal to labels but are none.
+
+    Every labeling checks each of its slots here, so the type test first
+    looks up each element's exact type, which is int in every permutation
+    the engine builds, and asks `is_int` only when one is not.
+    """
     p = tuple(p)
-    if len(p) != n or sorted(p) != list(range(n)):
+    if (
+        len(p) != n
+        or sorted(p) != list(range(n))
+        or (not _all_exact_int(map(type, p)) and not all(map(is_int, p)))
+    ):
         raise NotAPermutationError(f"{p!r} is not a permutation of Z_{n}")
     return p
 

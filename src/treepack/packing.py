@@ -31,11 +31,12 @@ from .functree import (
 )
 
 # Full enumeration of essential injections is exponential in n.  At the
-# essential cap the cost is minutes, not seconds: the mixed family
-# generate_family(6, "mixed", 3) has 1 215 360 members, and listing them
-# took 44 s of CPU time in the search alone (12.1 M nodes) and 81 s
-# through phi_enumerate, which peaked at 1.6 GB of memory (Python 3.11 on
-# a 2-core machine).
+# essential cap the cost is tens of seconds: the mixed family
+# generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
+# them in 5.5 s of CPU time (12.1 M nodes, most of them counted by
+# boundary memo hits), and phi_enumerate, which holds every member as a
+# Labeling, takes 30 s and peaks at 382 MB (Python 3.11 on a 2-core
+# machine).
 PHI_ESSENTIAL_MAX_N = 6
 PHI_FULL_COUNT_MAX_N = 4
 
@@ -48,10 +49,11 @@ class Labeling:
     sigmas: tuple[Mapping, ...]
 
     def __post_init__(self) -> None:
-        sigmas = tuple(check_permutation(s, self.n) for s in self.sigmas)
-        if len(sigmas) != self.n:
+        n = self.n
+        sigmas = tuple([check_permutation(s, n) for s in self.sigmas])
+        if len(sigmas) != n:
             raise DimensionMismatchError(
-                f"labeling on Z_{self.n} needs {self.n} permutations, got {len(sigmas)}"
+                f"labeling on Z_{n} needs {n} permutations, got {len(sigmas)}"
             )
         object.__setattr__(self, "sigmas", sigmas)
 
@@ -159,23 +161,32 @@ def orientation(family: AugTreeFamily, labeling: Labeling) -> EdgeOrientation:
 # Phi enumeration
 # =====================================================================
 
-def _labeling_from_injections(family: AugTreeFamily, injections) -> Labeling:
-    """Extend per-slot component injections to permutations, unused values
-    filled ascending into the positions above the component.
+def _slot_permutation(tree: AugFuncTree, phi, n: int) -> Mapping:
+    """Slot k's permutation from ``phi``, the injection of its k + 1
+    component vertices, unused values filled ascending into the positions
+    above the component.
 
-    ``injections[k][v]`` is the image of stored vertex v, which sits at
-    its compiled slot position.
+    ``phi[v]`` is the image of stored vertex v, which sits at its compiled
+    slot position.
     """
+    sig = [-1] * n
+    for u, x in zip(tree.compiled().slot_vertex, phi):
+        sig[u] = x
+    used = set(phi)
+    sig[len(phi):] = [x for x in range(n) if x not in used]
+    return tuple(sig)
+
+
+def _labeling_from_injections(family: AugTreeFamily, injections) -> Labeling:
+    """Extend per-slot component injections to permutations (see
+    `_slot_permutation`)."""
     n = family.n
-    sigmas = []
-    for k, phi in enumerate(injections):
-        sig = [-1] * n
-        for u, x in zip(family.trees[k].compiled().slot_vertex, phi):
-            sig[u] = x
-        used = set(phi)
-        sig[k + 1:] = [x for x in range(n) if x not in used]
-        sigmas.append(tuple(sig))
-    return Labeling(n=n, sigmas=tuple(sigmas))
+    return Labeling(
+        n=n,
+        sigmas=tuple(
+            [_slot_permutation(tree, phi, n) for tree, phi in zip(family.trees, injections)]
+        ),
+    )
 
 
 def full_count_multiplier(n: int) -> int:
@@ -207,10 +218,22 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
         classical=False,
         first_only=False,
     )
-    members = sorted(
-        (_labeling_from_injections(family, sol) for sol in outcome.solutions),
-        key=lambda lab: lab.sigmas,
-    )
+    # a slot takes few distinct injections (members that complete one
+    # tree-boundary state repeat its placed slots), so each slot builds
+    # one permutation per distinct injection, shared by its members
+    built: list[dict] = [{} for _ in range(n)]
+    rows = []
+    for sol in outcome.solutions:
+        row = []
+        for tree, cache, phi in zip(family.trees, built, sol):
+            sig = cache.get(phi)
+            if sig is None:
+                sig = cache[phi] = _slot_permutation(tree, phi, n)
+            row.append(sig)
+        rows.append(tuple(row))
+    del outcome, built
+    rows.sort()
+    members = [Labeling(n=n, sigmas=row) for row in rows]
     count = len(members)
     if mode == "full-count":
         count *= full_count_multiplier(n)

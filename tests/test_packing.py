@@ -255,5 +255,9 @@ def test_diagonal_relabel_preserves_completeness():
 def test_labeling_validation():
     with pytest.raises(NotAPermutationError):
         Labeling(n=2, sigmas=((0, 0), (0, 1)))
+    # bools and floats compare equal to labels but are not labels
+    for bad in ((True, False), (1.0, 0)):
+        with pytest.raises(NotAPermutationError):
+            Labeling(n=2, sigmas=((0, 1), bad))
     with pytest.raises(DimensionMismatchError):
         Labeling(n=3, sigmas=((0, 1, 2),))

@@ -1,5 +1,6 @@
 """Backtracking engine: soundness, exhaustiveness, determinism, restarts."""
 
+import hashlib
 import itertools
 import random
 import sys
@@ -116,6 +117,13 @@ def test_time_limit_reports_timed_out():
     assert res.status == TIMED_OUT
     assert res.labeling is None
     assert res.nodes_expanded == 4096
+    # full enumeration: a boundary memo hit carries the count from below
+    # 4096 to 4103 in one add, and the deadline check fires there
+    full = search(
+        generate_family(5, "mixed", 2), symmetry_pruning=False, first_only=False, time_limit_s=0
+    )
+    assert full.timed_out
+    assert full.nodes == 4103
 
 
 def test_luby_sequence():
@@ -150,8 +158,17 @@ def test_node_counts_are_frozen():
     ):
         fam = generate_family(n, "random-uniform", 7919 * n + j)
         assert pack(fam).nodes_expanded == nodes
-    full = search(generate_family(5, "mixed", 0), symmetry_pruning=False, first_only=False)
-    assert full.nodes == 36685
+    # full enumeration, which memoizes tree boundaries: node count, member
+    # count and a digest of the solutions in order
+    for s, pruning, frozen in (
+        (0, False, (36685, 4080, "e7a978b49e430f2e")),
+        (0, True, (7337, 816, "230089b34f8d77c4")),
+        (1, False, (39565, 5760, "0b7c6b6fc26a78a2")),
+        (1, True, (893, 96, "e311e5ada192a9e5")),
+    ):
+        full = search(generate_family(5, "mixed", s), symmetry_pruning=pruning, first_only=False)
+        digest = hashlib.sha256(repr(full.solutions).encode()).hexdigest()[:16]
+        assert (full.nodes, len(full.solutions), digest) == frozen
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -198,16 +215,18 @@ def test_enumeration_deterministic_and_counts_match():
 def test_debug_mode_runs_the_bitset_audit():
     """The debug audits (edge mask, root Hall threshold table) pass at
     every node and change nothing, with and without pre-consumed pairs."""
-    for fam, blocked in (
-        (generate_family(6, "mixed", seed=9), ()),
-        (generate_family(12, "random-uniform", 7919 * 12 + 25), ()),
-        (generate_family(7, "mixed", seed=2), ((0, 1), (2, 5))),
-        (star_family(3), ((0, 1),)),
+    for fam, blocked, first_only in (
+        (generate_family(6, "mixed", seed=9), (), True),
+        (generate_family(12, "random-uniform", 7919 * 12 + 25), (), True),
+        (generate_family(7, "mixed", seed=2), ((0, 1), (2, 5)), True),
+        (star_family(3), ((0, 1),), True),
         # restarts with nonzero scan offsets: the audits under rotated scans
-        (generate_family(24, "random-uniform", 7919 * 24), ()),
+        (generate_family(24, "random-uniform", 7919 * 24), (), True),
+        # full enumeration, boundary memo hits included
+        (generate_family(5, "mixed", seed=1), (), False),
     ):
-        checked = search(fam, debug=True, blocked_pairs=blocked)
-        plain = search(fam, blocked_pairs=blocked)
+        checked = search(fam, debug=True, blocked_pairs=blocked, first_only=first_only)
+        plain = search(fam, blocked_pairs=blocked, first_only=first_only)
         assert checked.solutions == plain.solutions
         assert checked.nodes == plain.nodes
 
