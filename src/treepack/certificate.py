@@ -121,15 +121,19 @@ class SparsePoly:
         if self.n < 1:
             raise ValidationError(f"lattice size must be positive, got {self.n}")
         clean: dict[Monomial, Fraction] = {}
+        y_id = self.n * self.n
+        # exact-type tests first: the ring operations and canonical_rep
+        # build their terms from Fractions and ints
         for mono, coef in self.terms.items():
-            coef = Fraction(coef)
+            if type(coef) is not Fraction:
+                coef = Fraction(coef)
             if not coef:
                 continue
             parts = [(vid, e) for vid, e in mono]
             for vid, e in parts:
-                if not is_int(vid) or not 0 <= vid <= self.n * self.n:
+                if not (type(vid) is int or is_int(vid)) or not 0 <= vid <= y_id:
                     raise OutOfRangeError(f"variable id {vid!r} outside universe")
-                if not is_int(e) or e <= 0:
+                if not (type(e) is int or is_int(e)) or e <= 0:
                     raise ValidationError(f"exponent {e!r} is not a positive integer")
             clean[tuple(sorted(parts))] = coef
         object.__setattr__(self, "terms", clean)
@@ -544,8 +548,9 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
     # the certificate vanishes unless every slot is a permutation, and a
     # basis denominator depends only on each slot's set of values, so every
     # point that contributes has the same one and integer accumulation is
-    # exact
-    acc: dict[Monomial, int] = {}
+    # exact.  acc[mono][t] is the coefficient of mono * y^t; the y power
+    # joins the monomial only when the terms are emitted.
+    acc: dict[Monomial, list[int]] = {}
     denom = 1
     for rows in points:
         cert = certificate_eval(family, rows)
@@ -553,13 +558,23 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
             continue
         vals = [(k * n + v, rows[k][v]) for k in range(n) for v in range(n)]
         numer, denom = _basis_numerator(vals, n)
-        for t, c in enumerate(cert.coeffs):
-            if not c:
-                continue
-            for mono, a in numer.items():
-                key = mono + ((y_id, t),) if t else mono
-                acc[key] = acc.get(key, 0) + c * a
-    return SparsePoly(n=n, terms={m: Fraction(c, denom) for m, c in acc.items()})
+        width = len(cert.coeffs)
+        nonzero = [(t, c) for t, c in enumerate(cert.coeffs) if c]
+        for mono, a in numer.items():
+            ys = acc.get(mono)
+            if ys is None:
+                ys = acc[mono] = [0] * width
+            elif len(ys) < width:
+                ys.extend([0] * (width - len(ys)))
+            for t, c in nonzero:
+                ys[t] += c * a
+    terms = {
+        mono + ((y_id, t),) if t else mono: Fraction(c, denom)
+        for mono, ys in acc.items()
+        for t, c in enumerate(ys)
+        if c
+    }
+    return SparsePoly(n=n, terms=terms)
 
 
 # === reduction and the small mechanical checks ==========================

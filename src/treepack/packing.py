@@ -28,17 +28,25 @@ from .functree import (
     Mapping,
     check_permutation,
     conjugate,
+    is_int,
 )
 
 # Full enumeration of essential injections is exponential in n.  At the
-# essential cap the cost is tens of seconds: the mixed family
+# essential cap one call takes over ten seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
-# them in 5.5 s of CPU time (12.1 M nodes, most of them counted by
+# them in about 5 s of CPU time (12.1 M nodes, most of them counted by
 # boundary memo hits), and phi_enumerate, which holds every member as a
-# Labeling, takes 30 s and peaks at 382 MB (Python 3.11 on a 2-core
+# Labeling, takes 14-15 s and peaks at 363 MB (Python 3.11.7 on a 2-core
 # machine).
 PHI_ESSENTIAL_MAX_N = 6
 PHI_FULL_COUNT_MAX_N = 4
+
+
+def _check_slot_count(n: int, sigmas: tuple) -> None:
+    if len(sigmas) != n:
+        raise DimensionMismatchError(
+            f"labeling on Z_{n} needs {n} permutations, got {len(sigmas)}"
+        )
 
 
 @dataclass(frozen=True)
@@ -51,11 +59,23 @@ class Labeling:
     def __post_init__(self) -> None:
         n = self.n
         sigmas = tuple([check_permutation(s, n) for s in self.sigmas])
-        if len(sigmas) != n:
-            raise DimensionMismatchError(
-                f"labeling on Z_{n} needs {n} permutations, got {len(sigmas)}"
-            )
+        _check_slot_count(n, sigmas)
         object.__setattr__(self, "sigmas", sigmas)
+
+    @classmethod
+    def _checked(cls, n: int, sigmas: tuple[Mapping, ...]) -> "Labeling":
+        """A labeling whose slots need no second check.
+
+        Precondition: every slot in ``sigmas`` is a tuple that
+        ``check_permutation(·, n)`` returned.  Only the slot count is
+        checked here; `phi_enumerate`, whose members share one checked
+        permutation per distinct slot injection, is the only caller.
+        """
+        _check_slot_count(n, sigmas)
+        lab = object.__new__(cls)
+        object.__setattr__(lab, "n", n)
+        object.__setattr__(lab, "sigmas", sigmas)
+        return lab
 
     @classmethod
     def identity(cls, n: int) -> "Labeling":
@@ -74,9 +94,11 @@ class EdgeOrientation:
         arcs = set()
         edges = set()
         for a, b in self.arcs:
-            a, b = int(a), int(b)
-            if not (0 <= a < n and 0 <= b < n):
-                raise NotCompleteError(f"arc ({a},{b}) outside Z_{n}")
+            # int() would truncate (0.7, 0) to the loop (0, 0); the exact
+            # type test spares is_int for the engine's own arcs
+            exact = type(a) is int and type(b) is int
+            if not (exact or (is_int(a) and is_int(b))) or not (0 <= a < n and 0 <= b < n):
+                raise NotCompleteError(f"arc ({a!r},{b!r}) outside Z_{n}")
             arcs.add((a, b))
             edges.add((a, b) if a <= b else (b, a))
         object.__setattr__(self, "arcs", frozenset(arcs))
@@ -220,7 +242,9 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     )
     # a slot takes few distinct injections (members that complete one
     # tree-boundary state repeat its placed slots), so each slot builds
-    # one permutation per distinct injection, shared by its members
+    # and checks one permutation per distinct injection, shared by its
+    # members; the cache is keyed by the engine's injection, never by a
+    # permutation value, which a bool tuple would compare equal to
     built: list[dict] = [{} for _ in range(n)]
     rows = []
     for sol in outcome.solutions:
@@ -228,12 +252,12 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
         for tree, cache, phi in zip(family.trees, built, sol):
             sig = cache.get(phi)
             if sig is None:
-                sig = cache[phi] = _slot_permutation(tree, phi, n)
+                sig = cache[phi] = check_permutation(_slot_permutation(tree, phi, n), n)
             row.append(sig)
         rows.append(tuple(row))
     del outcome, built
     rows.sort()
-    members = [Labeling(n=n, sigmas=row) for row in rows]
+    members = [Labeling._checked(n, row) for row in rows]
     count = len(members)
     if mode == "full-count":
         count *= full_count_multiplier(n)

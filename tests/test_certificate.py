@@ -1,5 +1,6 @@
 """Exact certificate arithmetic against hand and brute-force oracles."""
 
+import hashlib
 import itertools
 import math
 import random
@@ -209,6 +210,8 @@ def test_non_integer_inputs_are_rejected_not_truncated():
     with pytest.raises(OutOfRangeError):
         SparsePoly(n=2, terms={((0.0, 1),): 1})
     with pytest.raises(OutOfRangeError):
+        SparsePoly(n=2, terms={((True, 1),): 1})
+    with pytest.raises(OutOfRangeError):
         poly_reduce(SparsePoly.x(2, 0, 1) ** 2, variables=[1.0])
     with pytest.raises(OutOfRangeError):
         SparsePoly.x(2, 0, 1).evaluate(((0, 1.5), (0, 1)))
@@ -289,10 +292,18 @@ def test_canonical_rep_n1_is_one():
 
 
 def test_canonical_rep_modes_agree_n2():
+    """FAM2 is the only n = 2 family; its text is frozen in both modes
+    (n = 1's is the literal "1" above)."""
     a = canonical_rep(FAM2, mode="phi-sum")
     b = canonical_rep(FAM2, mode="lattice")
     assert a == b
     assert not a.is_zero()
+    frozen = "417d7ebcbe509d7ce60250436f49f08a21ab4d0fd5b045ab192f61e001395cdd"
+    assert _text_digest(a) == _text_digest(b) == frozen
+
+
+def _text_digest(rep):
+    return hashlib.sha256(rep.to_text().encode()).hexdigest()
 
 
 def test_canonical_rep_closed_form_n2():
@@ -313,11 +324,17 @@ def test_canonical_rep_agrees_with_certificate_on_lattice_n2():
 
 
 def test_canonical_rep_degree_bound_and_reduce_fixpoint():
-    for fam in family_enumerate(3):
+    """Also freezes the sha256 of each n = 3 family's phi-sum to_text()."""
+    frozen = [
+        "0aca56e950f97fe6b60acd06b0c9e37adba482fd49e57876628690bf78db2c4d",
+        "7d6c1c98ecb64c5717571d66ef6de64f273fbb454cc5059f4a70282c179f49ec",
+    ]
+    for fam, want in zip(family_enumerate(3), frozen, strict=True):
         rep = canonical_rep(fam, mode="phi-sum")
         for vid in range(9):
             assert rep.degree_in(vid) <= 2
         assert poly_reduce(rep) == rep
+        assert _text_digest(rep) == want
 
 
 def test_canonical_rep_sampled_lattice_agreement_n3():

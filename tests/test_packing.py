@@ -162,6 +162,12 @@ def test_edge_orientation_validation():
         EdgeOrientation(n=2, arcs=frozenset({(0, 0), (1, 1)}))  # missing pair
     with pytest.raises(NotCompleteError):
         EdgeOrientation(n=2, arcs=frozenset({(0, 0), (0, 1), (1, 0), (1, 1)}))
+    # int() would truncate these to the complete orientation {(0,0), (1,0), (1,1)}
+    with pytest.raises(NotCompleteError):
+        EdgeOrientation(n=2, arcs=frozenset({(0.7, 0), (1, 1), (True, 0.2)}))
+    for bad in ((1.0, 0), (1, False), (True, 0)):
+        with pytest.raises(NotCompleteError):
+            EdgeOrientation(n=2, arcs=frozenset({(0, 0), bad, (1, 1)}))
 
 
 # --- Phi ----------------------------------------------------------------
@@ -196,6 +202,38 @@ def test_phi_members_are_complete_and_sorted():
     assert all(is_complete(fam, m) for m in members)
     keys = [m.sigmas for m in members]
     assert keys == sorted(keys)
+
+
+def test_phi_members_equal_publicly_built_labelings():
+    """Members skip the public constructor's per-slot check; each must
+    still be the labeling that constructor builds from the same slots."""
+    families = [fam for n in range(1, 5) for fam in family_enumerate(n)]
+    families += [generate_family(5, "mixed", s) for s in (0, 1)]
+    for fam in families:
+        members, _ = phi_enumerate(fam, mode="essential")
+        for m in members:
+            assert m == Labeling(n=m.n, sigmas=m.sigmas)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda sig: (sig[0],) * len(sig),
+        lambda sig: tuple(True if x == 1 else x for x in sig),
+    ],
+    ids=["repeated-value", "bool-label"],
+)
+def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
+    """phi_enumerate checks each distinct slot permutation once, when it
+    builds it; a bad one must not reach a member unchecked."""
+    from treepack import packing
+
+    real = packing._slot_permutation
+    monkeypatch.setattr(
+        packing, "_slot_permutation", lambda tree, phi, n: corrupt(real(tree, phi, n))
+    )
+    with pytest.raises(NotAPermutationError):
+        phi_enumerate(next(family_enumerate(3)), mode="essential")
 
 
 def test_phi_enumerate_bounds():
