@@ -24,23 +24,16 @@ candidate of the deepest step that has one.  Step ``total`` is the
 solution leaf: entering it records a solution, and it has no candidates,
 so enumeration backs out of it through the same undo path.
 
-Two structural prunes cut branches with no completion; neither can cut a
-branch that completes, so enumeration results are unaffected (the
-soundness argument of each sits next to its code):
-
-* roots of the not-yet-started trees must land on distinct vertices whose
-  loop is still free, and each needs as many free pairs there as the root
-  has children (Hall condition for unit assignments).  A threshold table,
-  ``ge[t]`` = free-loop vertices with at least t free pairs, is kept
-  up to date by the place/undo block, so the test is a few comparisons
-  ``ge[t] >= need`` per node;
-* a complete labeling uses every pair and every loop exactly once, so at
-  each tree boundary the components of the free-pair graph must admit an
-  exact cover: each remaining tree inside a single component, every
-  component's pair supply consumed exactly, and one free loop per root.
-  A tiny assignment search (`_cover_fits`) decides this; it is what stops
-  the engine from re-proving, thousands of times, that the small trees
-  cannot tile whatever pairs the large ones left behind.
+One structural prune cuts branches with no completion.  It cannot cut a
+branch that completes, so enumeration results are unaffected (its
+soundness argument sits next to its code).  A complete labeling uses
+every pair and every loop exactly once, so at each tree boundary the
+components of the free-pair graph must admit an exact cover: each
+remaining tree inside a single component, every component's pair supply
+consumed exactly, and one free loop per root.  A tiny assignment search
+(`_cover_fits`) decides this; it is what stops the engine from
+re-proving, thousands of times, that the small trees cannot tile
+whatever pairs the large ones left behind.
 
 Full enumeration also memoizes tree boundaries.  Below the root step of
 a tree, the search reads nothing but the step, the free pairs and the
@@ -112,56 +105,6 @@ class SearchOutcome:
     nodes: int
     timed_out: bool
     symmetry_factor: int
-
-
-def _threshold_counts(free_deg: list[int], loops_used: int) -> list[int]:
-    """``ge[t]``: the number of free-loop vertices with at least t free pairs.
-
-    Root Hall reads this table.  The roots of the j not-yet-started trees
-    must sit on distinct free-loop vertices, each with a free pair per
-    child.  Requirements are thresholds, so the roots fit iff, with both
-    lists sorted descending, the i-th root degree is at most the i-th
-    free-loop degree for every i.
-
-    In loop mode every started tree holds one loop, so exactly j loops are
-    free and the two lists have equal length.  For equal-length lists the
-    sorted comparison holds iff, for every threshold t, at least as many
-    free loops reach t as roots need it:
-
-    * if the i-th root degree r exceeds the i-th capacity, at least i roots
-      need r and at most i - 1 loops reach it;
-    * if the sorted comparison holds, the k roots that need t sit opposite
-      k capacities of at least t.
-
-    The root count changes only at the distinct root degrees and the loop
-    count can only fall as t grows, so testing t at each distinct positive
-    root degree is enough: those are the pairs `_hall_needs` lists.
-
-    Pairs are only ever consumed, so a free degree can only fall and a used
-    loop never comes back: a test that fails now fails on every extension.
-    In classical mode roots claim no loop and may share a vertex, so there
-    is no test and the table goes unread.  Building it is a degree
-    histogram and a suffix sum, O(n); the search keeps it current in its
-    place/undo block.
-    """
-    n = len(free_deg)
-    ge = [0] * (n + 1)  # free degrees are at most n - 1, so ge[n] stays 0
-    for a in range(n):
-        if not loops_used >> a & 1:
-            ge[free_deg[a]] += 1
-    for t in range(n - 1, -1, -1):
-        ge[t] += ge[t + 1]
-    return ge
-
-
-def _hall_needs(degs: list[int]) -> tuple[tuple[int, int], ...]:
-    """Root Hall's ``(t, need)`` pairs for the root degrees ``degs``
-    (descending): one per distinct positive degree t, need being how many
-    roots have degree >= t.  The test passes iff ``ge[t] >= need`` for
-    every pair (see `_threshold_counts`)."""
-    return tuple(
-        (t, k) for k, t in enumerate(degs, 1) if t and (k == len(degs) or degs[k] < t)
-    )
 
 
 def _boundary_feasible(
@@ -307,8 +250,7 @@ def search(
     ``blocked_pairs`` pre-consumes edges; it exists so tests can force the
     exhausted branch, which no valid family reaches on its own.
     ``debug`` maintains a global used-edge mask and asserts its popcount
-    matches the number of embedded edges at every node, and recounts the
-    root Hall threshold table at every node.
+    matches the number of embedded edges at every node.
 
     With ``first_only`` the Luby restart schedule described in the module
     docstring is active and ``nodes`` accumulates over attempts.  Each
@@ -321,7 +263,6 @@ def search(
     """
     n = family.n
     full = (1 << n) - 1
-    lays = [tree.compiled() for tree in family.trees]
 
     step_slot: list[int] = []
     step_parent: list[int] = []  # step of the parent, -1 at roots
@@ -331,7 +272,7 @@ def search(
     factor = n if symmetry_pruning else 1
     for slot in range(n - 1, -1, -1):  # largest tree first
         base = len(step_slot)
-        lay = lays[slot]
+        lay = family.trees[slot].compiled()
         m = slot + 1
         steps = [0] * m
         for j, vert in enumerate(lay.order):
@@ -348,16 +289,6 @@ def search(
         else:
             step_prev += [-1] * m
     total = len(step_slot)
-
-    # root Hall's needs while j trees are unstarted: the root degrees of
-    # the last j trees placed (slots 0..j-1); classical mode has no test
-    needs: list[tuple[tuple[int, int], ...]] = [()] * (n + 1)
-    if not classical:
-        degs: list[int] = []
-        for j, lay in enumerate(lays, 1):
-            degs.append(lay.root_degree)
-            degs.sort(reverse=True)
-            needs[j] = _hall_needs(degs)
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
     for a, b in blocked_pairs:
@@ -387,7 +318,6 @@ def search(
         pairfree = list(base_pairfree)
         free_deg = [pf.bit_count() for pf in pairfree]
         loops_used = 0
-        ge = _threshold_counts(free_deg, loops_used)
         tree_used = [0] * n
         pairs_mask = 0
         edges_placed = 0
@@ -405,58 +335,54 @@ def search(
                     if first_only:
                         break
                 else:
-                    for t, need in needs[step_unstarted[i]]:
-                        if ge[t] < need:
-                            break  # root Hall fails
+                    ppos = step_parent[i]
+                    if ppos >= 0:
+                        cand = pairfree[images[ppos]] & ~tree_used[step_slot[i]]
+                        sp = step_prev[i]
+                        if sp >= 0:
+                            cand &= -2 << images[sp]
                     else:
-                        ppos = step_parent[i]
-                        if ppos >= 0:
-                            cand = pairfree[images[ppos]] & ~tree_used[step_slot[i]]
-                            sp = step_prev[i]
-                            if sp >= 0:
-                                cand &= -2 << images[sp]
-                        else:
-                            hit = None
-                            if memo is not None and i:
-                                # Everything the subtree below this boundary
-                                # reads is a function of the key: the free
-                                # pairs (and so free_deg and ge), the used
-                                # loops, the unstarted trees' empty
-                                # tree_used, all-zero scan offsets, and no
-                                # root pin past step 0.  Its images of the
-                                # unstarted slots, their DFS order and its
-                                # node count are therefore the same at every
-                                # visit; only the placed slots differ.
-                                key = (i, tuple(pairfree), loops_used)
-                                hit = memo.get(key)
-                                if hit is None:  # closed when step i is exhausted
-                                    frames.append((close_at, key, len(solutions), nodes))
-                                    close_at = i
-                            if hit is not None:
-                                done, took = hit
-                                if done:
-                                    placed = tuple(
-                                        tuple([images[s] for s in steps])
-                                        for steps in slot_steps[step_unstarted[i]:]
-                                    )
-                                    solutions += [d + placed for d in done]
-                                before = nodes
-                                nodes += took
-                                # a bulk add may pass a multiple of 4096
-                                # that the placement check never sees
-                                if (
-                                    deadline is not None
-                                    and nodes >> 12 != before >> 12
-                                    and monotonic() > deadline
-                                ):
-                                    timed_out = True
-                                    break
-                            elif _boundary_feasible(
-                                step_unstarted[i], pairfree, free_deg, loops_used, classical
+                        hit = None
+                        if memo is not None and i:
+                            # Everything the subtree below this boundary
+                            # reads is a function of the key: the free
+                            # pairs (and so free_deg), the used loops,
+                            # the unstarted trees' empty tree_used,
+                            # all-zero scan offsets, and no root pin past
+                            # step 0.  Its images of the unstarted slots,
+                            # their DFS order and its node count are
+                            # therefore the same at every visit; only the
+                            # placed slots differ.
+                            key = (i, tuple(pairfree), loops_used)
+                            hit = memo.get(key)
+                            if hit is None:  # closed when step i is exhausted
+                                frames.append((close_at, key, len(solutions), nodes))
+                                close_at = i
+                        if hit is not None:
+                            done, took = hit
+                            if done:
+                                placed = tuple(
+                                    tuple([images[s] for s in steps])
+                                    for steps in slot_steps[step_unstarted[i]:]
+                                )
+                                solutions += [d + placed for d in done]
+                            before = nodes
+                            nodes += took
+                            # a bulk add may pass a multiple of 4096
+                            # that the placement check never sees
+                            if (
+                                deadline is not None
+                                and nodes >> 12 != before >> 12
+                                and monotonic() > deadline
                             ):
-                                cand = full if classical else full & ~loops_used
-                                if step_slot[i] == root_fix_slot:
-                                    cand &= 1
+                                timed_out = True
+                                break
+                        elif _boundary_feasible(
+                            step_unstarted[i], pairfree, free_deg, loops_used, classical
+                        ):
+                            cand = full if classical else full & ~loops_used
+                            if step_slot[i] == root_fix_slot:
+                                cand &= 1
                 r = shift[i]
                 if r:  # scan from vertex r: rotate bit r down to bit 0
                     cand = ((cand >> r) | (cand << n - r)) & full
@@ -492,32 +418,20 @@ def search(
             b = 1 << v
             tree_used[step_slot[i]] ^= b
             ppos = step_parent[i]
-            # ge: a vertex whose loop is taken or freed leaves or rejoins
-            # every threshold up to its degree; an endpoint with a free
-            # loop crosses one threshold, the larger of its two degrees
-            # (the new one plus one when placing)
             if ppos < 0:
                 if not classical:
                     loops_used ^= b
-                    for t in range(free_deg[v] + 1):
-                        ge[t] -= d
             else:
                 p = images[ppos]
                 pairfree[p] ^= b
                 pairfree[v] ^= 1 << p
                 free_deg[p] -= d
                 free_deg[v] -= d
-                if not loops_used >> p & 1:
-                    ge[free_deg[p] + enter] -= d
-                if not loops_used >> v & 1:
-                    ge[free_deg[v] + enter] -= d
                 if debug:
                     lo, hi = (p, v) if p < v else (v, p)
                     pairs_mask ^= 1 << (lo * n + hi)
                     edges_placed += d
                     assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
-            if debug:
-                assert ge == _threshold_counts(free_deg, loops_used), "threshold table drift"
             if enter:
                 i += 1
         if timed_out or solutions or not budget_tripped:

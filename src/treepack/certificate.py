@@ -237,9 +237,10 @@ class SparsePoly:
 
     def _compiled(self):
         # terms flattened for the evaluation hot path: one common
-        # denominator, integer numerators, y split out.  Cached on the
-        # instance (terms never mutate after __post_init__); the cache is
-        # not a dataclass field, so equality and repr ignore it.
+        # denominator, integer numerators, y split out, and a bitmask of
+        # each term's x variables.  Cached on the instance (terms never
+        # mutate after __post_init__); the cache is not a dataclass
+        # field, so equality and repr ignore it.
         cache = getattr(self, "_eval_cache", None)
         if cache is None:
             denom = 1
@@ -252,14 +253,16 @@ class SparsePoly:
                 num = coef.numerator * (denom // coef.denominator)
                 ydeg = 0
                 pairs = []
+                mask = 0
                 for vid, e in mono:
                     if vid == y_id:
                         ydeg = e
                     else:
                         pairs.append((vid, e))
+                        mask |= 1 << vid
                         if e > max_exp[vid]:
                             max_exp[vid] = e
-                rows.append((ydeg, num, tuple(pairs)))
+                rows.append((ydeg, num, tuple(pairs), mask))
             ytop = max((r[0] for r in rows), default=0)
             cache = (denom, tuple(rows), tuple(max_exp), ytop)
             object.__setattr__(self, "_eval_cache", cache)
@@ -277,8 +280,12 @@ class SparsePoly:
             for e in range(1, top + 1):
                 row[e] = row[e - 1] * flat[vid]
             powers.append(row)
+        # every exponent is positive, so a term with a variable at 0 is 0
+        zero = sum(1 << vid for vid, v in enumerate(flat) if not v)
         acc = [0] * (ytop + 1)
-        for ydeg, num, pairs in rows:
+        for ydeg, num, pairs, mask in rows:
+            if mask & zero:
+                continue
             for vid, e in pairs:
                 num *= powers[vid][e]
             acc[ydeg] += num

@@ -56,14 +56,29 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_all_exact_int = frozenset({int}).issuperset
+
+
+def _bad_entry(values: tuple, bound: int) -> int | None:
+    """Index of the first entry of the non-empty ``values`` that is not an
+    `is_int` in 0..bound-1, or None.  Exact types and min/max settle the
+    all-int case; the per-entry loop runs only to name a bad entry."""
+    if _all_exact_int(map(type, values)) and 0 <= min(values) and max(values) < bound:
+        return None
+    for v, w in enumerate(values):
+        if not is_int(w) or not 0 <= w < bound:
+            return v
+    return None
+
+
 def _check_self_map(g) -> Mapping:
     g = tuple(g)
     if not g:
         raise BadSizeError("a self-map needs at least one vertex")
     n = len(g)
-    for v, w in enumerate(g):
-        if not is_int(w) or not 0 <= w < n:
-            raise OutOfRangeError(f"map value {w!r} at vertex {v} is outside Z_{n}")
+    v = _bad_entry(g, n)
+    if v is not None:
+        raise OutOfRangeError(f"map value {g[v]!r} at vertex {v} is outside Z_{n}")
     return g
 
 
@@ -92,9 +107,6 @@ def conjugate(g, gamma) -> Mapping:
     for v, w in enumerate(g):
         out[gamma[v]] = gamma[w]
     return tuple(out)
-
-
-_all_exact_int = frozenset({int}).issuperset
 
 
 def check_permutation(p, n: int) -> Mapping:
@@ -143,7 +155,6 @@ class CompiledTree(NamedTuple):
     parent_pos: tuple[int, ...]
     prev_leaf_pos: tuple[int, ...]
     leaf_groups: tuple[tuple[int, ...], ...]
-    root_degree: int
     slot_vertex: tuple[int, ...]
     slot_parent: tuple[int, ...]
 
@@ -194,7 +205,6 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
         parent_pos=tuple(-1 if v == root else pos[g[v]] for v in order),
         prev_leaf_pos=tuple(prev_leaf_pos),
         leaf_groups=tuple(groups),
-        root_degree=len(kids[root]),
         slot_vertex=tuple(swap.get(v, v) for v in comp),
         slot_parent=tuple(swap.get(g[v], g[v]) for v in comp),
     )
@@ -269,21 +279,21 @@ def build_tree(parents, n: int | None = None) -> AugFuncTree:
     NotATreeError when the array carries a cycle or falls apart, and
     BadSizeError when m is empty or exceeds n.
     """
-    parents = list(parents)
+    parents = tuple(parents)
     m = len(parents)
     if n is None:
         n = m
     if m < 1 or m > n:
         raise BadSizeError(f"parent array of length {m} does not fit in Z_{n}")
-    for v, p in enumerate(parents):
-        if not is_int(p) or not 0 <= p < m:
-            raise OutOfRangeError(f"parent {p!r} of vertex {v} is outside Z_{m}")
+    v = _bad_entry(parents, m)
+    if v is not None:
+        raise OutOfRangeError(f"parent {parents[v]!r} of vertex {v} is outside Z_{m}")
     roots = [v for v, p in enumerate(parents) if p == v]
     if len(roots) != 1:
         raise NotATreeError(
             f"parent array has {len(roots)} fixed points, a tree needs exactly one"
         )
-    full = tuple(parents) + tuple(range(m, n))
+    full = parents + tuple(range(m, n))
     return AugFuncTree(n=n, m=m, map=full, root=roots[0])
 
 

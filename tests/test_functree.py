@@ -141,6 +141,17 @@ def test_build_tree_rejects_cycles_and_bad_roots():
         build_tree([0, 0, 0], 2)
 
 
+def test_non_int_entries_are_out_of_range():
+    """bool and float entries compare equal to vertices but are none, in a
+    parent array and in a self-map alike."""
+    with pytest.raises(OutOfRangeError, match="parent True of vertex 1"):
+        build_tree([0, True])
+    with pytest.raises(OutOfRangeError, match="parent 0.0 of vertex 1"):
+        build_tree([0, 0.0])
+    with pytest.raises(OutOfRangeError, match="map value 0.0 at vertex 1"):
+        AugFuncTree(n=2, m=2, map=(0, 0.0), root=0)
+
+
 def test_augfunctree_rejects_moved_outside_vertices():
     with pytest.raises(NotATreeError):
         AugFuncTree(n=3, m=2, map=(0, 0, 0), root=0)
@@ -353,7 +364,6 @@ def test_compiled_form_is_cached_and_invisible_to_equality():
     assert c.parent_pos == (-1, 0, 0, 1, 1)
     assert c.leaf_groups == ((2, 3),)
     assert c.prev_leaf_pos == (-1, -1, -1, -1, 3)
-    assert c.root_degree == 2
     # read at slot 4: the root moves to 4 and vertex 4 to 0
     assert tuple(c.slot_arcs()) == ((4, 4), (1, 4), (2, 1), (3, 1), (0, 4))
     assert t.children(0) == (1, 4) and t.children(1) == (2, 3)
