@@ -110,7 +110,6 @@ class SearchOutcome:
 def _boundary_feasible(
     j: int,
     pairfree: list[int],
-    free_deg: list[int],
     loops_used: int,
     classical: bool,
 ) -> bool:
@@ -123,11 +122,11 @@ def _boundary_feasible(
     a component must therefore use exactly its pairs, and their roots
     exactly its free loops.  False means no completion exists.
     """
-    n = len(free_deg)
+    n = len(pairfree)
     rem = list(range(j, 0, -1))  # slot k holds size k + 1: sizes descend
     live = 0  # vertices with a free pair
     for v in range(n):
-        if free_deg[v]:
+        if pairfree[v]:
             live |= 1 << v
     if not classical:
         # a vertex with no free pairs but a free loop can only take the
@@ -141,24 +140,20 @@ def _boundary_feasible(
         rem.pop()  # no loops to claim: a one-vertex tree fits anywhere
     comps: list[list[int]] = []
     while live:
-        comp = live & -live
-        frontier = comp
+        comp = frontier = live & -live
+        pairs = 0  # each vertex joins one frontier: every pair counts twice
         while frontier:
             nxt = 0
             m = frontier
             while m:
                 b = m & -m
                 m ^= b
-                nxt |= pairfree[b.bit_length() - 1]
+                pf = pairfree[b.bit_length() - 1]
+                nxt |= pf
+                pairs += pf.bit_count()
             frontier = nxt & ~comp
             comp |= frontier
         live &= ~comp
-        pairs = 0
-        m = comp
-        while m:
-            b = m & -m
-            m ^= b
-            pairs += free_deg[b.bit_length() - 1]
         comps.append([
             comp.bit_count(),
             pairs // 2,
@@ -166,9 +161,10 @@ def _boundary_feasible(
         ])
     if not rem:
         return not comps
+    # rem[0] * (rem[0] - 1) / 2 pairs need at least rem[0] vertices, so a
+    # component that passes the pair test fits the largest tree
     if (
         len(comps) == 1
-        and comps[0][0] >= rem[0]
         and comps[0][1] == sum(rem) - len(rem)
         and (classical or comps[0][2] == len(rem))
     ):
@@ -186,28 +182,17 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
     the most constrained trees are matched first.  Tree i tries one
     component of each distinct (fits, pairs, loops) signature: components
     that agree on it are interchangeable for every later tree.
-
-    Failed states are memoized under (i, sorted (pairs, loops) rows),
-    without vertex counts.  That is sound because sizes descend: a
-    component some earlier tree took has at least rem[i - 1] >= rem[i]
-    vertices, so it passes every remaining size test whatever its count,
-    and a component with fewer than rem[i] vertices was never taken and
-    still holds its initial row.  Two states with equal keys therefore
-    differ only in which large components carry which rows, which no
-    remaining tree can tell apart.
     """
-    seen: set[tuple] = set()
     path: list[list[int]] = []  # the row each placed tree occupies
-    work: list[tuple[tuple, list[list[int]]]] = []  # per level: key, rows to try
+    work: list[list[list[int]]] = []  # per level: the rows left to try
     while True:
         # enter level i: the rows tree i may take, last-tried first
         i = len(path)
-        key = (i, tuple(sorted((c[1], c[2]) for c in comps)))
         todo: list[list[int]] = []
         if i == len(rem):
             if all(c[1] == 0 and (not loops or c[2] == 0) for c in comps):
                 return True
-        elif key not in seen:
+        else:
             m = rem[i]
             tried = set()
             for c in comps:
@@ -217,15 +202,15 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
                     if c[0] >= m and c[1] >= m - 1 and (not loops or c[2] >= 1):
                         todo.append(c)
             todo.reverse()
-        work.append((key, todo))
-        while not work[-1][1]:  # back out of exhausted levels, returning rows
-            seen.add(work.pop()[0])
+        work.append(todo)
+        while not work[-1]:  # back out of exhausted levels, returning rows
+            work.pop()
             if not path:
                 return False
             c = path.pop()
             c[1] += rem[len(path)] - 1
             c[2] += 1
-        c = work[-1][1].pop()
+        c = work[-1].pop()
         c[1] -= rem[len(path)] - 1
         c[2] -= 1
         path.append(c)
@@ -267,7 +252,6 @@ def search(
     step_slot: list[int] = []
     step_parent: list[int] = []  # step of the parent, -1 at roots
     step_prev: list[int] = []  # step of the previous leaf sibling, -1
-    step_unstarted: list[int] = []  # trees whose root is not yet placed
     slot_steps: list[list[int]] = [[]] * n  # per slot: the step placing each vertex
     factor = n if symmetry_pruning else 1
     for slot in range(n - 1, -1, -1):  # largest tree first
@@ -280,8 +264,6 @@ def search(
         slot_steps[slot] = steps
         step_slot += [slot] * m
         step_parent += [p if p < 0 else base + p for p in lay.parent_pos]
-        # at this root, slots 0..slot are unstarted; after it, 0..slot-1
-        step_unstarted += [slot + 1] + [slot] * (m - 1)
         if symmetry_pruning:
             step_prev += [p if p < 0 else base + p for p in lay.prev_leaf_pos]
             for g in leaf_sibling_groups(family.trees[slot]):
@@ -299,7 +281,6 @@ def search(
     nodes = 0
     timed_out = False
     solutions: list[tuple[tuple[int, ...], ...]] = []
-    root_fix_slot = n - 1 if symmetry_pruning else -1
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
@@ -316,7 +297,6 @@ def search(
     rng = None
     while True:
         pairfree = list(base_pairfree)
-        free_deg = [pf.bit_count() for pf in pairfree]
         loops_used = 0
         tree_used = [0] * n
         pairs_mask = 0
@@ -346,13 +326,12 @@ def search(
                         if memo is not None and i:
                             # Everything the subtree below this boundary
                             # reads is a function of the key: the free
-                            # pairs (and so free_deg), the used loops,
-                            # the unstarted trees' empty tree_used,
-                            # all-zero scan offsets, and no root pin past
-                            # step 0.  Its images of the unstarted slots,
-                            # their DFS order and its node count are
-                            # therefore the same at every visit; only the
-                            # placed slots differ.
+                            # pairs, the used loops, the unstarted trees'
+                            # empty tree_used, all-zero scan offsets, and
+                            # no root pin past step 0.  Its images of the
+                            # unstarted slots, their DFS order and its
+                            # node count are therefore the same at every
+                            # visit; only the placed slots differ.
                             key = (i, tuple(pairfree), loops_used)
                             hit = memo.get(key)
                             if hit is None:  # closed when step i is exhausted
@@ -363,7 +342,7 @@ def search(
                             if done:
                                 placed = tuple(
                                     tuple([images[s] for s in steps])
-                                    for steps in slot_steps[step_unstarted[i]:]
+                                    for steps in slot_steps[step_slot[i] + 1:]
                                 )
                                 solutions += [d + placed for d in done]
                             before = nodes
@@ -378,11 +357,11 @@ def search(
                                 timed_out = True
                                 break
                         elif _boundary_feasible(
-                            step_unstarted[i], pairfree, free_deg, loops_used, classical
+                            step_slot[i] + 1, pairfree, loops_used, classical
                         ):
                             cand = full if classical else full & ~loops_used
-                            if step_slot[i] == root_fix_slot:
-                                cand &= 1
+                            if symmetry_pruning and not i:
+                                cand &= 1  # pin the largest tree's root
                 r = shift[i]
                 if r:  # scan from vertex r: rotate bit r down to bit 0
                     cand = ((cand >> r) | (cand << n - r)) & full
@@ -402,15 +381,15 @@ def search(
                     timed_out = True
                     break
                 images[i] = v
-                d, enter = 1, True
+                enter = True
             elif i:  # step i is exhausted: undo the image of step i - 1
                 if i == close_at:  # store the completions below its boundary
                     close_at, key, start, before = frames.pop()
-                    j = step_unstarted[i]
+                    j = step_slot[i] + 1  # the unstarted slots
                     memo[key] = (tuple([sol[:j] for sol in solutions[start:]]), nodes - before)
                 i -= 1
                 v = images[i]
-                d, enter = -1, False
+                enter = False
             else:
                 break  # step 0 is exhausted: the attempt saw every branch
             # placing and undoing both flip the same bits: every bit a
@@ -425,12 +404,10 @@ def search(
                 p = images[ppos]
                 pairfree[p] ^= b
                 pairfree[v] ^= 1 << p
-                free_deg[p] -= d
-                free_deg[v] -= d
                 if debug:
                     lo, hi = (p, v) if p < v else (v, p)
                     pairs_mask ^= 1 << (lo * n + hi)
-                    edges_placed += d
+                    edges_placed += 1 if enter else -1
                     assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
             if enter:
                 i += 1

@@ -67,9 +67,11 @@ class Labeling:
         """A labeling whose slots need no second check.
 
         Precondition: every slot in ``sigmas`` is a tuple that
-        ``check_permutation(·, n)`` returned.  Only the slot count is
-        checked here; `phi_enumerate`, whose members share one checked
-        permutation per distinct slot injection, is the only caller.
+        ``check_permutation(·, n)`` would return unchanged.  Only the slot
+        count is checked here.  The callers are `phi_enumerate`, whose
+        members share one checked permutation per distinct slot injection,
+        and `closure_check` and `diagonal_relabel`, whose new slots are
+        compositions of checked permutations and so permutations too.
         """
         _check_slot_count(n, sigmas)
         lab = object.__new__(cls)
@@ -291,16 +293,15 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
     if not is_complete(family, labeling):
         raise NotCompleteError("closure_check needs a complete labeling")
     sig = labeling.sigmas[slot]
-    composed = tuple(sig[tau[v]] for v in range(n))
+    composed = tuple([sig[t] for t in tau])
     sigmas = list(labeling.sigmas)
     sigmas[slot] = composed
-    return is_complete(family, Labeling(n=n, sigmas=tuple(sigmas)))
+    return is_complete(family, Labeling._checked(n, tuple(sigmas)))
 
 
 def diagonal_relabel(labeling: Labeling, gamma) -> Labeling:
     """Left-compose every slot with one permutation of the vertex labels."""
     gamma = check_permutation(gamma, labeling.n)
-    return Labeling(
-        n=labeling.n,
-        sigmas=tuple(tuple(gamma[x] for x in sig) for sig in labeling.sigmas),
+    return Labeling._checked(
+        labeling.n, tuple(tuple([gamma[x] for x in sig]) for sig in labeling.sigmas)
     )

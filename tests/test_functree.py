@@ -338,6 +338,8 @@ def test_family_validation():
         AugTreeFamily(n=3, trees=(t1, off, t3))
     with pytest.raises(BadSizeError):
         AugTreeFamily(n=0, trees=())
+    with pytest.raises(InvalidFamilyError, match="slot 1 is not an AugFuncTree"):
+        AugTreeFamily(n=3, trees=(t1, t2.map, t3))
 
 
 def test_slot_form_conjugates_root_to_k():
@@ -351,6 +353,9 @@ def test_slot_form_conjugates_root_to_k():
         swap = list(range(6))
         swap[0], swap[k] = k, 0
         assert conjugate(rooted.map, tuple(swap)) == fam.trees[k].map
+    for k in (-1, 6):
+        with pytest.raises(OutOfRangeError):
+            fam.slot_form(k)
 
 
 def test_compiled_form_is_cached_and_invisible_to_equality():

@@ -146,6 +146,8 @@ def test_orientation_arcs_and_not_complete():
     if not is_complete(fam, bad):
         with pytest.raises(NotCompleteError):
             orientation(fam, bad)
+    with pytest.raises(DimensionMismatchError):
+        orientation(fam, Labeling.identity(4))
 
 
 @pytest.mark.parametrize("n", [5, 9, 12])
@@ -243,6 +245,8 @@ def test_phi_enumerate_bounds():
         phi_enumerate(star_family(7), mode="essential")
     with pytest.raises(BoundExceededError):
         phi_enumerate(star_family(5), mode="full-count")
+    with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
+        phi_enumerate(star_family(3), mode="full")
 
 
 # --- closure ------------------------------------------------------------
@@ -261,6 +265,15 @@ def test_closure_rejects_non_automorphism():
     lab = star_identity_labeling(3)
     with pytest.raises(NotAutomorphismError):
         closure_check(fam, lab, (0, 2, 1), slot=2)  # moves the component
+    # (1 0) commutes with slot 0's map, the identity on Z_2, but moves its
+    # component {0}
+    with pytest.raises(NotAutomorphismError, match="component"):
+        closure_check(star_family(2), star_identity_labeling(2), (1, 0), slot=0)
+    # a genuine symmetry, but the input labeling is not complete
+    incomplete = Labeling(n=3, sigmas=((1, 0, 2), (0, 1, 2), (0, 1, 2)))
+    assert not is_complete(fam, incomplete)
+    with pytest.raises(NotCompleteError):
+        closure_check(fam, incomplete, (1, 0, 2), slot=2)
 
 
 def test_closure_exhaustive_small():
@@ -288,6 +301,16 @@ def test_diagonal_relabel_preserves_completeness():
         rng.shuffle(gamma)
         moved = diagonal_relabel(res.labeling, tuple(gamma))
         assert is_complete(fam, moved)
+        # the composed slots skip the check, so they must equal what the
+        # checked public constructor builds
+        public = Labeling(
+            n=6, sigmas=tuple(tuple(gamma[x] for x in sig) for sig in res.labeling.sigmas)
+        )
+        assert moved == public
+    lab = star_identity_labeling(3)
+    for bad in ((0, 0, 1), (True, 0), (True, False, 2)):
+        with pytest.raises(NotAPermutationError):
+            diagonal_relabel(lab, bad)
 
 
 def test_labeling_validation():

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import random
 import sys
 
 import pytest
@@ -13,6 +14,7 @@ from treepack import (
     BoundExceededError,
     Labeling,
     SolveConfig,
+    TreePackError,
     family_enumerate,
     generate_family,
     is_complete,
@@ -20,8 +22,8 @@ from treepack import (
     star_family,
     sweep,
 )
-from treepack import _search
-from treepack._search import RESTART_BASE_BUDGET, luby, search
+from treepack import _search, solver
+from treepack._search import RESTART_BASE_BUDGET, SearchOutcome, luby, search
 from treepack.packing import phi_enumerate
 
 
@@ -37,7 +39,7 @@ def brute_force_phi(fam):
     return found
 
 
-def test_pack_result_is_verified():
+def test_pack_result_is_verified(monkeypatch):
     for seed in range(30):
         fam = generate_family(8, "mixed", seed=seed)
         res = pack(fam)
@@ -45,6 +47,14 @@ def test_pack_result_is_verified():
         assert is_complete(fam, res.labeling)
         assert res.nodes_expanded > 0
         assert res.elapsed_ms >= 0
+    # pack never trusts the engine: a solution whose two loops both sit
+    # on vertex 0 is refused, not reported as packed
+    colliding = SearchOutcome(
+        solutions=[((0,), (0, 1))], nodes=3, timed_out=False, symmetry_factor=1
+    )
+    monkeypatch.setattr(solver, "search", lambda *args, **kwargs: colliding)
+    with pytest.raises(TreePackError, match="non-complete"):
+        pack(star_family(2))
 
 
 def test_every_family_packs_n4_and_n5():
@@ -107,6 +117,144 @@ def test_blocked_pairs_stay_exhausted_across_restarts(monkeypatch):
     res = pack(star_family(4), _blocked_pairs=((0, 1),))
     assert res.status == EXHAUSTED
     assert res.nodes_expanded > 4
+
+
+def cover_oracle(j, pairfree, loops_used, classical):
+    """Ground truth for the boundary exact cover, by trying every target
+    for every remaining tree.
+
+    The targets are the components of the free-pair graph and, with
+    loops, each vertex that keeps a free loop but no free pair.  Tree m
+    takes m - 1 pairs and (with loops) one loop from a target that has at
+    least m vertices; in classical mode the one-vertex tree takes nothing
+    and is left out.  An assignment is accepted when it uses every
+    target's pairs and loops exactly.
+    """
+    n = len(pairfree)
+    targets = []  # [vertices, pairs, free loops]
+    seen = set()
+    for v in range(n):
+        if v in seen:
+            continue
+        if not pairfree[v]:
+            if not classical and not loops_used >> v & 1:
+                targets.append([1, 0, 1])
+            continue
+        comp, stack = {v}, [v]
+        while stack:
+            u = stack.pop()
+            for w in range(n):
+                if pairfree[u] >> w & 1 and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        pairs = sum(1 for u in comp for w in comp if u < w and pairfree[u] >> w & 1)
+        loops = 0 if classical else sum(1 for u in comp if not loops_used >> u & 1)
+        targets.append([len(comp), pairs, loops])
+    sizes = [m for m in range(j, 0, -1) if not (classical and m == 1)]
+    loop = 0 if classical else 1
+
+    def assign(k):
+        if k == len(sizes):
+            return all(t[1] == 0 and t[2] == 0 for t in targets)
+        m = sizes[k]
+        for t in targets:
+            if t[0] >= m and t[1] >= m - 1 and t[2] >= loop:
+                t[1] -= m - 1
+                t[2] -= loop
+                ok = assign(k + 1)
+                t[1] += m - 1
+                t[2] += loop
+                if ok:
+                    return True
+        return False
+
+    return assign(0)
+
+
+def _random_state(rng):
+    """Random free pairs on 1-9 vertices, a random loop mask and j."""
+    n = rng.randint(1, 9)
+    density = rng.choice((0.2, 0.5, 0.8))
+    pairfree = [0] * n
+    for a, b in itertools.combinations(range(n), 2):
+        if rng.random() < density:
+            pairfree[a] |= 1 << b
+            pairfree[b] |= 1 << a
+    return rng.randint(0, n), pairfree, rng.getrandbits(n)
+
+
+def _matched_state(rng, classical):
+    """A state whose pair and loop totals suit sizes j..1: the sizes are
+    grouped at random, and each group gets a connected component with
+    exactly its pairs and (with loops) one free loop per tree, on as few
+    vertices as hold the pairs, on one per pair plus one, or in between.
+    A group given fewer vertices than its largest tree is no cover as
+    built, and only the vertex-count test tells that apart (random states
+    rarely reach it)."""
+    j = rng.randint(1, 7)
+    sizes = list(range(j, 0, -1))
+    rng.shuffle(sizes)
+    groups = []
+    while sizes:
+        cut = rng.randint(1, len(sizes))
+        groups.append(sizes[:cut])
+        sizes = sizes[cut:]
+    edges, free_loops, n = [], [], 0
+    for group in groups:
+        pairs = sum(group) - len(group)
+        if not pairs:  # the one-vertex tree alone
+            if not classical:
+                free_loops.append(n)
+                n += 1
+            continue
+        fewest = next(v for v in itertools.count(2) if v * (v - 1) // 2 >= pairs)
+        v = rng.choice((fewest, rng.randint(fewest, pairs + 1), pairs + 1))
+        verts = list(range(n, n + v))
+        chosen = {(verts[rng.randrange(k)], verts[k]) for k in range(1, v)}  # spanning tree
+        rest = [e for e in itertools.combinations(verts, 2) if e not in chosen]
+        chosen |= set(rng.sample(rest, pairs - len(chosen)))
+        edges += chosen
+        free_loops += rng.sample(verts, len(group))
+        n += v
+    n += rng.randint(0, 2)  # vertices with nothing left
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    pairfree = [0] * n
+    for a, b in edges:
+        pairfree[relabel[a]] |= 1 << relabel[b]
+        pairfree[relabel[b]] |= 1 << relabel[a]
+    loops_used = (1 << n) - 1
+    for v in free_loops:
+        loops_used &= ~(1 << relabel[v])
+    return j, pairfree, loops_used
+
+
+def test_boundary_exact_cover_matches_brute_force():
+    """`_boundary_feasible` decides the exact cover exactly, in both
+    modes: on random states, on states whose totals already match, and
+    on one-pair near misses of those."""
+    rng = random.Random(20240611)
+    agreed = feasible = 0
+    for classical in (False, True):
+        for _ in range(700):
+            states = [_random_state(rng), _matched_state(rng, classical)]
+            j, pairfree, loops_used = states[1]
+            if len(pairfree) >= 2:
+                a, b = rng.sample(range(len(pairfree)), 2)
+                near = list(pairfree)
+                near[a] ^= 1 << b
+                near[b] ^= 1 << a
+                states.append((j, near, loops_used))
+            for j, pairfree, loops_used in states:
+                want = cover_oracle(j, pairfree, loops_used, classical)
+                got = _search._boundary_feasible(j, list(pairfree), loops_used, classical)
+                assert got == want, (j, pairfree, loops_used, classical)
+                agreed += 1
+                feasible += want
+    # both answers occur often, so neither a constant True nor False passes
+    assert agreed > 3000
+    assert 300 < feasible < agreed - 300
 
 
 def test_time_limit_reports_timed_out():
