@@ -67,7 +67,7 @@ from .certificate import (
     CANONICAL_LATTICE_MAX_N,
     CANONICAL_PHI_MAX_N,
     COMPOSITION_CHECK_MAX_N,
-    LAGRANGE_EXPAND_MAX_VARS,
+    LAGRANGE_EXPAND_MAX_TERMS,
     SUPPORT_CHECK_MAX_N,
     CompositionReport,
     SparsePoly,

@@ -359,7 +359,7 @@ def search(
                         elif _boundary_feasible(
                             step_slot[i] + 1, pairfree, loops_used, classical
                         ):
-                            cand = full if classical else full & ~loops_used
+                            cand = full & ~loops_used  # classical: loops_used stays 0
                             if symmetry_pruning and not i:
                                 cand &= 1  # pin the largest tree's root
                 r = shift[i]

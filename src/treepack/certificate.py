@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations, product
-from math import gcd
+from math import gcd, prod
 
 from .errors import (
     BoundExceededError,
@@ -45,13 +45,14 @@ from .functree import (
     local_compose,
 )
 from .packing import Labeling, phi_enumerate
+from .solver import PACKED, pack
 
 # === feasibility bounds =================================================
 # The objects grow super-exponentially, so every exhaustive mode carries
 # an explicit cap with its cost formula rather than discovering the limit
 # by running out of memory.
 
-LAGRANGE_EXPAND_MAX_VARS = 9  # expansion holds up to n^vars monomials
+LAGRANGE_EXPAND_MAX_TERMS = 3**9  # the n = 3 lattice point at 0 has 3^9 terms
 CANONICAL_PHI_MAX_N = 3  # phi-sum walks |Phi| <= (n!)^n certificate terms
 CANONICAL_LATTICE_MAX_N = 2  # lattice mode interpolates n^(n*n) points
 SUPPORT_CHECK_MAX_N = 3
@@ -449,8 +450,8 @@ def lagrange_basis(f, point=None, expand: bool = False):
     `f` is either a full lattice point (one mapping per slot) or a single
     mapping over Z_n.  Exactly one mode must be requested: `point=` gives
     the exact rational value (1 at f, 0 at every other lattice point), and
-    `expand=True` gives the SparsePoly, capped at LAGRANGE_EXPAND_MAX_VARS
-    variables because the expansion can carry n^vars monomials.
+    `expand=True` gives the SparsePoly, capped at LAGRANGE_EXPAND_MAX_TERMS
+    monomials: a variable at 0 expands to n of them, any other to n - 1.
     """
     n, vals = _basis_variables(f)
     if (point is None) == (not expand):
@@ -471,10 +472,11 @@ def lagrange_basis(f, point=None, expand: bool = False):
                         return out
         return out
 
-    if len(vals) > LAGRANGE_EXPAND_MAX_VARS:
+    terms = prod(n if fv == 0 else n - 1 for _, fv in vals)
+    if terms > LAGRANGE_EXPAND_MAX_TERMS:
         raise BoundExceededError(
-            f"{len(vals)} variables exceed the expansion cap "
-            f"{LAGRANGE_EXPAND_MAX_VARS}"
+            f"an expansion of {terms} terms exceeds the cap "
+            f"{LAGRANGE_EXPAND_MAX_TERMS}"
         )
     numer, denom = _basis_numerator(vals, n)
     return SparsePoly(
@@ -719,12 +721,8 @@ class CompositionReport:
 
 
 def _phi_nonempty(family: AugTreeFamily) -> bool:
-    if family.n <= CANONICAL_PHI_MAX_N:
-        return not canonical_rep(family, mode="phi-sum").is_zero()
-    # past the polynomial caps the solver is the practical oracle
-    from .solver import PACKED, SolveConfig, pack
-
-    return pack(family, SolveConfig()).status == PACKED
+    # no time limit: pack either packs or exhausts, so the answer is exact
+    return pack(family).status == PACKED
 
 
 def composition_implication_check(n: int) -> CompositionReport:

@@ -29,7 +29,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import product
+from itertools import islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -532,12 +532,13 @@ def family_count(n: int) -> int:
     return math.prod(math.factorial(m - 1) for m in range(1, n + 1))
 
 
-def family_enumerate(n: int):
+def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     """Yield every family on Z_n, ordered lexicographically by parent arrays.
 
     Trees are prebuilt once per size and shared between the yielded
     families (they are immutable), so a full n = 6 sweep materializes
-    34560 families cheaply.
+    34560 families cheaply.  ``start`` and ``stop`` slice the index range
+    before any family is built, so a sweep chunk builds only its own.
     """
     if n < 1:
         raise BadSizeError("a family needs at least one vertex")
@@ -545,7 +546,7 @@ def family_enumerate(n: int):
     for m in range(1, n + 1):
         choices = product(*(range(u) for u in range(1, m)))
         per_size.append([build_tree((0,) + tail, n) for tail in choices])
-    for combo in product(*per_size):
+    for combo in islice(product(*per_size), start, stop):
         yield AugTreeFamily(n=n, trees=tuple(combo))
 
 

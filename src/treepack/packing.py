@@ -39,7 +39,6 @@ from .functree import (
 # Labeling, takes 14-15 s and peaks at 363 MB (Python 3.11.7 on a 2-core
 # machine).
 PHI_ESSENTIAL_MAX_N = 6
-PHI_FULL_COUNT_MAX_N = 4
 
 
 def _check_slot_count(n: int, sigmas: tuple) -> None:
@@ -220,21 +219,20 @@ def full_count_multiplier(n: int) -> int:
 
 
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
-    """All essential members of Phi, plus a count.
+    """All essential members of Phi, sorted, plus their count.
 
-    ``essential`` counts labelings up to the free values outside each
-    component (each listed member extends its injections by the ascending
-    fill).  ``full-count`` returns the same member list but the count of
-    the whole of Phi, which is the essential count times
-    :func:`full_count_multiplier`.  Bounds: n <= 6 / n <= 4 (BoundExceededError).
+    ``essential``, the only mode, lists labelings up to the free values
+    outside each component (each member extends its injections by the
+    ascending fill).  Phi itself has count * `full_count_multiplier(n)`
+    members.  Bound: n <= PHI_ESSENTIAL_MAX_N (BoundExceededError).
     """
     n = family.n
-    if mode not in ("essential", "full-count"):
+    if mode != "essential":
         raise ValueError(f"unknown phi_enumerate mode {mode!r}")
-    cap = PHI_ESSENTIAL_MAX_N if mode == "essential" else PHI_FULL_COUNT_MAX_N
-    if n > cap:
+    if n > PHI_ESSENTIAL_MAX_N:
         raise BoundExceededError(
-            f"phi_enumerate({mode}) is exhaustive; n={n} exceeds the cap {cap}"
+            f"phi_enumerate is exhaustive; n={n} exceeds the cap "
+            f"{PHI_ESSENTIAL_MAX_N}"
         )
     outcome = search(
         family,
@@ -260,10 +258,7 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     del outcome, built
     rows.sort()
     members = [Labeling._checked(n, row) for row in rows]
-    count = len(members)
-    if mode == "full-count":
-        count *= full_count_multiplier(n)
-    return members, count
+    return members, len(members)
 
 
 # =====================================================================

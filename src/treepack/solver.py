@@ -12,7 +12,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from itertools import islice
 
 from ._search import search
 from .errors import BoundExceededError, TreePackError
@@ -128,9 +127,7 @@ def star_identity_labeling(n: int) -> Labeling:
 def _sweep_chunk(args) -> list[FamilyOutcome]:
     n, start, stop, cfg = args
     rows = []
-    for index, family in enumerate(
-        islice(family_enumerate(n), start, stop), start=start
-    ):
+    for index, family in enumerate(family_enumerate(n, start, stop), start=start):
         res = pack(family, cfg)
         rows.append(
             FamilyOutcome(
@@ -151,7 +148,8 @@ def sweep(
 
     Refuses n beyond ``SWEEP_MAX_N`` (the enumeration is a product of
     factorials; n = 8 already means 1.25e11 families).  ``workers`` > 1
-    splits the enumeration index range over a process pool.
+    splits the index range into chunks over a process pool; each chunk
+    builds only its own families, and pool.map keeps the chunks in order.
     """
     if n > SWEEP_MAX_N:
         raise BoundExceededError(
@@ -172,7 +170,6 @@ def sweep(
         with ProcessPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
         rows = [row for part in parts for row in part]
-        rows.sort(key=lambda r: r.index)
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     by_status = {PACKED: 0, EXHAUSTED: 0, TIMED_OUT: 0}
     for row in rows:

@@ -29,7 +29,7 @@ from treepack import (
     variable_dependency_check,
     vertex_poly_eval,
 )
-from treepack.packing import phi_enumerate
+from treepack.packing import full_count_multiplier, phi_enumerate
 
 FAM2 = next(family_enumerate(2))
 ID2 = ((0, 1), (0, 1))
@@ -262,10 +262,13 @@ def test_lagrange_expand_agrees_with_point_mode():
 
 def test_lagrange_expand_bound():
     lagrange_basis(ID2, expand=True)  # 4 variables, fine
+    assert len(lagrange_basis((1, 0, 2, 3, 4, 5), expand=True).terms) == 6 * 5**5
     with pytest.raises(BoundExceededError):
         lagrange_basis(
             tuple(tuple(range(4)) for _ in range(4)), expand=True
-        )  # 16 > 9
+        )  # (4 * 3^3)^4 terms
+    with pytest.raises(BoundExceededError):
+        lagrange_basis(tuple(range(7)), expand=True)  # 7 * 6^6 terms
     with pytest.raises(ValidationError):
         lagrange_basis((0, 1), point=(0, 1), expand=True)
     with pytest.raises(ValidationError):
@@ -406,9 +409,14 @@ def test_poly_reduce_leaves_y_alone():
 
 
 def test_nonvanishing_equivalence_small_n():
+    """Canonical form nonzero iff Phi nonempty iff the composition audit's
+    oracle, pack, packs."""
+    from treepack.certificate import _phi_nonempty
+
     for n in (1, 2, 3):
         for fam in family_enumerate(n):
             assert nonvanishing_equivalence_check(fam)
+            assert _phi_nonempty(fam) == (phi_enumerate(fam)[1] > 0)
     with pytest.raises(BoundExceededError):
         nonvanishing_equivalence_check(star_family(4))
 
@@ -483,26 +491,25 @@ def test_poly_aut_check_shape_validation():
 
 
 def test_composition_implication_small_n():
-    for n in (1, 2, 4):
+    for n, families, steps in ((1, 1, 0), (2, 1, 0), (3, 2, 1), (4, 12, 16)):
         report = composition_implication_check(n)
         assert report.ok
         assert report.n == n
         assert not report.violations
-    r4 = composition_implication_check(4)
-    assert r4.families_checked == 12
-    assert r4.steps_checked > 0
+        assert (report.families_checked, report.steps_checked) == (families, steps)
     with pytest.raises(BoundExceededError):
         composition_implication_check(7)
 
 
 def test_phi_full_members_all_complete():
     """The full-Phi expansion behind phi-sum only produces certificates
-    that evaluate nonzero, and exactly full-count many members."""
+    that evaluate nonzero, and exactly essential * multiplier members."""
     from treepack.certificate import _phi_full
 
     for fam in family_enumerate(3):
         labs = list(_phi_full(fam))
-        _, full = phi_enumerate(fam, mode="full-count")
+        _, essential = phi_enumerate(fam, mode="essential")
+        full = essential * full_count_multiplier(3)
         assert len(labs) == full
         assert len({lab.sigmas for lab in labs}) == full
         for lab in labs:

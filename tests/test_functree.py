@@ -310,6 +310,35 @@ def test_family_enumerate_complete_and_ordered():
             assert t.m == k + 1 and t.root == 0
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_family_enumerate_range_is_a_slice(n, monkeypatch):
+    """A range equals the same islice of the whole walk and builds only
+    its own families."""
+    total = family_count(n)
+    last = (total - 1) // 5 * 5  # start of the last chunk of 5, often short
+    ranges = [
+        (total // 2, total // 2),  # empty
+        (total // 2, None),
+        (0, total),
+        (last, total),
+    ]
+    real = AugTreeFamily.__post_init__
+    for a, b in ranges:
+        want = list(itertools.islice(family_enumerate(n), a, b))
+        built = 0
+
+        def counting(self):
+            nonlocal built
+            built += 1
+            real(self)
+
+        with monkeypatch.context() as m:
+            m.setattr(AugTreeFamily, "__post_init__", counting)
+            got = list(family_enumerate(n, a, b))
+        assert got == want
+        assert built == len(want) == (total if b is None else b) - a
+
+
 def test_star_family_and_generate_family():
     fam = star_family(6)
     assert all(t.map[: t.m] == (0,) * t.m for t in fam.trees)

@@ -23,6 +23,7 @@ from treepack import (
     phi_enumerate,
     star_family,
 )
+from treepack.packing import full_count_multiplier
 from treepack.solver import pack, star_identity_labeling
 
 
@@ -194,8 +195,9 @@ def test_phi_enumerate_against_brute_force():
 def test_phi_full_count_multiplier():
     fam = next(family_enumerate(3))
     _, essential = phi_enumerate(fam, mode="essential")
-    _, full = phi_enumerate(fam, mode="full-count")
-    assert full == essential * 2  # times prod (n-k-1)! = 2!*1!*0!
+    assert full_count_multiplier(3) == 2  # prod (n-k-1)! = 2!*1!*0!
+    full = sum(complete_oracle(fam, lab) for lab in all_labelings(3))
+    assert full == essential * full_count_multiplier(3)
 
 
 def test_phi_members_are_complete_and_sorted():
@@ -243,8 +245,8 @@ def test_phi_enumerate_bounds():
 
     with pytest.raises(BoundExceededError):
         phi_enumerate(star_family(7), mode="essential")
-    with pytest.raises(BoundExceededError):
-        phi_enumerate(star_family(5), mode="full-count")
+    with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
+        phi_enumerate(star_family(3), mode="full-count")
     with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
         phi_enumerate(star_family(3), mode="full")
 

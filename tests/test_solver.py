@@ -405,11 +405,13 @@ def test_sweep_n4_all_pack():
 
 def test_sweep_parallel_matches_serial():
     serial = sweep(5)
-    parallel = sweep(5, workers=2)
     assert serial.nodes_total == 5616
-    assert [(r.index, r.status, r.nodes) for r in serial.rows] == [
-        (r.index, r.status, r.nodes) for r in parallel.rows
-    ]
+    # 5 workers cut the 288 families into chunks of 15 and a last one of 3
+    for workers in (2, 5):
+        parallel = sweep(5, workers=workers)
+        assert [(r.index, r.status, r.nodes) for r in serial.rows] == [
+            (r.index, r.status, r.nodes) for r in parallel.rows
+        ]
 
 
 def test_sweep_bound():
