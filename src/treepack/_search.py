@@ -12,7 +12,10 @@ Placement order is fixed: trees largest first, vertices of each tree
 breadth-first from the root with children ascending (the tree's compiled
 ``order``).  Each placement is one step, so a family has ``total`` =
 n(n+1)/2 steps.  Candidates are tried in ascending vertex order.  Together
-these make node counts a pure function of (family, options).
+these make node counts a pure function of (family, options).  A tree of
+size m takes the same steps in every family on Z_n, so its step rows and
+leaf-swap factor are compiled once per tree (``CompiledTree.steps`` to
+``leaf_swaps``), and a search only concatenates them, largest tree first.
 
 The backtracking is one explicit loop over per-step arrays, not a
 recursion, so its depth is not bounded by the interpreter's stack and no
@@ -70,11 +73,13 @@ enumeration never restarts.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 
+# leaf_sibling_groups stays a module attribute: perfbench/layers.py counts it here
 from .functree import AugTreeFamily, leaf_sibling_groups
 
 RESTART_BASE_BUDGET = 1 << 11  # the Luby unit: attempt 0's node budget
@@ -124,10 +129,8 @@ def _boundary_feasible(
     """
     n = len(pairfree)
     rem = list(range(j, 0, -1))  # slot k holds size k + 1: sizes descend
-    live = 0  # vertices with a free pair
-    for v in range(n):
-        if pairfree[v]:
-            live |= 1 << v
+    # vertices with a free pair: the masks are symmetric, so their union
+    live = reduce(or_, pairfree, 0)
     if not classical:
         # a vertex with no free pairs but a free loop can only take the
         # family's single one-vertex tree
@@ -249,28 +252,22 @@ def search(
     n = family.n
     full = (1 << n) - 1
 
+    compiled = [t.compiled() for t in family.trees]
+    slot_steps = [c.steps for c in compiled]  # per slot: the step placing each vertex
     step_slot: list[int] = []
     step_parent: list[int] = []  # step of the parent, -1 at roots
     step_prev: list[int] = []  # step of the previous leaf sibling, -1
-    slot_steps: list[list[int]] = [[]] * n  # per slot: the step placing each vertex
-    factor = n if symmetry_pruning else 1
+    factor = n
     for slot in range(n - 1, -1, -1):  # largest tree first
-        base = len(step_slot)
-        lay = family.trees[slot].compiled()
-        m = slot + 1
-        steps = [0] * m
-        for j, vert in enumerate(lay.order):
-            steps[vert] = base + j
-        slot_steps[slot] = steps
-        step_slot += [slot] * m
-        step_parent += [p if p < 0 else base + p for p in lay.parent_pos]
-        if symmetry_pruning:
-            step_prev += [p if p < 0 else base + p for p in lay.prev_leaf_pos]
-            for g in leaf_sibling_groups(family.trees[slot]):
-                factor *= math.factorial(len(g))
-        else:
-            step_prev += [-1] * m
+        c = compiled[slot]
+        step_slot += [slot] * (slot + 1)
+        step_parent += c.parent_step
+        step_prev += c.prev_leaf_step
+        factor *= c.leaf_swaps
     total = len(step_slot)
+    if not symmetry_pruning:
+        step_prev = [-1] * total
+        factor = 1
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
     for a, b in blocked_pairs:

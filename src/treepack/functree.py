@@ -148,6 +148,15 @@ class CompiledTree(NamedTuple):
     :meth:`slot_arcs` are the arcs a labeling relabels.  For such a tree
     ``slot_vertex[v]`` is vertex v's slot position, and arc 0 is the
     root's loop.
+
+    The last five fields place the tree at slot m-1 of a family on Z_n,
+    the only slot a family accepts it in; nothing reads them for other
+    trees.  ``steps`` (per component vertex, ascending), ``parent_step``
+    and ``prev_leaf_step`` are the engine steps of the vertex, its parent
+    and its previous leaf sibling (-1 kept): positions shifted by the
+    n(n+1)/2 - m(m+1)/2 steps of the larger slots.  ``leaf_swaps`` is the
+    product of |group|! over ``leaf_groups``; ``semigroup_break`` is the
+    first vertex u >= 1 with ``map[u] >= u``, 0 in semigroup form.
     """
 
     component: tuple[int, ...]
@@ -157,6 +166,11 @@ class CompiledTree(NamedTuple):
     leaf_groups: tuple[tuple[int, ...], ...]
     slot_vertex: tuple[int, ...]
     slot_parent: tuple[int, ...]
+    steps: tuple[int, ...]
+    parent_step: tuple[int, ...]
+    prev_leaf_step: tuple[int, ...]
+    leaf_swaps: int
+    semigroup_break: int
 
     def slot_arcs(self):
         """Iterator over the arcs (vertex, parent) read at the slot."""
@@ -173,7 +187,8 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
     path ends at the root; a member on a cycle missing the root is never
     reached.
     """
-    comp = tuple(v for v in range(len(g)) if g[v] != v or v == root)
+    n = len(g)
+    comp = [v for v in range(n) if g[v] != v or v == root]
     if len(comp) != m:
         raise NotATreeError(f"component has {len(comp)} vertices, expected {m}")
     kids: dict[int, list[int]] = {v: [] for v in comp}
@@ -188,25 +203,32 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
     if len(order) != m:
         missed = min(set(comp).difference(order))
         raise NotATreeError(f"vertex {missed} does not reach the root {root}")
-    pos = {v: j for j, v in enumerate(order)}
+    pos = dict(zip(order, range(m)))
     prev_leaf_pos = [-1] * m
     groups = []
-    for v in comp:
-        leaves = tuple(u for u in kids[v] if not kids[u])
-        if len(leaves) >= 2:
-            groups.append(leaves)
-            for a, b in zip(leaves, leaves[1:]):
-                prev_leaf_pos[pos[b]] = pos[a]
-    k = m - 1
-    swap = {0: k, k: 0}
+    for ks in kids.values():  # ascending by parent, as comp is
+        if len(ks) >= 2:
+            leaves = [u for u in ks if not kids[u]]
+            if len(leaves) >= 2:
+                groups.append(tuple(leaves))
+                for a, b in zip(leaves, leaves[1:]):
+                    prev_leaf_pos[pos[b]] = pos[a]
+    parent_pos = [-1, *[pos[g[v]] for v in order[1:]]]
+    base = (n * (n + 1) - m * (m + 1)) // 2  # the steps of the larger slots
+    swap = {0: m - 1, m - 1: 0}
     return CompiledTree(
-        component=comp,
+        component=tuple(comp),
         order=tuple(order),
-        parent_pos=tuple(-1 if v == root else pos[g[v]] for v in order),
+        parent_pos=tuple(parent_pos),
         prev_leaf_pos=tuple(prev_leaf_pos),
         leaf_groups=tuple(groups),
-        slot_vertex=tuple(swap.get(v, v) for v in comp),
-        slot_parent=tuple(swap.get(g[v], g[v]) for v in comp),
+        slot_vertex=tuple([swap.get(v, v) for v in comp]),
+        slot_parent=tuple([swap.get(g[v], g[v]) for v in comp]),
+        steps=tuple([base + pos[v] for v in comp]),
+        parent_step=tuple([p if p < 0 else base + p for p in parent_pos]),
+        prev_leaf_step=tuple([p if p < 0 else base + p for p in prev_leaf_pos]),
+        leaf_swaps=math.prod([math.factorial(len(grp)) for grp in groups]),
+        semigroup_break=next((u for u in range(1, m) if g[u] >= u), 0),
     )
 
 
@@ -490,11 +512,10 @@ class AugTreeFamily:
                 raise InvalidFamilyError(
                     f"slot {k} must have component size {k + 1} rooted at 0"
                 )
-            for u in range(1, k + 1):
-                if t.map[u] >= u:
-                    raise InvalidFamilyError(
-                        f"slot {k} is not in semigroup form at vertex {u}"
-                    )
+            if u := t.compiled().semigroup_break:
+                raise InvalidFamilyError(
+                    f"slot {k} is not in semigroup form at vertex {u}"
+                )
 
     def slot_form(self, k: int) -> AugFuncTree:
         """Slot k conjugated by the transposition (0 k): root moves to k.
@@ -553,7 +574,8 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
 def leaf_sibling_groups(tree: AugFuncTree) -> list[tuple[int, ...]]:
     """Maximal groups of >= 2 leaves sharing a parent, ascending.
 
-    Used for search-space pruning (group images may be demanded in
-    ascending order) and to enumerate the leaf-swap symmetries.
+    Used to enumerate the leaf-swap symmetries.  The search prunes with
+    the same groups through the compiled ``prev_leaf_step`` (group images
+    ascend) and ``leaf_swaps`` rows.
     """
     return list(tree.compiled().leaf_groups)

@@ -133,11 +133,6 @@ def induced_edges(tree: AugFuncTree, sigma) -> list[tuple[int, int]]:
     return [(sigma[v], sigma[tree.map[v]]) for v in tree.component()]
 
 
-def _pair_bit(a: int, b: int, n: int) -> int:
-    if a > b:
-        a, b = b, a
-    return 1 << (a * n + b)
-
 def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = False) -> bool:
     """True iff the labeling's arcs tile looped K_n edge-disjointly.
 
@@ -158,7 +153,8 @@ def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = Fal
         if classical:
             next(arcs)  # arc 0 is the root's loop
         for a, b in arcs:
-            bit = _pair_bit(sig[a], sig[b], n)
+            a, b = sig[a], sig[b]
+            bit = 1 << (a * n + b if a <= b else b * n + a)  # one bit per edge
             if seen & bit:
                 return False
             seen |= bit
@@ -190,13 +186,12 @@ def _slot_permutation(tree: AugFuncTree, phi, n: int) -> Mapping:
     above the component.
 
     ``phi[v]`` is the image of stored vertex v, which sits at its compiled
-    slot position.
+    slot position ``slot_vertex[v]``.  That map is the swap (0 k) on the
+    component, its own inverse, so position u takes ``phi[slot_vertex[u]]``.
     """
-    sig = [-1] * n
-    for u, x in zip(tree.compiled().slot_vertex, phi):
-        sig[u] = x
+    sig = [phi[v] for v in tree.compiled().slot_vertex]
     used = set(phi)
-    sig[len(phi):] = [x for x in range(n) if x not in used]
+    sig += [x for x in range(n) if x not in used]
     return tuple(sig)
 
 

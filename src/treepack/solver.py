@@ -9,13 +9,14 @@ the parallel output is identical to the serial one.
 
 from __future__ import annotations
 
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from ._search import search
 from .errors import BoundExceededError, TreePackError
-from .functree import AugTreeFamily, family_count, family_enumerate
+from .functree import AugTreeFamily, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
 
 PACKED = "packed"
@@ -33,8 +34,13 @@ class SolveConfig:
     classical_mode: bool = False
 
     def __post_init__(self) -> None:
-        if self.time_limit_ms is not None and self.time_limit_ms <= 0:
-            raise ValueError("time limit must be positive when present")
+        t = self.time_limit_ms  # a NaN deadline never fires, True would be 1 ms
+        if t is not None and not (
+            (is_int(t) or isinstance(t, float)) and 0 < t <= sys.float_info.max
+        ):
+            raise ValueError(f"time limit must be a finite positive number of ms, got {t!r}")
+        if type(self.classical_mode) is not bool:  # "no" is truthy
+            raise ValueError(f"classical_mode must be a bool, got {self.classical_mode!r}")
 
 
 @dataclass(frozen=True)

@@ -404,6 +404,80 @@ def test_compiled_form_is_cached_and_invisible_to_equality():
     assert t.children(2) == t.children(5) == ()
 
 
+def _search_rows(tree):
+    """The engine rows of ``tree`` derived as the search once built them
+    per family: the trees of sizes n, n-1, ..., m+1 are placed first, and
+    this tree's steps follow in its breadth-first order."""
+    c = tree.compiled()
+    base = sum(range(tree.m + 1, tree.n + 1))
+    steps = [None] * tree.m
+    for j, v in enumerate(c.order):
+        steps[c.component.index(v)] = base + j
+    parent = [p if p < 0 else base + p for p in c.parent_pos]
+    prev = [p if p < 0 else base + p for p in c.prev_leaf_pos]
+    return tuple(steps), tuple(parent), tuple(prev)
+
+
+def test_compiled_engine_fields_match_the_per_family_derivation():
+    """Every semigroup tree with m <= 6 in Z_6 and Z_9, every root-0 tree
+    with m <= 5 in Z_6 (semigroup form or not), and seeded uniform trees
+    at n = 24 and 40."""
+    trees = []
+    for n in (6, 9):
+        for m in range(1, 7):
+            for tail in itertools.product(*(range(u) for u in range(1, m))):
+                trees.append(build_tree((0,) + tail, n))
+    for m in range(2, 6):
+        for tail in itertools.product(range(m), repeat=m - 1):
+            try:
+                trees.append(build_tree((0,) + tail, 6))
+            except NotATreeError:
+                pass
+    for n in (24, 40):
+        for seed in range(12):
+            trees.append(generate("random-uniform", random.Random(seed).randint(1, n), n, seed))
+    breaks = 0
+    for t in trees:
+        c = t.compiled()
+        assert (c.steps, c.parent_step, c.prev_leaf_step) == _search_rows(t)
+        groups = leaf_sibling_groups(t)
+        assert c.leaf_swaps == math.prod(math.factorial(len(g)) for g in groups)
+        upward = [u for u in range(1, t.m) if t.map[u] >= u]
+        assert c.semigroup_break == (upward[0] if upward else 0)
+        breaks += c.semigroup_break > 0
+    assert len(trees) > 400 and breaks > 50
+    # a family's rows number its steps 0..n(n+1)/2 - 1, each once
+    fam = generate_family(9, "mixed", 4)
+    steps = sorted(s for t in fam.trees for s in t.compiled().steps)
+    assert steps == list(range(45))
+
+
+def test_compile_matches_its_frozen_output_on_every_small_map():
+    """Every AugFuncTree(n, m, g, r) with n <= 4: the digest covers each
+    compiled field that predates the engine rows for the maps that build,
+    and the exception type and message for those that are rejected."""
+    fields = (
+        "component", "order", "parent_pos", "prev_leaf_pos", "leaf_groups",
+        "slot_vertex", "slot_parent",
+    )
+    h = hashlib.sha256()
+    built = 0
+    for n in range(1, 5):
+        for m in range(1, n + 1):
+            for r in range(n):
+                for g in itertools.product(range(n), repeat=n):
+                    try:
+                        c = AugFuncTree(n, m, g, r).compiled()
+                    except Exception as e:
+                        line = f"{n} {m} {r} {g} {type(e).__name__}: {e}"
+                    else:
+                        line = f"{n} {m} {r} {g} " + repr(tuple(getattr(c, f) for f in fields))
+                        built += 1
+                    h.update(line.encode() + b"\n")
+    assert built == 139
+    assert h.hexdigest() == "1b2cde41cd7e16b702b4f86989e8854e9eb9ae771395a76e85ad0c37b05d24bd"
+
+
 def test_with_tree_replaces_one_slot():
     fam = star_family(4)
     path3 = build_tree([0, 0, 1], 4)

@@ -12,6 +12,7 @@ from treepack import (
     NotAPermutationError,
     NotAutomorphismError,
     NotCompleteError,
+    build_tree,
     closure_check,
     conjugate,
     diagonal_relabel,
@@ -238,6 +239,29 @@ def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
     )
     with pytest.raises(NotAPermutationError):
         phi_enumerate(next(family_enumerate(3)), mode="essential")
+
+
+def test_slot_permutation_matches_the_scatter_definition():
+    """On every family tree with m <= 5 in Z_6 and seeded injections:
+    stored vertex v's image lands at its slot position, and the values
+    the injection leaves out fill the positions above the component in
+    ascending order."""
+    from treepack.packing import _slot_permutation
+
+    rng = random.Random(5)
+    checked = 0
+    for m in range(1, 6):
+        for tail in itertools.product(*(range(u) for u in range(1, m))):
+            tree = build_tree((0,) + tail, 6)
+            for _ in range(8):
+                phi = tuple(rng.sample(range(6), m))
+                want = [None] * 6
+                for v, x in zip(tree.compiled().slot_vertex, phi):
+                    want[v] = x
+                want[m:] = sorted(set(range(6)) - set(phi))
+                assert _slot_permutation(tree, phi, 6) == tuple(want)
+                checked += 1
+    assert checked == 34 * 8
 
 
 def test_phi_enumerate_bounds():

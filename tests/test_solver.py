@@ -387,8 +387,24 @@ def test_classical_mode_packs_and_verifies():
 
 
 def test_solve_config_validation():
-    with pytest.raises(ValueError):
-        SolveConfig(time_limit_ms=0)
+    for bad in (
+        {"time_limit_ms": 0},
+        {"time_limit_ms": -1.5},
+        {"time_limit_ms": float("nan")},  # a NaN deadline never fires
+        {"time_limit_ms": float("inf")},
+        {"time_limit_ms": 10**400},  # no float holds it: pack would overflow
+        {"time_limit_ms": True},  # would read as a 1 ms limit
+        {"time_limit_ms": "5"},
+        {"classical_mode": "no"},  # truthy: would switch classical mode on
+        {"classical_mode": 1},
+        {"classical_mode": None},
+    ):
+        with pytest.raises(ValueError):
+            SolveConfig(**bad)
+    for limit in (None, 1, 0.5, 900.0, 10**30):
+        assert SolveConfig(time_limit_ms=limit).time_limit_ms == limit
+    for mode in (False, True):
+        assert SolveConfig(classical_mode=mode).classical_mode is mode
 
 
 # --- sweeps -------------------------------------------------------------
