@@ -3,7 +3,9 @@
 The search space is the set of "essential" labelings: one injection per
 slot from the stored component Z_(k+1) into Z_n.  Values outside the
 component never touch an edge, so feasibility and enumeration both live
-entirely in this space.  State is held in integer bitmasks — one free-
+entirely in this space; a solution is reported as the labeling that
+fills them ascending, one checked permutation per slot
+(`_slot_permutations`).  State is held in integer bitmasks — one free-
 partner mask per vertex, one mask of consumed loop vertices, one
 used-vertex mask per tree — which makes candidate generation a couple of
 machine-word operations per node.
@@ -16,6 +18,8 @@ these make node counts a pure function of (family, options).  A tree of
 size m takes the same steps in every family on Z_n, so its step rows and
 leaf-swap factor are compiled once per tree (``CompiledTree.steps`` to
 ``leaf_swaps``), and a search only concatenates them, largest tree first.
+Because ``steps`` lists a slot's steps by slot position, the (0 k) swap
+that moves the root to slot k stays inside `functree._compile`.
 
 The backtracking is one explicit loop over per-step arrays, not a
 recursion, so its depth is not bounded by the interpreter's stack and no
@@ -43,10 +47,10 @@ a tree, the search reads nothing but the step, the free pairs and the
 used loops (the soundness note sits at the lookup), and in enumeration
 most boundary states recur: 97 % of those reached over forty n = 5
 families had been reached before.  So the engine keys each boundary it
-leaves by ``(step, free-pair masks, used loops)`` and stores the images
-of the unstarted slots for every completion found below it, in DFS
-order, with the nodes the subtree took.  A later visit with the same key
-appends those completions to the placed slots, adds the node count and
+leaves by ``(step, free-pair masks, used loops)`` and stores the unstarted
+slots' permutations for every completion found below it, in DFS order,
+with the nodes the subtree took.  A later visit with the same key appends
+those completions to the placed slots, built once, adds the node count and
 treats the step as exhausted, so solutions, their order and node counts
 are those of the plain search.  First-only search keeps no memo: a
 boundary state there rarely recurs, and skipping a failed subtree would
@@ -80,7 +84,7 @@ from functools import reduce
 from operator import or_
 
 # leaf_sibling_groups stays a module attribute: perfbench/layers.py counts it here
-from .functree import AugTreeFamily, leaf_sibling_groups
+from .functree import AugTreeFamily, Mapping, check_permutation, leaf_sibling_groups
 
 RESTART_BASE_BUDGET = 1 << 11  # the Luby unit: attempt 0's node budget
 RESTART_SEED = 1  # seeds the scan offsets of attempts 1, 2, ...
@@ -102,11 +106,27 @@ def luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
+def _slot_permutations(images: list[int], slot_steps, n: int) -> tuple[Mapping, ...]:
+    """The permutation of each slot in ``slot_steps``, read off ``images``.
+
+    A slot's steps list its vertices by slot position, so their images
+    head its permutation; the values it leaves free fill the positions
+    above its component, ascending.  Every tuple is checked here, where
+    it is built, and nowhere again."""
+    out = []
+    for steps in slot_steps:
+        sig = [images[s] for s in steps]
+        sig += [x for x in range(n) if x not in sig]
+        out.append(check_permutation(sig, n))
+    return tuple(out)
+
+
 @dataclass
 class SearchOutcome:
-    """Raw engine result: per-slot component injections, not yet labelings."""
+    """Raw engine result.  Each solution is a labeling's slot permutations,
+    slot 0 first, every one checked by `_slot_permutations`."""
 
-    solutions: list[tuple[tuple[int, ...], ...]]
+    solutions: list[tuple[Mapping, ...]]
     nodes: int
     timed_out: bool
     symmetry_factor: int
@@ -253,7 +273,7 @@ def search(
     full = (1 << n) - 1
 
     compiled = [t.compiled() for t in family.trees]
-    slot_steps = [c.steps for c in compiled]  # per slot: the step placing each vertex
+    slot_steps = [c.steps for c in compiled]  # per slot: its steps by slot position
     step_slot: list[int] = []
     step_parent: list[int] = []  # step of the parent, -1 at roots
     step_prev: list[int] = []  # step of the previous leaf sibling, -1
@@ -277,13 +297,13 @@ def search(
     work = [0] * (total + 1)  # untried candidates per step, rotated by shift
     nodes = 0
     timed_out = False
-    solutions: list[tuple[tuple[int, ...], ...]] = []
+    solutions: list[tuple[Mapping, ...]] = []
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
-    # full enumeration: per tree-boundary state, the unstarted slots of
-    # each completion below it and the nodes it took (first-only search
-    # keeps none, and close_at stays -1)
+    # full enumeration: per tree-boundary state, the unstarted slots'
+    # permutations of each completion below it and the nodes it took
+    # (first-only search keeps none, and close_at stays -1)
     memo: dict[tuple, tuple[tuple, int]] | None = None if first_only else {}
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
@@ -306,9 +326,7 @@ def search(
             if enter:  # step i's candidates, or none where a prune fires
                 cand = 0
                 if i == total:
-                    solutions.append(
-                        tuple(tuple([images[s] for s in steps]) for steps in slot_steps)
-                    )
+                    solutions.append(_slot_permutations(images, slot_steps, n))
                     if first_only:
                         break
                 else:
@@ -325,10 +343,10 @@ def search(
                             # reads is a function of the key: the free
                             # pairs, the used loops, the unstarted trees'
                             # empty tree_used, all-zero scan offsets, and
-                            # no root pin past step 0.  Its images of the
-                            # unstarted slots, their DFS order and its
-                            # node count are therefore the same at every
-                            # visit; only the placed slots differ.
+                            # no root pin past step 0.  Its permutations
+                            # of the unstarted slots, their DFS order and
+                            # its node count are therefore the same at
+                            # every visit; only the placed slots differ.
                             key = (i, tuple(pairfree), loops_used)
                             hit = memo.get(key)
                             if hit is None:  # closed when step i is exhausted
@@ -337,9 +355,8 @@ def search(
                         if hit is not None:
                             done, took = hit
                             if done:
-                                placed = tuple(
-                                    tuple([images[s] for s in steps])
-                                    for steps in slot_steps[step_slot[i] + 1:]
+                                placed = _slot_permutations(
+                                    images, slot_steps[step_slot[i] + 1:], n
                                 )
                                 solutions += [d + placed for d in done]
                             before = nodes

@@ -34,6 +34,7 @@ from typing import NamedTuple
 
 from .errors import (
     BadSizeError,
+    BoundExceededError,
     InvalidFamilyError,
     NotAPermutationError,
     NotATreeError,
@@ -44,6 +45,10 @@ from .errors import (
 Mapping = tuple[int, ...]
 
 GENERATOR_KINDS = ("star", "path", "caterpillar", "random-recursive", "random-uniform")
+
+# family_enumerate builds (m-1)! trees of each size m <= n before its
+# first family, and family_count(8) is already 1.25e11 families
+SWEEP_MAX_N = 8
 
 
 # =====================================================================
@@ -151,10 +156,12 @@ class CompiledTree(NamedTuple):
 
     The last five fields place the tree at slot m-1 of a family on Z_n,
     the only slot a family accepts it in; nothing reads them for other
-    trees.  ``steps`` (per component vertex, ascending), ``parent_step``
-    and ``prev_leaf_step`` are the engine steps of the vertex, its parent
-    and its previous leaf sibling (-1 kept): positions shifted by the
-    n(n+1)/2 - m(m+1)/2 steps of the larger slots.  ``leaf_swaps`` is the
+    trees.  ``steps`` holds the engine step of each component vertex by
+    slot position (as ``sorted(slot_vertex)``), so its images head the
+    slot's permutation; ``parent_step`` and ``prev_leaf_step``, along
+    ``order``, are the steps of the parent and previous leaf sibling (-1
+    kept).  A step is a position in ``order`` shifted by the n(n+1)/2 -
+    m(m+1)/2 steps of the larger slots.  ``leaf_swaps`` is the
     product of |group|! over ``leaf_groups``; ``semigroup_break`` is the
     first vertex u >= 1 with ``map[u] >= u``, 0 in semigroup form.
     """
@@ -224,7 +231,7 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
         leaf_groups=tuple(groups),
         slot_vertex=tuple([swap.get(v, v) for v in comp]),
         slot_parent=tuple([swap.get(g[v], g[v]) for v in comp]),
-        steps=tuple([base + pos[v] for v in comp]),
+        steps=tuple([base + pos[v] for v in sorted(comp, key=lambda v: swap.get(v, v))]),
         parent_step=tuple([p if p < 0 else base + p for p in parent_pos]),
         prev_leaf_step=tuple([p if p < 0 else base + p for p in prev_leaf_pos]),
         leaf_swaps=math.prod([math.factorial(len(grp)) for grp in groups]),
@@ -560,9 +567,16 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     families (they are immutable), so a full n = 6 sweep materializes
     34560 families cheaply.  ``start`` and ``stop`` slice the index range
     before any family is built, so a sweep chunk builds only its own.
+    Refuses n beyond ``SWEEP_MAX_N`` (BoundExceededError) before building
+    any tree: n = 9 alone would mean 46 234 of them.
     """
     if n < 1:
         raise BadSizeError("a family needs at least one vertex")
+    if n > SWEEP_MAX_N:
+        raise BoundExceededError(
+            f"enumerating the {family_count(n)} families at n={n} exceeds "
+            f"the cap {SWEEP_MAX_N}"
+        )
     per_size: list[list[AugFuncTree]] = []
     for m in range(1, n + 1):
         choices = product(*(range(u) for u in range(1, m)))

@@ -34,9 +34,10 @@ from .functree import (
 # Full enumeration of essential injections is exponential in n.  At the
 # essential cap one call takes over ten seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
-# them in about 5 s of CPU time (12.1 M nodes, most of them counted by
-# boundary memo hits), and phi_enumerate, which holds every member as a
-# Labeling, takes 14-15 s and peaks at 363 MB (Python 3.11.7 on a 2-core
+# them as checked slot permutations in about 7 s of CPU time (12.1 M nodes,
+# most of them counted by boundary memo hits; 577 716 slot permutations
+# built), and phi_enumerate, which sorts them and holds every member as a
+# Labeling, takes 15-17 s and peaks at 335 MB (Python 3.11.7 on a 2-core
 # machine).
 PHI_ESSENTIAL_MAX_N = 6
 
@@ -67,10 +68,11 @@ class Labeling:
 
         Precondition: every slot in ``sigmas`` is a tuple that
         ``check_permutation(·, n)`` would return unchanged.  Only the slot
-        count is checked here.  The callers are `phi_enumerate`, whose
-        members share one checked permutation per distinct slot injection,
-        and `closure_check` and `diagonal_relabel`, whose new slots are
-        compositions of checked permutations and so permutations too.
+        count is checked here.  The callers are `pack` (through
+        `_labeling_from_injections`) and `phi_enumerate`, whose rows the
+        engine checked slot by slot as it built them, and `closure_check`
+        and `diagonal_relabel`, whose new slots are compositions of
+        checked permutations and so permutations too.
         """
         _check_slot_count(n, sigmas)
         lab = object.__new__(cls)
@@ -180,31 +182,11 @@ def orientation(family: AugTreeFamily, labeling: Labeling) -> EdgeOrientation:
 # Phi enumeration
 # =====================================================================
 
-def _slot_permutation(tree: AugFuncTree, phi, n: int) -> Mapping:
-    """Slot k's permutation from ``phi``, the injection of its k + 1
-    component vertices, unused values filled ascending into the positions
-    above the component.
-
-    ``phi[v]`` is the image of stored vertex v, which sits at its compiled
-    slot position ``slot_vertex[v]``.  That map is the swap (0 k) on the
-    component, its own inverse, so position u takes ``phi[slot_vertex[u]]``.
-    """
-    sig = [phi[v] for v in tree.compiled().slot_vertex]
-    used = set(phi)
-    sig += [x for x in range(n) if x not in used]
-    return tuple(sig)
-
-
-def _labeling_from_injections(family: AugTreeFamily, injections) -> Labeling:
-    """Extend per-slot component injections to permutations (see
-    `_slot_permutation`)."""
-    n = family.n
-    return Labeling(
-        n=n,
-        sigmas=tuple(
-            [_slot_permutation(tree, phi, n) for tree, phi in zip(family.trees, injections)]
-        ),
-    )
+def _labeling_from_injections(family: AugTreeFamily, row: tuple[Mapping, ...]) -> Labeling:
+    """One engine solution, whose slot permutations the engine checked as
+    it built them, as a Labeling.  The name predates those rows; it stays
+    because the benchmark's tracer (``perfbench/layers.py``) wraps it."""
+    return Labeling._checked(family.n, row)
 
 
 def full_count_multiplier(n: int) -> int:
@@ -229,28 +211,12 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             f"phi_enumerate is exhaustive; n={n} exceeds the cap "
             f"{PHI_ESSENTIAL_MAX_N}"
         )
-    outcome = search(
+    rows = search(
         family,
         symmetry_pruning=False,
         classical=False,
         first_only=False,
-    )
-    # a slot takes few distinct injections (members that complete one
-    # tree-boundary state repeat its placed slots), so each slot builds
-    # and checks one permutation per distinct injection, shared by its
-    # members; the cache is keyed by the engine's injection, never by a
-    # permutation value, which a bool tuple would compare equal to
-    built: list[dict] = [{} for _ in range(n)]
-    rows = []
-    for sol in outcome.solutions:
-        row = []
-        for tree, cache, phi in zip(family.trees, built, sol):
-            sig = cache.get(phi)
-            if sig is None:
-                sig = cache[phi] = check_permutation(_slot_permutation(tree, phi, n), n)
-            row.append(sig)
-        rows.append(tuple(row))
-    del outcome, built
+    ).solutions
     rows.sort()
     members = [Labeling._checked(n, row) for row in rows]
     return members, len(members)

@@ -16,14 +16,12 @@ from dataclasses import dataclass, field
 
 from ._search import search
 from .errors import BoundExceededError, TreePackError
-from .functree import AugTreeFamily, family_count, family_enumerate, is_int
+from .functree import SWEEP_MAX_N, AugTreeFamily, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
 
 PACKED = "packed"
 EXHAUSTED = "exhausted"
 TIMED_OUT = "timed-out"
-
-SWEEP_MAX_N = 8
 
 
 @dataclass(frozen=True)
@@ -45,18 +43,15 @@ class SolveConfig:
 
 @dataclass(frozen=True)
 class SolveResult:
-    """Outcome of one pack() call.
+    """Outcome of one pack() call: the first labeling found, or none.
 
-    ``symmetry_factor`` is the exact solution-count multiplier removed by
-    the pruning cuts, so an exhausted claim can be re-run unpruned and
-    compared.  Packed results always carry a verified labeling.
+    Packed results always carry a verified labeling.
     """
 
     status: str
     labeling: Labeling | None
     nodes_expanded: int
     elapsed_ms: float
-    symmetry_factor: int = 1
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,6 @@ def pack(
             labeling=labeling,
             nodes_expanded=outcome.nodes,
             elapsed_ms=elapsed_ms,
-            symmetry_factor=outcome.symmetry_factor,
         )
     status = TIMED_OUT if outcome.timed_out else EXHAUSTED
     return SolveResult(
@@ -117,7 +111,6 @@ def pack(
         labeling=None,
         nodes_expanded=outcome.nodes,
         elapsed_ms=elapsed_ms,
-        symmetry_factor=outcome.symmetry_factor,
     )
 
 

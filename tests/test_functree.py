@@ -11,6 +11,7 @@ from treepack import (
     AugFuncTree,
     AugTreeFamily,
     BadSizeError,
+    BoundExceededError,
     InvalidFamilyError,
     NotAPermutationError,
     NotATreeError,
@@ -31,7 +32,7 @@ from treepack import (
     sibling_leaf_set,
     star_family,
 )
-from treepack.functree import GENERATOR_KINDS
+from treepack.functree import GENERATOR_KINDS, SWEEP_MAX_N
 
 
 def brute_is_tree(g):
@@ -339,6 +340,19 @@ def test_family_enumerate_range_is_a_slice(n, monkeypatch):
         assert built == len(want) == (total if b is None else b) - a
 
 
+def test_family_enumerate_refuses_past_the_sweep_cap(monkeypatch):
+    """Past SWEEP_MAX_N the walk raises before it builds a single tree:
+    at n = 9 it would build 46 234 of them before the first family."""
+    from treepack import functree
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("family_enumerate built a tree past the cap")
+
+    monkeypatch.setattr(functree, "build_tree", refuse)
+    with pytest.raises(BoundExceededError):
+        next(family_enumerate(SWEEP_MAX_N + 1))
+
+
 def test_star_family_and_generate_family():
     fam = star_family(6)
     assert all(t.map[: t.m] == (0,) * t.m for t in fam.trees)
@@ -407,12 +421,14 @@ def test_compiled_form_is_cached_and_invisible_to_equality():
 def _search_rows(tree):
     """The engine rows of ``tree`` derived as the search once built them
     per family: the trees of sizes n, n-1, ..., m+1 are placed first, and
-    this tree's steps follow in its breadth-first order."""
+    this tree's steps follow in its breadth-first order.  ``steps`` lists
+    them by slot position: vertex v sits at position (0 m-1)(v)."""
     c = tree.compiled()
-    base = sum(range(tree.m + 1, tree.n + 1))
-    steps = [None] * tree.m
-    for j, v in enumerate(c.order):
-        steps[c.component.index(v)] = base + j
+    m = tree.m
+    base = sum(range(m + 1, tree.n + 1))
+    at = {v: base + j for j, v in enumerate(c.order)}
+    position = {0: m - 1, m - 1: 0}
+    steps = [at[v] for v in sorted(c.component, key=lambda v: position.get(v, v))]
     parent = [p if p < 0 else base + p for p in c.parent_pos]
     prev = [p if p < 0 else base + p for p in c.prev_leaf_pos]
     return tuple(steps), tuple(parent), tuple(prev)

@@ -12,7 +12,6 @@ from treepack import (
     NotAPermutationError,
     NotAutomorphismError,
     NotCompleteError,
-    build_tree,
     closure_check,
     conjugate,
     diagonal_relabel,
@@ -25,7 +24,7 @@ from treepack import (
     star_family,
 )
 from treepack.packing import full_count_multiplier
-from treepack.solver import pack, star_identity_labeling
+from treepack.solver import SolveConfig, pack, star_identity_labeling
 
 
 def root_at_k(family, k):
@@ -223,45 +222,60 @@ def test_phi_members_equal_publicly_built_labelings():
 @pytest.mark.parametrize(
     "corrupt",
     [
-        lambda sig: (sig[0],) * len(sig),
-        lambda sig: tuple(True if x == 1 else x for x in sig),
+        lambda images: [images[0]] * len(images),
+        lambda images: [True if x == 1 else x for x in images],
     ],
     ids=["repeated-value", "bool-label"],
 )
 def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
-    """phi_enumerate checks each distinct slot permutation once, when it
-    builds it; a bad one must not reach a member unchecked."""
-    from treepack import packing
+    """The engine checks each slot permutation where it builds it, and
+    pack and phi_enumerate trust only that: bad images fed to the build
+    helper must fail there, not reach a labeling unchecked."""
+    from treepack import _search
 
-    real = packing._slot_permutation
+    real = _search._slot_permutations
     monkeypatch.setattr(
-        packing, "_slot_permutation", lambda tree, phi, n: corrupt(real(tree, phi, n))
+        _search,
+        "_slot_permutations",
+        lambda images, slot_steps, n: real(corrupt(images), slot_steps, n),
     )
+    fam = next(family_enumerate(3))
     with pytest.raises(NotAPermutationError):
-        phi_enumerate(next(family_enumerate(3)), mode="essential")
+        pack(fam)
+    with pytest.raises(NotAPermutationError):
+        phi_enumerate(fam, mode="essential")
 
 
-def test_slot_permutation_matches_the_scatter_definition():
-    """On every family tree with m <= 5 in Z_6 and seeded injections:
-    stored vertex v's image lands at its slot position, and the values
-    the injection leaves out fill the positions above the component in
-    ascending order."""
-    from treepack.packing import _slot_permutation
+@pytest.mark.parametrize("classical", [False, True])
+@pytest.mark.parametrize("pruning", [False, True])
+def test_engine_rows_are_checked_slot_permutations(pruning, classical):
+    """On every family with n <= 4, each engine row is a labeling whose
+    slot k is an exact-int permutation with positions k+1.. filled
+    ascending, and which the oracle, reading the root-at-k trees without
+    the compiled slot arcs, finds complete: each head holds the images by
+    slot position.  Rows are distinct, the pruned ones account for the
+    unpruned through the symmetry factor, and pack returns the first row."""
+    from treepack._search import search
 
-    rng = random.Random(5)
-    checked = 0
-    for m in range(1, 6):
-        for tail in itertools.product(*(range(u) for u in range(1, m))):
-            tree = build_tree((0,) + tail, 6)
-            for _ in range(8):
-                phi = tuple(rng.sample(range(6), m))
-                want = [None] * 6
-                for v, x in zip(tree.compiled().slot_vertex, phi):
-                    want[v] = x
-                want[m:] = sorted(set(range(6)) - set(phi))
-                assert _slot_permutation(tree, phi, 6) == tuple(want)
-                checked += 1
-    assert checked == 34 * 8
+    rows = 0
+    for n in range(1, 5):
+        for fam in family_enumerate(n):
+            out = search(fam, symmetry_pruning=pruning, classical=classical, first_only=False)
+            assert len(set(out.solutions)) == len(out.solutions) > 0
+            for row in out.solutions:
+                assert type(row) is tuple and len(row) == n
+                for k, sig in enumerate(row):
+                    assert type(sig) is tuple and {type(x) for x in sig} == {int}
+                    assert sorted(sig) == list(range(n))
+                    assert list(sig[k + 1:]) == sorted(sig[k + 1:])
+                assert complete_oracle(fam, Labeling(n=n, sigmas=row), classical)
+                rows += 1
+            if pruning:
+                full = search(fam, symmetry_pruning=False, classical=classical, first_only=False)
+                assert len(out.solutions) * out.symmetry_factor == len(full.solutions)
+                first = pack(fam, SolveConfig(classical_mode=classical))
+                assert first.labeling.sigmas == out.solutions[0]
+    assert rows > 12
 
 
 def test_phi_enumerate_bounds():
