@@ -93,14 +93,7 @@ def parse_family(text: str) -> AugTreeFamily:
             raise InvalidFamilyError(
                 f"slot {k} must have component size {k + 1}, got {len(row)}"
             )
-    try:
-        return AugTreeFamily(
-            n=n, trees=tuple(build_tree(row, n) for row in trees)
-        )
-    except TreePackError:
-        raise
-    except (TypeError, ValueError) as exc:  # pragma: no cover - defensive
-        raise ValidationError(str(exc)) from exc
+    return AugTreeFamily(n=n, trees=tuple(build_tree(row, n) for row in trees))
 
 
 def emit_family(family: AugTreeFamily) -> str:

@@ -140,11 +140,10 @@ class CompiledTree(NamedTuple):
     """The structure every layer reads off one tree, computed once.
 
     ``component`` is ascending.  ``order`` is the breadth-first placement
-    order (root first, children ascending); ``parent_pos[j]`` and
-    ``prev_leaf_pos[j]`` are the positions in ``order`` of vertex j's
-    parent and of the previous member of its leaf-sibling group, -1 where
-    there is none.  ``leaf_groups`` are the maximal groups of >= 2 leaves
-    sharing a parent, ascending.
+    order (root first, children ascending), so a parent precedes its
+    children and each vertex's children are listed together.
+    ``leaf_groups`` are the maximal groups of >= 2 leaves sharing a
+    parent, ascending.
 
     ``slot_vertex`` and ``slot_parent`` give, per component vertex in
     ascending order, the vertex and its parent in the tree conjugated by
@@ -159,17 +158,16 @@ class CompiledTree(NamedTuple):
     trees.  ``steps`` holds the engine step of each component vertex by
     slot position (as ``sorted(slot_vertex)``), so its images head the
     slot's permutation; ``parent_step`` and ``prev_leaf_step``, along
-    ``order``, are the steps of the parent and previous leaf sibling (-1
-    kept).  A step is a position in ``order`` shifted by the n(n+1)/2 -
-    m(m+1)/2 steps of the larger slots.  ``leaf_swaps`` is the
-    product of |group|! over ``leaf_groups``; ``semigroup_break`` is the
-    first vertex u >= 1 with ``map[u] >= u``, 0 in semigroup form.
+    ``order``, are the steps of the parent and of the previous member of
+    the leaf-sibling group, -1 where there is none.  A step is a position
+    in ``order`` shifted by the n(n+1)/2 - m(m+1)/2 steps of the larger
+    slots.  ``leaf_swaps`` is the product of |group|! over
+    ``leaf_groups``; ``semigroup_break`` is the first vertex u >= 1 with
+    ``map[u] >= u``, 0 in semigroup form.
     """
 
     component: tuple[int, ...]
     order: tuple[int, ...]
-    parent_pos: tuple[int, ...]
-    prev_leaf_pos: tuple[int, ...]
     leaf_groups: tuple[tuple[int, ...], ...]
     slot_vertex: tuple[int, ...]
     slot_parent: tuple[int, ...]
@@ -226,8 +224,6 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
     return CompiledTree(
         component=tuple(comp),
         order=tuple(order),
-        parent_pos=tuple(parent_pos),
-        prev_leaf_pos=tuple(prev_leaf_pos),
         leaf_groups=tuple(groups),
         slot_vertex=tuple([swap.get(v, v) for v in comp]),
         slot_parent=tuple([swap.get(g[v], g[v]) for v in comp]),
@@ -282,22 +278,17 @@ class AugFuncTree:
 
     def depth_map(self) -> dict[int, int]:
         """Component vertex -> distance to the root."""
-        c = self.compiled()
-        depth = [0] * self.m
-        for j in range(1, self.m):  # a parent precedes its children
-            depth[j] = depth[c.parent_pos[j]] + 1
-        return dict(zip(c.order, depth))
+        order, g = self.compiled().order, self.map
+        depth = {order[0]: 0}
+        for u in order[1:]:  # a parent precedes its children
+            depth[u] = depth[g[u]] + 1
+        return depth
 
     def children(self, v: int) -> tuple[int, ...]:
         """Component vertices pointing at v, the root's self-edge excluded."""
-        c = self.compiled()
+        order, g = self.compiled().order, self.map
         # breadth-first order lists each vertex's children together, ascending
-        return tuple(
-            u for u, p in zip(c.order, c.parent_pos) if p >= 0 and c.order[p] == v
-        )
-
-    def is_spanning(self) -> bool:
-        return self.m == self.n
+        return tuple(u for u in order[1:] if g[u] == v)
 
 
 def build_tree(parents, n: int | None = None) -> AugFuncTree:
@@ -386,8 +377,9 @@ def generate(kind: str, m: int, n: int | None = None, seed: int = 0) -> AugFuncT
     leaves on seeded spine vertices), ``random-recursive`` (vertex u picks
     a uniform parent below it, uniform over semigroup-form trees) and
     ``random-uniform`` (uniform labeled rooted tree, decoded from a
-    Pruefer sequence, then canonicalized).  Output is always in
-    semigroup form.
+    Pruefer sequence and relabeled breadth-first, as `canonical_form`
+    would).  Every kind yields a semigroup-form parent array, so each
+    tree is built once, by `build_tree`.
     """
     if n is None:
         n = m
@@ -405,54 +397,50 @@ def generate(kind: str, m: int, n: int | None = None, seed: int = 0) -> AugFuncT
     elif kind == "random-recursive":
         parents = [0] + [rng.randrange(v) for v in range(1, m)]
     elif kind == "random-uniform":
-        parent_map, root = _uniform_rooted_tree(m, rng)
-        raw = AugFuncTree(
-            n=n, m=m, map=tuple(parent_map) + tuple(range(m, n)), root=root
-        )
-        return canonical_form(raw)[0]
+        parents = _uniform_rooted_tree(m, rng)
     else:
         raise ValueError(f"unknown generator kind {kind!r}")
     return build_tree(parents, n)
 
 
-def _uniform_rooted_tree(m: int, rng: random.Random) -> tuple[list[int], int]:
-    """Uniform rooted labeled tree on Z_m as (parent map, root).
+def _uniform_rooted_tree(m: int, rng: random.Random) -> list[int]:
+    """Uniform rooted labeled tree on Z_m, as a semigroup-form parent array.
 
     Pruefer decoding gives the uniform unrooted tree (m^(m-2) of them);
     an independent uniform root choice lifts that to all m^(m-1) rooted
-    trees.
+    trees.  The walk from the root labels the vertices breadth-first,
+    neighbours ascending, which is the labeling `canonical_form` gives the
+    rooted tree: the root becomes 0 and every parent gets a smaller label
+    than its children.
     """
     if m == 1:
-        return [0], 0
+        return [0]
     seq = [rng.randrange(m) for _ in range(m - 2)]
     degree = [1] * m
     for v in seq:
         degree[v] += 1
-    edges: list[tuple[int, int]] = []
+    adj: list[list[int]] = [[] for _ in range(m)]
     leaves = [v for v in range(m) if degree[v] == 1]  # ascending: a heap
     for v in seq:
-        edges.append((heapq.heappop(leaves), v))
+        leaf = heapq.heappop(leaves)
+        adj[leaf].append(v)
+        adj[v].append(leaf)
         degree[v] -= 1
         if degree[v] == 1:
             heapq.heappush(leaves, v)
-    edges.append((leaves[0], leaves[1]))  # the last two: smaller first
+    adj[leaves[0]].append(leaves[1])  # the last edge joins the last two
+    adj[leaves[1]].append(leaves[0])
     root = rng.randrange(m)
-    adj: dict[int, list[int]] = {v: [] for v in range(m)}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    parent = [0] * m
-    parent[root] = root
-    stack = [root]
-    seen = {root}
-    while stack:
-        v = stack.pop()
-        for u in adj[v]:
-            if u not in seen:
-                seen.add(u)
-                parent[u] = v
-                stack.append(u)
-    return parent, root
+    label = {root: 0}
+    parents = [0]
+    order = [root]
+    for v in order:  # breadth-first: the loop runs over what it appends
+        for u in sorted(adj[v]):
+            if u not in label:
+                label[u] = len(order)
+                parents.append(label[v])
+                order.append(u)
+    return parents
 
 
 def star_family(n: int) -> AugTreeFamily:

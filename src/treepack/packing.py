@@ -21,13 +21,13 @@ from .errors import (
     DimensionMismatchError,
     NotAutomorphismError,
     NotCompleteError,
+    OutOfRangeError,
 )
 from .functree import (
     AugFuncTree,
     AugTreeFamily,
     Mapping,
     check_permutation,
-    conjugate,
     is_int,
 )
 
@@ -236,12 +236,17 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
     """
     n = family.n
     tau = check_permutation(tau, n)
-    g = family.slot_form(slot)
-    if conjugate(g.map, tau) != g.map:
+    if not 0 <= slot < n:
+        raise OutOfRangeError(f"slot {slot} outside Z_{n}")
+    c = family.trees[slot].compiled()
+    g = list(range(n))  # the root-at-slot map
+    for v, p in c.slot_arcs():
+        g[v] = p
+    if any(g[tau[v]] != tau[g[v]] for v in range(n)):
         raise NotAutomorphismError(
             f"permutation does not commute with the slot-{slot} map"
         )
-    comp = set(g.component())
+    comp = set(c.slot_vertex)
     if {tau[v] for v in comp} != comp:
         raise NotAutomorphismError(
             f"permutation does not preserve the slot-{slot} component"

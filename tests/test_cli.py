@@ -7,6 +7,7 @@ point is wired up.
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,6 +18,7 @@ from treepack import (
     InvalidFamilyError,
     Labeling,
     ParseError,
+    TreePackError,
     build_tree,
     family_enumerate,
     generate_family,
@@ -315,6 +317,65 @@ def test_family_shape_is_checked_before_any_tree_is_built(monkeypatch):
         parse_family('{"n": 300000000, "trees": [[0]]}')
     with pytest.raises(InvalidFamilyError):
         parse_family('{"n": 2, "trees": [[0], [0, 0, 0]]}')
+
+
+_JUNK = (-1, 99, True, False, 0.0, 1.5, "0", None, [0])
+
+
+def _mutated(rng, row, bound):
+    """``row`` with an occasional entry swapped for junk or for any value
+    below ``bound`` (a cycle, a second root, a repeated image), or now and
+    then a junk value in place of the whole row."""
+    if rng.random() < 0.02:
+        return rng.choice(_JUNK)
+    for v in range(len(row)):
+        r = rng.random()
+        if r < 0.03:
+            row[v] = rng.choice(_JUNK)
+        elif r < 0.08:
+            row[v] = rng.randrange(max(bound, 1))
+    return row
+
+
+def _fuzz_documents(rng, count):
+    """Seeded family and labeling documents near the valid ones: n, the
+    row count and each row's length off by one, entries out of range or
+    of the wrong type, cycles, several roots, repeated images."""
+    slip = (-1, 0, 0, 0, 0, 0, 0, 0, 1)
+    for _ in range(count):
+        n = rng.choice((-1, 0, 1, 2, 3, 4, 5, 6, 6))
+        rows = range(max(0, n + rng.choice(slip)))
+        trees = []
+        for k in rows:
+            size = max(0, k + 1 + rng.choice(slip))
+            row = [rng.randrange(v) if v else 0 for v in range(size)]
+            trees.append(_mutated(rng, row, size))
+        sigma = []
+        for _ in rows:
+            row = list(range(max(0, n + rng.choice(slip))))
+            rng.shuffle(row)
+            sigma.append(_mutated(rng, row, n))
+        if rng.random() < 0.03:
+            n = rng.choice(_JUNK[2:])
+        if rng.random() < 0.03:
+            trees = sigma = rng.choice(_JUNK)
+        yield parse_family, json.dumps({"n": n, "trees": trees})
+        yield parse_labeling, json.dumps({"n": n, "sigma": sigma})
+
+
+def test_parsers_return_or_raise_a_treepack_error():
+    """Every parse of a seeded near-valid document returns its object or
+    raises a TreePackError; no TypeError or ValueError leaks through."""
+    outcomes = {parse_family: [0, 0], parse_labeling: [0, 0]}
+    for parse, text in _fuzz_documents(random.Random(2024), 12000):
+        try:
+            parse(text)
+        except TreePackError:
+            outcomes[parse][1] += 1
+        else:
+            outcomes[parse][0] += 1
+    for parsed, raised in outcomes.values():
+        assert parsed > 500 and raised > 500
 
 
 def test_family_source_is_required(capsys):

@@ -60,8 +60,9 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
     The augmented constructor is held to the same oracle: AugFuncTree(n,
     m, g, r) builds iff r is fixed, the non-fixed vertices plus r number
     m, and each of them reaches r under ``iterate``; its depth_map is
-    the iterate count.  The maps include cycles that miss the root, which
-    build_tree never passes on."""
+    the iterate count, and children(v) lists the members u != r with
+    g[u] == v, ascending.  The maps include cycles that miss the root,
+    which build_tree never passes on."""
     for m in range(1, 5):
         trees = 0
         for g in itertools.product(range(m), repeat=m):
@@ -89,6 +90,10 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
                     v: min(j for j in range(n) if powers[j][v] == r)
                     for v in members
                 }
+                for v in range(n):
+                    assert t.children(v) == tuple(
+                        u for u in sorted(members) if u != r and g[u] == v
+                    )
 
 
 def test_conjugate_is_a_group_action():
@@ -125,7 +130,6 @@ def test_build_tree_example():
     assert t.component() == (0, 1, 2, 3)
     assert t.depth_map() == {0: 0, 1: 1, 2: 2, 3: 2}
     assert t.children(1) == (2, 3)
-    assert not t.is_spanning()
     assert build_tree([0]).map == (0,)
 
 
@@ -216,6 +220,17 @@ def test_uniform_generator_output_is_frozen():
     ]
     assert hashlib.sha256(repr(maps).encode()).hexdigest() == (
         "b853bd9235fb3a55024553c1336723eb531a802351617c86df77889a1d9ea9bd"
+    )
+    # larger trees, and every tree of the benchmark's 108 frontier families
+    maps = [generate("random-uniform", m, seed=s).map for m in range(13, 65) for s in range(8)]
+    maps += [
+        t.map
+        for n, count in ((12, 40), (16, 40), (20, 20), (24, 8))
+        for j in range(count)
+        for t in generate_family(n, "random-uniform", 7919 * n + j).trees
+    ]
+    assert hashlib.sha256(repr(maps).encode()).hexdigest() == (
+        "32793ab3f559a0a626dc79c1acf7e2a4f831fa629a432eb573bb13d332c55d8b"
     )
 
 
@@ -409,13 +424,28 @@ def test_compiled_form_is_cached_and_invisible_to_equality():
     c = t.compiled()
     assert c.component == (0, 1, 2, 3, 4)
     assert c.order == (0, 1, 4, 2, 3)
-    assert c.parent_pos == (-1, 0, 0, 1, 1)
     assert c.leaf_groups == ((2, 3),)
-    assert c.prev_leaf_pos == (-1, -1, -1, -1, 3)
+    # at slot 4 of Z_6 the larger slot's 6 steps come first
+    assert c.parent_step == (-1, 6, 6, 7, 7)
+    assert c.prev_leaf_step == (-1, -1, -1, -1, 9)
     # read at slot 4: the root moves to 4 and vertex 4 to 0
     assert tuple(c.slot_arcs()) == ((4, 4), (1, 4), (2, 1), (3, 1), (0, 4))
     assert t.children(0) == (1, 4) and t.children(1) == (2, 3)
     assert t.children(2) == t.children(5) == ()
+
+
+def _order_positions(c, g):
+    """Along ``c.order``: the positions in ``order`` of each vertex's
+    parent and of the previous member of its leaf-sibling group, -1 where
+    there is none, derived from ``order``, the map ``g`` and
+    ``leaf_groups``."""
+    pos = {v: j for j, v in enumerate(c.order)}
+    parent = [-1] + [pos[g[v]] for v in c.order[1:]]
+    prev = [-1] * len(c.order)
+    for group in c.leaf_groups:
+        for a, b in zip(group, group[1:]):
+            prev[pos[b]] = pos[a]
+    return tuple(parent), tuple(prev)
 
 
 def _search_rows(tree):
@@ -429,8 +459,9 @@ def _search_rows(tree):
     at = {v: base + j for j, v in enumerate(c.order)}
     position = {0: m - 1, m - 1: 0}
     steps = [at[v] for v in sorted(c.component, key=lambda v: position.get(v, v))]
-    parent = [p if p < 0 else base + p for p in c.parent_pos]
-    prev = [p if p < 0 else base + p for p in c.prev_leaf_pos]
+    parent_pos, prev_leaf_pos = _order_positions(c, tree.map)
+    parent = [p if p < 0 else base + p for p in parent_pos]
+    prev = [p if p < 0 else base + p for p in prev_leaf_pos]
     return tuple(steps), tuple(parent), tuple(prev)
 
 
@@ -471,11 +502,9 @@ def test_compiled_engine_fields_match_the_per_family_derivation():
 def test_compile_matches_its_frozen_output_on_every_small_map():
     """Every AugFuncTree(n, m, g, r) with n <= 4: the digest covers each
     compiled field that predates the engine rows for the maps that build,
-    and the exception type and message for those that are rejected."""
-    fields = (
-        "component", "order", "parent_pos", "prev_leaf_pos", "leaf_groups",
-        "slot_vertex", "slot_parent",
-    )
+    and the exception type and message for those that are rejected.  The
+    parent and previous-leaf positions, once fields of their own, are
+    derived from ``order``, the map and ``leaf_groups`` where they stood."""
     h = hashlib.sha256()
     built = 0
     for n in range(1, 5):
@@ -487,7 +516,12 @@ def test_compile_matches_its_frozen_output_on_every_small_map():
                     except Exception as e:
                         line = f"{n} {m} {r} {g} {type(e).__name__}: {e}"
                     else:
-                        line = f"{n} {m} {r} {g} " + repr(tuple(getattr(c, f) for f in fields))
+                        parent, prev = _order_positions(c, g)
+                        row = (
+                            c.component, c.order, parent, prev, c.leaf_groups,
+                            c.slot_vertex, c.slot_parent,
+                        )
+                        line = f"{n} {m} {r} {g} {row!r}"
                         built += 1
                     h.update(line.encode() + b"\n")
     assert built == 139

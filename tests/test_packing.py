@@ -12,6 +12,7 @@ from treepack import (
     NotAPermutationError,
     NotAutomorphismError,
     NotCompleteError,
+    OutOfRangeError,
     closure_check,
     conjugate,
     diagonal_relabel,
@@ -314,6 +315,42 @@ def test_closure_rejects_non_automorphism():
     assert not is_complete(fam, incomplete)
     with pytest.raises(NotCompleteError):
         closure_check(fam, incomplete, (1, 0, 2), slot=2)
+
+
+def test_closure_check_refuses_slots_outside_the_family():
+    fam = star_family(3)
+    lab = star_identity_labeling(3)
+    for slot in (-1, 3):
+        with pytest.raises(OutOfRangeError):
+            closure_check(fam, lab, (0, 1, 2), slot=slot)
+
+
+def test_closure_check_verdicts_follow_the_slot_form_definition():
+    """Every family with n <= 4, every slot and every tau in S_n, against
+    a complete member: closure_check refuses tau exactly when tau does
+    not commute with the root-at-k tree or moves its component, read off
+    ``slot_form``, and otherwise the composed labeling is complete."""
+    refused = accepted = 0
+    for n in range(1, 5):
+        for fam in family_enumerate(n):
+            lab = phi_enumerate(fam)[0][0]
+            for k in range(n):
+                rooted = fam.slot_form(k)
+                comp = set(rooted.component())
+                for tau in itertools.permutations(range(n)):
+                    commutes = conjugate(rooted.map, tau) == rooted.map
+                    keeps = {tau[v] for v in comp} == comp
+                    if not (commutes and keeps):
+                        with pytest.raises(NotAutomorphismError):
+                            closure_check(fam, lab, tau, slot=k)
+                        refused += 1
+                        continue
+                    assert closure_check(fam, lab, tau, slot=k)
+                    sigmas = list(lab.sigmas)
+                    sigmas[k] = tuple(lab.sigmas[k][t] for t in tau)
+                    assert complete_oracle(fam, Labeling(n=n, sigmas=tuple(sigmas)))
+                    accepted += 1
+    assert (refused, accepted) == (1043, 150)
 
 
 def test_closure_exhaustive_small():
