@@ -28,15 +28,11 @@ from .functree import (
     AugTreeFamily,
     Mapping,
     build_tree,
-    canonical_form,
     compose_square,
-    conjugate,
     family_count,
     family_enumerate,
     generate,
     generate_family,
-    is_functional_tree,
-    iterate,
     leaf_sibling_groups,
     local_compose,
     sibling_leaf_set,
@@ -47,7 +43,6 @@ from .packing import (
     Labeling,
     closure_check,
     diagonal_relabel,
-    induced_edges,
     is_complete,
     orientation,
     phi_enumerate,
@@ -79,7 +74,6 @@ from .certificate import (
     lagrange_basis,
     monomial_support_check,
     nonvanishing_equivalence_check,
-    poly_aut_check,
     poly_reduce,
     variable_dependency_check,
     vertex_poly_eval,

@@ -294,27 +294,6 @@ class SparsePoly:
             acc.pop()
         return tuple(Fraction(c, denom) for c in acc)
 
-    def permute_slots(self, perms) -> "SparsePoly":
-        """Substitute x[k][v] -> x[k][perms[k][v]], leaving y alone."""
-        n = self.n
-        ps = [check_permutation(p, n) for p in perms]
-        if len(ps) != n:
-            raise DimensionMismatchError(
-                f"need one permutation per slot ({n}), got {len(ps)}"
-            )
-        y_id = n * n
-        out: dict[Monomial, Fraction] = {}
-        for mono, coef in self.terms.items():
-            nm = tuple(
-                sorted(
-                    (vid, e) if vid == y_id
-                    else ((vid // n) * n + ps[vid // n][vid % n], e)
-                    for vid, e in mono
-                )
-            )
-            out[nm] = out.get(nm, Fraction(0)) + coef
-        return SparsePoly(n=n, terms=out)
-
     # --- canonical text ---------------------------------------------------
 
     def var_name(self, vid: int) -> str:
@@ -689,18 +668,6 @@ def variable_dependency_check(p: SparsePoly, power: int) -> bool:
     support = set(p.variables())
     reduced = poly_reduce(p**power, support)
     return set(reduced.variables()) <= support
-
-
-def poly_aut_check(p: SparsePoly, perms) -> bool:
-    """Literal test: does slot-wise variable permutation fix `p` term-for-term?
-
-    Mind the sign: an odd permutation of one slot's variables negates that
-    slot's Vandermonde factor, so canonical certificate forms typically
-    flip sign (and this returns False) even when the permutation respects
-    the tree.  Orbit-level invariance is the packing module's
-    closure_check; this is the stricter polynomial identity.
-    """
-    return p.permute_slots(perms) == p
 
 
 # === composition implication ============================================

@@ -38,13 +38,21 @@ from dataclasses import asdict
 from pathlib import Path
 
 from .certificate import (
+    CANONICAL_LATTICE_MAX_N,
+    CANONICAL_PHI_MAX_N,
     CANONICAL_REP_MODES,
     canonical_rep,
     certificate_eval,
     composition_implication_check,
     nonvanishing_equivalence_check,
 )
-from .errors import InvalidFamilyError, ParseError, TreePackError, ValidationError
+from .errors import (
+    BoundExceededError,
+    InvalidFamilyError,
+    ParseError,
+    TreePackError,
+    ValidationError,
+)
 from .functree import (
     GENERATOR_KINDS,
     AugTreeFamily,
@@ -55,6 +63,7 @@ from .functree import (
     star_family,
 )
 from .packing import (
+    PHI_ESSENTIAL_MAX_N,
     EdgeOrientation,
     Labeling,
     full_count_multiplier,
@@ -169,14 +178,20 @@ def _write_out(text: str, path: str | None) -> None:
         Path(path).write_text(text if text.endswith("\n") else text + "\n")
 
 
-def _family_from_args(args: argparse.Namespace) -> tuple[AugTreeFamily, int | None]:
+def _family_from_args(
+    args: argparse.Namespace, max_n: int | None = None
+) -> tuple[AugTreeFamily, int | None]:
     """Resolve --family FILE / --n SIZE into a family, plus the seed used
-    (None when the family came from a file)."""
+    (None when the family came from a file).  ``max_n`` is the size cap
+    of the command that reads the family: a larger --n is refused
+    (BoundExceededError) before any tree is generated."""
     path = getattr(args, "family", None)
     if path is not None:
         return parse_family(Path(path).read_text()), None
     if getattr(args, "n", None) is None:
         raise ValidationError("provide --family FILE or --n SIZE")
+    if max_n is not None and args.n > max_n:
+        raise BoundExceededError(f"--n {args.n} exceeds the cap {max_n}")
     return _generated_family(args)
 
 
@@ -252,7 +267,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
-    family, _ = _family_from_args(args)
+    family, _ = _family_from_args(args, PHI_ESSENTIAL_MAX_N)
     members, essential = phi_enumerate(family, mode="essential")
     n = family.n
     full = essential * full_count_multiplier(n)
@@ -302,7 +317,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    family, _ = _family_from_args(args)
+    # one evaluation at a labeling is polynomial in n and has no cap
+    caps = {"phi-sum": CANONICAL_PHI_MAX_N, "lattice": CANONICAL_LATTICE_MAX_N}
+    family, _ = _family_from_args(args, None if args.labeling else caps[args.mode])
     if args.labeling is not None:
         labeling = parse_labeling(Path(args.labeling).read_text())
         value = certificate_eval(family, labeling.sigmas)

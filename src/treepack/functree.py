@@ -87,33 +87,6 @@ def _check_self_map(g) -> Mapping:
     return g
 
 
-def iterate(g, j: int) -> Mapping:
-    """j-fold composition of g with itself; j = 0 gives the identity."""
-    g = _check_self_map(g)
-    if j < 0:
-        raise ValueError("iteration count must be non-negative")
-    cur = tuple(range(len(g)))
-    for _ in range(j):
-        cur = tuple(g[v] for v in cur)
-    return cur
-
-
-def is_functional_tree(g) -> bool:
-    """True iff the (n-1)-fold iterate of g has a one-point image."""
-    g = _check_self_map(g)
-    return len(set(iterate(g, len(g) - 1))) == 1
-
-
-def conjugate(g, gamma) -> Mapping:
-    """Relabel a self-map by a permutation: vertex gamma(v) points to gamma(g(v))."""
-    g = _check_self_map(g)
-    gamma = check_permutation(gamma, len(g))
-    out = [0] * len(g)
-    for v, w in enumerate(g):
-        out[gamma[v]] = gamma[w]
-    return tuple(out)
-
-
 def check_permutation(p, n: int) -> Mapping:
     """``p`` as a tuple, if it lists each of 0..n-1 once as an `is_int`
     value: bools and floats compare equal to labels but are none.
@@ -346,26 +319,6 @@ def local_compose(tree: AugFuncTree) -> AugFuncTree:
     return AugFuncTree(n=tree.n, m=tree.m, map=new, root=tree.root)
 
 
-def canonical_form(tree: AugFuncTree) -> tuple[AugFuncTree, Mapping]:
-    """Relabel breadth-first so the component becomes Z_m in semigroup form.
-
-    Returns ``(relabeled, gamma)`` where gamma is the witnessing
-    permutation of Z_n: ``conjugate(tree.map, gamma) == relabeled.map``.
-    The root gets label 0, children are visited in ascending original
-    order, and vertices outside the component take the remaining labels
-    in ascending original order.
-    """
-    new_label = {v: j for j, v in enumerate(tree.compiled().order)}
-    for v in range(tree.n):
-        if v not in new_label:
-            new_label[v] = len(new_label)
-    gamma = tuple(new_label[v] for v in range(tree.n))
-    relabeled = AugFuncTree(
-        n=tree.n, m=tree.m, map=conjugate(tree.map, gamma), root=0
-    )
-    return relabeled, gamma
-
-
 # =====================================================================
 # Generators
 # =====================================================================
@@ -377,9 +330,9 @@ def generate(kind: str, m: int, n: int | None = None, seed: int = 0) -> AugFuncT
     leaves on seeded spine vertices), ``random-recursive`` (vertex u picks
     a uniform parent below it, uniform over semigroup-form trees) and
     ``random-uniform`` (uniform labeled rooted tree, decoded from a
-    Pruefer sequence and relabeled breadth-first, as `canonical_form`
-    would).  Every kind yields a semigroup-form parent array, so each
-    tree is built once, by `build_tree`.
+    Pruefer sequence and relabeled breadth-first from its root,
+    neighbours ascending).  Every kind yields a semigroup-form parent
+    array, so each tree is built once, by `build_tree`.
     """
     if n is None:
         n = m
@@ -409,9 +362,8 @@ def _uniform_rooted_tree(m: int, rng: random.Random) -> list[int]:
     Pruefer decoding gives the uniform unrooted tree (m^(m-2) of them);
     an independent uniform root choice lifts that to all m^(m-1) rooted
     trees.  The walk from the root labels the vertices breadth-first,
-    neighbours ascending, which is the labeling `canonical_form` gives the
-    rooted tree: the root becomes 0 and every parent gets a smaller label
-    than its children.
+    neighbours ascending: the root becomes 0 and every parent gets a
+    smaller label than its children.
     """
     if m == 1:
         return [0]
@@ -518,8 +470,8 @@ class AugTreeFamily:
         This is the form the packing semantics reads arcs from; the
         component is still Z_(k+1).
         """
-        if not 0 <= k < self.n:
-            raise OutOfRangeError(f"slot {k} outside Z_{self.n}")
+        if not is_int(k) or not 0 <= k < self.n:
+            raise OutOfRangeError(f"slot {k!r} outside Z_{self.n}")
         g = list(range(self.n))
         for v, p in self.trees[k].compiled().slot_arcs():
             g[v] = p

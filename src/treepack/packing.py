@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 from ._search import search
 from .errors import (
+    BadSizeError,
     BoundExceededError,
     DimensionMismatchError,
     NotAutomorphismError,
@@ -24,7 +25,6 @@ from .errors import (
     OutOfRangeError,
 )
 from .functree import (
-    AugFuncTree,
     AugTreeFamily,
     Mapping,
     check_permutation,
@@ -58,6 +58,8 @@ class Labeling:
 
     def __post_init__(self) -> None:
         n = self.n
+        if n < 1:
+            raise BadSizeError("a labeling needs at least one vertex")
         sigmas = tuple([check_permutation(s, n) for s in self.sigmas])
         _check_slot_count(n, sigmas)
         object.__setattr__(self, "sigmas", sigmas)
@@ -79,10 +81,6 @@ class Labeling:
         object.__setattr__(lab, "n", n)
         object.__setattr__(lab, "sigmas", sigmas)
         return lab
-
-    @classmethod
-    def identity(cls, n: int) -> "Labeling":
-        return cls(n=n, sigmas=tuple(tuple(range(n)) for _ in range(n)))
 
 
 @dataclass(frozen=True)
@@ -121,19 +119,8 @@ class EdgeOrientation:
 
 
 # =====================================================================
-# Arc extraction and completeness
+# Completeness
 # =====================================================================
-
-def induced_edges(tree: AugFuncTree, sigma) -> list[tuple[int, int]]:
-    """Arcs of a relabeled tree, one per component vertex, ascending.
-
-    ``tree`` is used as given (callers pass the root-at-k form), so the
-    arc for vertex v is (sigma(v), sigma(tree.map(v))); the root yields
-    the loop.
-    """
-    sigma = check_permutation(sigma, tree.n)
-    return [(sigma[v], sigma[tree.map[v]]) for v in tree.component()]
-
 
 def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = False) -> bool:
     """True iff the labeling's arcs tile looped K_n edge-disjointly.
@@ -236,8 +223,8 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
     """
     n = family.n
     tau = check_permutation(tau, n)
-    if not 0 <= slot < n:
-        raise OutOfRangeError(f"slot {slot} outside Z_{n}")
+    if not is_int(slot) or not 0 <= slot < n:
+        raise OutOfRangeError(f"slot {slot!r} outside Z_{n}")
     c = family.trees[slot].compiled()
     g = list(range(n))  # the root-at-slot map
     for v, p in c.slot_arcs():

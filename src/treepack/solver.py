@@ -116,7 +116,7 @@ def pack(
 
 def star_identity_labeling(n: int) -> Labeling:
     """The identity labeling, complete for the all-star family on any n."""
-    return Labeling.identity(n)
+    return Labeling(n=n, sigmas=(tuple(range(n)),) * n)
 
 
 # =====================================================================

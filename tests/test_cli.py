@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 from treepack import (
+    BadSizeError,
     InvalidFamilyError,
     Labeling,
     ParseError,
@@ -376,6 +377,36 @@ def test_parsers_return_or_raise_a_treepack_error():
             outcomes[parse][0] += 1
     for parsed, raised in outcomes.values():
         assert parsed > 500 and raised > 500
+
+
+def test_labeling_on_z0_is_refused(capsys, tmp_path):
+    doc = '{"n": 0, "sigma": []}'
+    with pytest.raises(BadSizeError):
+        parse_labeling(doc)
+    fam_path = write(tmp_path, "fam.json", emit_family(FAM2))
+    lab_path = write(tmp_path, "lab.json", doc)
+    assert run(["verify", "-f", fam_path, "--labeling", lab_path]) == 2
+    assert "at least one vertex" in capsys.readouterr().err
+
+
+def test_size_caps_refuse_before_the_family_is_generated(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_family called before the size cap")
+
+    monkeypatch.setattr(cli, "generate_family", refuse)
+    for argv in (
+        ["enumerate", "--n", "1200"],
+        ["enumerate", "--n", "7"],  # PHI_ESSENTIAL_MAX_N is 6
+        ["certify", "--n", "1200"],
+        ["certify", "--n", "4"],  # CANONICAL_PHI_MAX_N is 3
+        ["certify", "--n", "3", "--mode", "lattice"],  # CANONICAL_LATTICE_MAX_N is 2
+    ):
+        assert run(argv + ["--seed", "1"]) == 2, argv
+        assert "exceeds the cap" in capsys.readouterr().err
+    # at the cap the family is generated
+    for argv in (["enumerate", "--n", "6"], ["certify", "--n", "3"]):
+        with pytest.raises(AssertionError):
+            run(argv + ["--seed", "1"])
 
 
 def test_family_source_is_required(capsys):

@@ -18,15 +18,11 @@ from treepack import (
     OutOfRangeError,
     SingletonTreeError,
     build_tree,
-    canonical_form,
     compose_square,
-    conjugate,
     family_count,
     family_enumerate,
     generate,
     generate_family,
-    is_functional_tree,
-    iterate,
     leaf_sibling_groups,
     local_compose,
     sibling_leaf_set,
@@ -45,34 +41,46 @@ def brute_is_tree(g):
     return len(image) == 1
 
 
-def test_iterate_matches_repeated_application():
-    g = (2, 0, 2, 2, 1)
-    h = tuple(range(5))
-    for j in range(6):
-        assert iterate(g, j) == h
-        h = tuple(g[x] for x in h)
+def conjugate(g, gamma):
+    """Relabel a self-map by a permutation: gamma(v) points to gamma(g(v))."""
+    out = [0] * len(g)
+    for v, w in enumerate(g):
+        out[gamma[v]] = gamma[w]
+    return tuple(out)
+
+
+def build_tree_accepts(g):
+    """Does the package accept the self-map g as a spanning tree?"""
+    try:
+        build_tree(g)
+    except NotATreeError:
+        return False
+    return True
 
 
 def test_is_functional_tree_agrees_with_brute_force_exhaustively():
-    """Every self-map of Z_m for m <= 4, both predicates, plus Cayley's
-    count m^(m-1) of rooted labeled trees as an external anchor.
+    """Every self-map of Z_m for m <= 4: build_tree accepts it exactly
+    when the brute-force predicate holds, and Cayley's count m^(m-1) of
+    rooted labeled trees anchors both.
 
     The augmented constructor is held to the same oracle: AugFuncTree(n,
     m, g, r) builds iff r is fixed, the non-fixed vertices plus r number
-    m, and each of them reaches r under ``iterate``; its depth_map is
+    m, and each of them reaches r under iteration of g; its depth_map is
     the iterate count, and children(v) lists the members u != r with
     g[u] == v, ascending.  The maps include cycles that miss the root,
     which build_tree never passes on."""
     for m in range(1, 5):
         trees = 0
         for g in itertools.product(range(m), repeat=m):
-            mine = is_functional_tree(g)
+            mine = build_tree_accepts(g)
             assert mine == brute_is_tree(g), g
             trees += mine
         assert trees == m ** (m - 1)
     for n in range(1, 5):
         for g in itertools.product(range(n), repeat=n):
-            powers = [iterate(g, j) for j in range(n)]
+            powers = [tuple(range(n))]  # powers[j] is the j-fold iterate
+            for _ in range(n - 1):
+                powers.append(tuple(g[v] for v in powers[-1]))
             for r, size in itertools.product(range(n), range(1, n + 1)):
                 members = {v for v in range(n) if g[v] != v} | {r}
                 builds = (
@@ -96,28 +104,18 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
                     )
 
 
-def test_conjugate_is_a_group_action():
-    rng = random.Random(11)
-    for _ in range(25):
-        n = rng.randrange(2, 8)
-        g = tuple(rng.randrange(n) for _ in range(n))
-        a = list(range(n))
-        b = list(range(n))
-        rng.shuffle(a)
-        rng.shuffle(b)
-        ab = tuple(a[b[v]] for v in range(n))
-        assert conjugate(conjugate(g, tuple(b)), tuple(a)) == conjugate(g, ab)
-    assert conjugate((0, 0, 1), (0, 1, 2)) == (0, 0, 1)
-
-
 def test_conjugate_preserves_treeness():
+    """A relabeled tree is still a tree, rooted at the root's image."""
     rng = random.Random(12)
     for _ in range(30):
         m = rng.randrange(1, 7)
         t = generate("random-uniform", m, seed=rng.randrange(10**6))
         gamma = list(range(m))
         rng.shuffle(gamma)
-        assert is_functional_tree(conjugate(t.map, tuple(gamma)))
+        g = conjugate(t.map, tuple(gamma))
+        assert brute_is_tree(g)
+        relabeled = AugFuncTree(n=m, m=m, map=g, root=gamma[0])
+        assert relabeled.component() == tuple(range(m))
 
 
 # --- construction -----------------------------------------------------
@@ -177,7 +175,7 @@ def test_generators_deterministic_and_valid():
             assert a == b
             assert a.m == m and a.n == n and a.root == 0
             # treeness is a property of the component, the rest are loops
-            assert is_functional_tree(a.map[:m])
+            assert brute_is_tree(a.map[:m])
             for u in range(1, m):
                 assert a.map[u] < u  # semigroup form
             assert a.map[m:] == tuple(range(m, n))
@@ -234,28 +232,7 @@ def test_uniform_generator_output_is_frozen():
     )
 
 
-# --- canonical form and composition ------------------------------------
-
-
-def test_canonical_form_witness():
-    rng = random.Random(5)
-    for _ in range(20):
-        m = rng.randrange(1, 7)
-        n = m + rng.randrange(0, 3)
-        t = generate("random-uniform", m, n, seed=rng.randrange(10**6))
-        gamma = list(range(n))
-        rng.shuffle(gamma)
-        scrambled = AugFuncTree(
-            n=n,
-            m=m,
-            map=conjugate(t.map, tuple(gamma)),
-            root=gamma[t.root],
-        )
-        canon, witness = canonical_form(scrambled)
-        assert canon.root == 0
-        assert conjugate(scrambled.map, witness) == canon.map
-        for u in range(1, m):
-            assert canon.map[u] < u
+# --- composition -------------------------------------------------------
 
 
 def test_sibling_leaf_set_and_local_compose():
@@ -411,7 +388,7 @@ def test_slot_form_conjugates_root_to_k():
         swap = list(range(6))
         swap[0], swap[k] = k, 0
         assert conjugate(rooted.map, tuple(swap)) == fam.trees[k].map
-    for k in (-1, 6):
+    for k in (-1, 6, True, 1.0):
         with pytest.raises(OutOfRangeError):
             fam.slot_form(k)
 

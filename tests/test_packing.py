@@ -6,6 +6,7 @@ import random
 import pytest
 
 from treepack import (
+    BadSizeError,
     DimensionMismatchError,
     EdgeOrientation,
     Labeling,
@@ -14,11 +15,9 @@ from treepack import (
     NotCompleteError,
     OutOfRangeError,
     closure_check,
-    conjugate,
     diagonal_relabel,
     family_enumerate,
     generate_family,
-    induced_edges,
     is_complete,
     orientation,
     phi_enumerate,
@@ -26,6 +25,14 @@ from treepack import (
 )
 from treepack.packing import full_count_multiplier
 from treepack.solver import SolveConfig, pack, star_identity_labeling
+
+
+def conjugate(g, gamma):
+    """Relabel a self-map by a permutation: gamma(v) points to gamma(g(v))."""
+    out = [0] * len(g)
+    for v, w in enumerate(g):
+        out[gamma[v]] = gamma[w]
+    return tuple(out)
 
 
 def root_at_k(family, k):
@@ -77,13 +84,6 @@ def all_labelings(n):
 # --- arcs and completeness ----------------------------------------------
 
 
-def test_induced_edges_star_slot():
-    fam = star_family(4)
-    arcs = induced_edges(fam.slot_form(2), (3, 1, 0, 2))
-    # component 0,1,2 of the root-at-2 star: everything points at 2 -> 0
-    assert arcs == [(3, 0), (1, 0), (0, 0)]
-
-
 def test_is_complete_matches_oracle_exhaustively_n3():
     for fam in family_enumerate(3):
         for lab in all_labelings(3):
@@ -133,7 +133,7 @@ def test_classical_mode_ignores_loop_collisions():
 
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatchError):
-        is_complete(star_family(3), Labeling.identity(4))
+        is_complete(star_family(3), star_identity_labeling(4))
 
 
 # --- orientation --------------------------------------------------------
@@ -149,7 +149,7 @@ def test_orientation_arcs_and_not_complete():
         with pytest.raises(NotCompleteError):
             orientation(fam, bad)
     with pytest.raises(DimensionMismatchError):
-        orientation(fam, Labeling.identity(4))
+        orientation(fam, star_identity_labeling(4))
 
 
 @pytest.mark.parametrize("n", [5, 9, 12])
@@ -320,7 +320,7 @@ def test_closure_rejects_non_automorphism():
 def test_closure_check_refuses_slots_outside_the_family():
     fam = star_family(3)
     lab = star_identity_labeling(3)
-    for slot in (-1, 3):
+    for slot in (-1, 3, True, 1.0):
         with pytest.raises(OutOfRangeError):
             closure_check(fam, lab, (0, 1, 2), slot=slot)
 
@@ -399,3 +399,6 @@ def test_labeling_validation():
             Labeling(n=2, sigmas=((0, 1), bad))
     with pytest.raises(DimensionMismatchError):
         Labeling(n=3, sigmas=((0, 1, 2),))
+    # a labeling on Z_0 is refused, as a family on Z_0 is
+    with pytest.raises(BadSizeError):
+        Labeling(n=0, sigmas=())
