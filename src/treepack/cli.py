@@ -48,6 +48,7 @@ from .certificate import (
 )
 from .errors import (
     BoundExceededError,
+    DimensionMismatchError,
     InvalidFamilyError,
     ParseError,
     TreePackError,
@@ -317,11 +318,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_certify(args: argparse.Namespace) -> int:
-    # one evaluation at a labeling is polynomial in n and has no cap
-    caps = {"phi-sum": CANONICAL_PHI_MAX_N, "lattice": CANONICAL_LATTICE_MAX_N}
-    family, _ = _family_from_args(args, None if args.labeling else caps[args.mode])
     if args.labeling is not None:
+        # the labeling fixes n: a --n that disagrees is refused before
+        # the family is generated.  One evaluation at a labeling is
+        # polynomial in n and has no cap
         labeling = parse_labeling(Path(args.labeling).read_text())
+        if args.family is None and args.n is not None and args.n != labeling.n:
+            raise DimensionMismatchError(
+                f"--n {args.n} differs from the labeling's n = {labeling.n}"
+            )
+        family, _ = _family_from_args(args)
         value = certificate_eval(family, labeling.sigmas)
         nonzero = not value.is_zero()
         if args.json:
@@ -330,6 +336,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
             print(f"coeffs: {' '.join(map(str, value.coeffs))}")
             print(f"nonzero: {'yes' if nonzero else 'no'}")
         return 0 if nonzero else 1
+    caps = {"phi-sum": CANONICAL_PHI_MAX_N, "lattice": CANONICAL_LATTICE_MAX_N}
+    family, _ = _family_from_args(args, caps[args.mode])
     rep = canonical_rep(family, mode=args.mode)
     nonzero = not rep.is_zero()
     if args.json:

@@ -16,6 +16,7 @@ import pytest
 
 from treepack import (
     BadSizeError,
+    DimensionMismatchError,
     InvalidFamilyError,
     Labeling,
     ParseError,
@@ -407,6 +408,25 @@ def test_size_caps_refuse_before_the_family_is_generated(monkeypatch, capsys):
     for argv in (["enumerate", "--n", "6"], ["certify", "--n", "3"]):
         with pytest.raises(AssertionError):
             run(argv + ["--seed", "1"])
+
+
+def test_certify_refuses_a_labeling_of_another_n_before_generating(
+    monkeypatch, capsys, tmp_path
+):
+    def refuse(*args, **kwargs):
+        raise AssertionError("generate_family called before the labeling was read")
+
+    monkeypatch.setattr(cli, "generate_family", refuse)
+    lab_path = write(tmp_path, "lab.json", emit_labeling(ID2))
+    argv = ["certify", "--n", "1200", "--seed", "1", "--labeling", lab_path]
+    assert run(argv) == 2
+    assert "differs from the labeling's n = 2" in capsys.readouterr().err
+    args = cli._build_parser().parse_args(argv)
+    with pytest.raises(DimensionMismatchError):
+        args.func(args)
+    # a matching --n goes on to generate the family
+    with pytest.raises(AssertionError):
+        run(["certify", "--n", "2", "--seed", "1", "--labeling", lab_path])
 
 
 def test_family_source_is_required(capsys):

@@ -1,7 +1,9 @@
 """Backtracking engine: soundness, exhaustiveness, determinism, restarts."""
 
+import functools
 import hashlib
 import itertools
+import operator
 import random
 import sys
 
@@ -258,6 +260,55 @@ def test_boundary_exact_cover_matches_brute_force():
     assert 300 < feasible < agreed - 300
 
 
+def test_boundary_verdicts_on_engine_states(monkeypatch):
+    """`_boundary_feasible` agrees with the oracle on every state the
+    engine asks it about while packing the n = 12 frontier families,
+    `sweep(5)` and the classical `sweep(4)`: real states, where the
+    early refutations (orphan loops, a loopless component) do most of
+    the work."""
+    states = []
+    decide = _search._boundary_feasible
+
+    def record(j, pairfree, loops_used, classical):
+        states.append((j, tuple(pairfree), loops_used, classical))
+        return decide(j, pairfree, loops_used, classical)
+
+    monkeypatch.setattr(_search, "_boundary_feasible", record)
+    for j in range(40):
+        assert pack(generate_family(12, "random-uniform", 7919 * 12 + j)).status == PACKED
+    sweep(5)
+    sweep(4, SolveConfig(classical_mode=True))
+    feasible = orphaned = 0
+    for j, pairfree, loops_used, classical in states:
+        want = cover_oracle(j, pairfree, loops_used, classical)
+        assert decide(j, list(pairfree), loops_used, classical) == want, (
+            j, pairfree, loops_used, classical
+        )
+        feasible += want
+        if not classical:  # vertices that keep a free loop but no free pair
+            live = functools.reduce(operator.or_, pairfree)
+            orphans = ((1 << len(pairfree)) - 1 & ~live & ~loops_used).bit_count()
+            orphaned += orphans > 1 or (orphans == 1 and not j)
+    assert (len(states), feasible, orphaned) == (4501, 2686, 1556)
+
+
+def test_boundary_early_refutations():
+    """The refutations that come before the size list: an orphan loop
+    with no tree left, and a component with pairs but no free loop."""
+    # one vertex, its loop free, and no tree left to take it
+    assert cover_oracle(0, [0], 0, False) is False
+    assert _search._boundary_feasible(0, [0], 0, False) is False
+    # path 0-1-2 with free loops fits each of the sizes 3, 2 and 1; the
+    # pair 3-4 has used loops, so no tree can be rooted there
+    pairfree = [0b10, 0b101, 0b10, 0b10000, 0b1000]
+    loops_used = 0b11000
+    assert cover_oracle(3, pairfree, loops_used, False) is False
+    assert _search._boundary_feasible(3, list(pairfree), loops_used, False) is False
+    # classical mode ignores loops: trees 3 and 2 take the path and the pair
+    assert cover_oracle(3, pairfree, 0, True) is True
+    assert _search._boundary_feasible(3, list(pairfree), 0, True) is True
+
+
 def test_time_limit_reports_timed_out():
     # 5050 steps and no backtracking: the deadline check at node 4096
     # fires whatever the restart schedule does
@@ -326,6 +377,19 @@ def test_node_counts_are_frozen():
         ]
         digest = hashlib.sha256(repr(injections).encode()).hexdigest()[:16]
         assert (full.nodes, len(full.solutions), digest) == frozen
+
+
+def test_frontier_node_counts_are_frozen():
+    """The benchmark's frontier set, packed with no limit: the node total
+    and a digest of every family's count."""
+    counts = []
+    for n, count in ((12, 40), (16, 40), (20, 20), (24, 8)):
+        for j in range(count):
+            res = pack(generate_family(n, "random-uniform", 7919 * n + j))
+            assert res.status == PACKED
+            counts.append((f"{n}:{j}", res.nodes_expanded))
+    digest = hashlib.sha256(repr(sorted(counts)).encode()).hexdigest()[:16]
+    assert (sum(c for _, c in counts), digest) == (276559, "c5ddf1ad313786d0")
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
