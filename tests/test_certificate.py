@@ -62,6 +62,21 @@ def test_sparsepoly_zero_coefficients_never_stored():
     assert (x - x).is_zero()
 
 
+def test_sparsepoly_merges_monomials_that_normalize_alike():
+    """Construction normalizes: monomials that sort to the same key add
+    their coefficients, a repeated variable adds its exponents, and terms
+    that sum to zero are dropped."""
+    x0, x1 = SparsePoly.x(2, 0, 0), SparsePoly.x(2, 0, 1)
+    p = SparsePoly(n=2, terms={((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): 2})
+    assert p.terms == {((0, 1), (1, 1)): Fraction(3)}
+    assert p == 3 * x0 * x1
+    q = SparsePoly(n=2, terms={((0, 1), (0, 2)): 1})
+    assert q.terms == {((0, 3),): Fraction(1)}
+    assert q == x0**3
+    z = SparsePoly(n=2, terms={((1, 1), (0, 1)): 1, ((0, 1), (1, 1)): -1})
+    assert z.terms == {} and z == SparsePoly.zero(2)
+
+
 def test_sparsepoly_rejects_bad_variables():
     with pytest.raises(OutOfRangeError):
         SparsePoly(n=2, terms={((5, 1),): Fraction(1)})
@@ -316,6 +331,18 @@ def test_canonical_rep_degree_bound_and_reduce_fixpoint():
             assert rep.degree_in(vid) <= 2
         assert poly_reduce(rep) == rep
         assert _text_digest(rep) == want
+
+
+def test_canonical_rep_terms_are_already_normalized():
+    """canonical_rep skips the public constructor's normalization; its
+    result must equal what that constructor builds from the same terms."""
+    cases = [(fam, "phi-sum") for n in range(1, 4) for fam in family_enumerate(n)]
+    cases += [(fam, "lattice") for n in range(1, 3) for fam in family_enumerate(n)]
+    for fam, mode in cases:
+        rep = canonical_rep(fam, mode=mode)
+        rebuilt = SparsePoly(n=rep.n, terms=rep.terms)
+        assert rep.terms == rebuilt.terms
+        assert all(type(c) is Fraction for c in rep.terms.values())
 
 
 def test_canonical_rep_sampled_lattice_agreement_n3():

@@ -238,13 +238,45 @@ def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
     monkeypatch.setattr(
         _search,
         "_slot_permutations",
-        lambda images, slot_steps, n: real(corrupt(images), slot_steps, n),
+        lambda images, slot_steps, n, known: real(corrupt(images), slot_steps, n, known),
     )
     fam = next(family_enumerate(3))
     with pytest.raises(NotAPermutationError):
         pack(fam)
     with pytest.raises(NotAPermutationError):
         phi_enumerate(fam, mode="essential")
+
+
+def test_phi_enumerate_checks_each_distinct_slot_permutation_once(monkeypatch):
+    """Full enumeration checks each distinct (slot, permutation) once per
+    search, and lists the same members: counts and digest are those of
+    the search that rebuilt every slot at every memo hit.  pack still
+    checks each of its n slots."""
+    import hashlib
+
+    from treepack import _search
+
+    calls = 0
+    real = _search.check_permutation
+
+    def counting(p, n):
+        nonlocal calls
+        calls += 1
+        return real(p, n)
+
+    monkeypatch.setattr(_search, "check_permutation", counting)
+    counts, rows, distinct = [], [], 0
+    for s in range(8):
+        members, count = phi_enumerate(generate_family(5, "mixed", s))
+        counts.append(count)
+        rows.append([m.sigmas for m in members])
+        distinct += len({(k, sig) for m in members for k, sig in enumerate(m.sigmas)})
+    assert counts == [4080, 5760, 9120, 1920, 7440, 4080, 17280, 17280]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "94cb66f00340eb1e"
+    assert calls == distinct == 2600
+    calls = 0
+    pack(generate_family(5, "mixed", 0))
+    assert calls == 5
 
 
 @pytest.mark.parametrize("classical", [False, True])
