@@ -66,10 +66,22 @@ memo hits; a permutation is built and checked only on a miss, so each
 distinct one is checked once per search and rows share their slot tuples.
 On the cap family ``generate_family(6, "mixed", 3)`` (1 215 360 rows) that
 took the search from 577 716 `check_permutation` calls, 7.0 s of CPU time
-and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB.  First-only search
-keeps neither: a boundary state there rarely recurs, skipping a failed
-subtree would change node counts and with them the restart schedule, and
-it builds one row, so a table would be pure cost.
+and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB.  A lone first-only
+search keeps neither: a boundary state there rarely recurs, skipping a
+failed subtree would change node counts and with them the restart
+schedule, and it builds one row, so a table would be pure cost.
+
+A sweep is different: its families are small and share n, so its
+searches keep asking the same questions.  `sweep(6)` asks
+`_boundary_feasible` 227 960 times about 1 488 distinct states, and
+builds 207 360 slot permutations from 433 distinct heads.  So every
+search of one sweep chunk shares two tables (`search`'s ``tables``):
+boundary verdicts keyed by ``(step, free-pair masks, used loops)``, and
+the head table above.  A verdict hit is the verdict itself, not a
+skipped subtree, so node counts and restarts are those of a lone search
+(the soundness note sits at the lookup).  That took `sweep(6)` from a
+median of 3.5 s to 2.2 s of CPU time over five alternating runs, with
+1 488 verdicts and 433 permutations in the tables at its end.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -131,13 +143,16 @@ def _slot_permutations(
     above its component, ascending.  Every tuple is checked here, where
     it is built, and nowhere again.
 
-    ``known`` is full enumeration's table from a head to its checked
-    permutation (None in first-only search, which builds one row).  It is
-    sound to share one table across all slots of one search: a slot's
-    permutation is a pure function of its head and n; slot k's head has
-    k + 1 entries, so a head also names its slot; and every tuple in the
-    table was checked once, where it was built, on the miss that stored
-    it.  A hit hands back that same tuple, so rows share their slots."""
+    ``known`` maps a head to its checked permutation.  Full enumeration
+    keeps one per search, a sweep chunk shares one across all its
+    searches, and a lone first-only search passes None: it builds one
+    row, so a table would be pure cost.  It is sound to share one table
+    across all slots of every search on one n: a slot's permutation is a
+    pure function of its head and n; slot k's head has k + 1 entries, so
+    a head also names its slot; and every tuple in the table was checked
+    once, where it was built, on the miss that stored it.  A hit hands
+    back that same tuple, so rows, and a chunk's labelings, share their
+    slots."""
     out = []
     for steps in slot_steps:
         head = tuple([images[s] for s in steps])
@@ -280,6 +295,7 @@ def search(
     time_limit_s: float | None = None,
     blocked_pairs=(),
     debug: bool = False,
+    tables: tuple[dict, dict] | None = None,
 ) -> SearchOutcome:
     """Run the embedding search over one family.
 
@@ -300,6 +316,11 @@ def search(
     packs within it pays nothing for the schedule.  Full enumeration always
     runs a single unbounded pass in ascending order, with the boundary
     memo of the module docstring.
+
+    ``tables`` is a sweep chunk's pair (boundary verdicts, slot-head
+    permutations) of the module docstring, shared by every search of the
+    chunk: one n, one ``classical``.  A hit returns what the call it
+    stands for would, so results and node counts are those without it.
     """
     n = family.n
     full = (1 << n) - 1
@@ -337,9 +358,13 @@ def search(
     # permutations of each completion below it and the nodes it took
     # (first-only search keeps none, and close_at stays -1)
     memo: dict[tuple, tuple[tuple, int]] | None = None if first_only else {}
-    # full enumeration: per slot head, its checked permutation (see
-    # `_slot_permutations`); it lives exactly as long as the memo
-    known: dict[tuple, Mapping] | None = None if first_only else {}
+    # boundary verdicts, kept only by a sweep chunk, and per slot head its
+    # checked permutation (`_slot_permutations`): full enumeration keeps
+    # one for as long as the memo, a lone first-only search has none
+    if tables is None:
+        verdicts, known = None, None if first_only else {}
+    else:
+        verdicts, known = tables
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
 
@@ -405,12 +430,30 @@ def search(
                             ):
                                 timed_out = True
                                 break
-                        elif _boundary_feasible(
-                            step_slot[i] + 1, pairfree, loops_used, classical
-                        ):
-                            cand = full & ~loops_used  # classical: loops_used stays 0
-                            if symmetry_pruning and not i:
-                                cand &= 1  # pin the largest tree's root
+                        else:
+                            if verdicts is None:
+                                ok = _boundary_feasible(
+                                    step_slot[i] + 1, pairfree, loops_used, classical
+                                )
+                            else:
+                                # The verdict is a pure function of (j,
+                                # pairfree, loops_used, classical).  Every
+                                # search sharing the table has the same n and
+                                # classical, and j = step_slot[i] + 1 depends
+                                # on n and i alone, so the key fixes every
+                                # argument, blocked pairs included (they are
+                                # in pairfree).  A hit is the verdict the
+                                # call would return, and skips no node.
+                                vkey = (i, tuple(pairfree), loops_used)
+                                ok = verdicts.get(vkey)
+                                if ok is None:
+                                    ok = verdicts[vkey] = _boundary_feasible(
+                                        step_slot[i] + 1, pairfree, loops_used, classical
+                                    )
+                            if ok:
+                                cand = full & ~loops_used  # classical: loops_used stays 0
+                                if symmetry_pruning and not i:
+                                    cand &= 1  # pin the largest tree's root
                 r = shift[i]
                 if r:  # scan from vertex r: rotate bit r down to bit 0
                     cand = ((cand >> r) | (cand << n - r)) & full

@@ -9,6 +9,7 @@ the parallel output is identical to the serial one.
 
 from __future__ import annotations
 
+import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -79,11 +80,14 @@ def pack(
     config: SolveConfig | None = None,
     *,
     _blocked_pairs=(),
+    _tables=None,
 ) -> SolveResult:
     """First complete labeling of one family, or an exhaustion/timeout claim.
 
     ``_blocked_pairs`` pre-consumes edges and exists purely so tests can
-    reach the exhausted branch; valid families always pack.
+    reach the exhausted branch; valid families always pack.  ``_tables``
+    carries a sweep chunk's shared search tables (`_search.search`); they
+    change no result.
     """
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
@@ -93,6 +97,7 @@ def pack(
         first_only=True,
         time_limit_s=None if cfg.time_limit_ms is None else cfg.time_limit_ms / 1000.0,
         blocked_pairs=_blocked_pairs,
+        tables=_tables,
     )
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if outcome.solutions:
@@ -123,11 +128,21 @@ def star_identity_labeling(n: int) -> Labeling:
 # Sweeps over every family of a given size
 # =====================================================================
 
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has it
+        return os.cpu_count() or 1
+
+
 def _sweep_chunk(args) -> list[FamilyOutcome]:
     n, start, stop, cfg = args
     rows = []
+    # boundary verdicts and slot permutations, shared by this chunk's
+    # searches (one n, one config) and dropped with it
+    tables = ({}, {})
     for index, family in enumerate(family_enumerate(n, start, stop), start=start):
-        res = pack(family, cfg)
+        res = pack(family, cfg, _tables=tables)
         rows.append(
             FamilyOutcome(
                 index=index, status=res.status, nodes=res.nodes_expanded,
@@ -147,8 +162,11 @@ def sweep(
 
     Refuses n beyond ``SWEEP_MAX_N`` (the enumeration is a product of
     factorials; n = 8 already means 1.25e11 families).  ``workers`` > 1
-    splits the index range into chunks over a process pool; each chunk
-    builds only its own families, and pool.map keeps the chunks in order.
+    splits the index range into at most ``4 * workers`` chunks over a
+    process pool; each chunk builds only its own families, and pool.map
+    keeps the chunks in order.  The pool starts no more processes than
+    there are chunks or usable CPUs, however large ``workers`` is; the
+    chunks do not depend on that cap, and the report depends on neither.
     """
     if n > SWEEP_MAX_N:
         raise BoundExceededError(
@@ -166,7 +184,9 @@ def sweep(
             (n, start, min(start + chunk, total), cfg)
             for start in range(0, total, chunk)
         ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # the pool starts every worker at once: never more than the jobs
+        # or the CPUs this process may run on
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
         rows = [row for part in parts for row in part]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

@@ -265,7 +265,9 @@ def test_boundary_verdicts_on_engine_states(monkeypatch):
     engine asks it about while packing the n = 12 frontier families,
     `sweep(5)` and the classical `sweep(4)`: real states, where the
     early refutations (orphan loops, a loopless component) do most of
-    the work."""
+    the work.  A sweep chunk asks only on its verdict table's misses:
+    3 061 calls here, 4 501 when every search asked, on the same 2 232
+    distinct states."""
     states = []
     decide = _search._boundary_feasible
 
@@ -289,7 +291,8 @@ def test_boundary_verdicts_on_engine_states(monkeypatch):
             live = functools.reduce(operator.or_, pairfree)
             orphans = ((1 << len(pairfree)) - 1 & ~live & ~loops_used).bit_count()
             orphaned += orphans > 1 or (orphans == 1 and not j)
-    assert (len(states), feasible, orphaned) == (4501, 2686, 1556)
+    assert len(set(states)) == 2232
+    assert (len(states), feasible, orphaned) == (3061, 1283, 1519)
 
 
 def test_boundary_early_refutations():
@@ -502,6 +505,91 @@ def test_sweep_parallel_matches_serial():
         assert [(r.index, r.status, r.nodes) for r in serial.rows] == [
             (r.index, r.status, r.nodes) for r in parallel.rows
         ]
+
+
+def test_sweep_tables_change_no_answer(monkeypatch):
+    """A sweep chunk's shared tables change no answer: each family's
+    status, node count and labeling are those of a lone `pack`, in both
+    modes, serial and across two worker processes."""
+    seen = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        seen.append((family, config, kwargs, res))
+        return res
+
+    monkeypatch.setattr(solver, "pack", recording)
+    for classical in (False, True):
+        cfg = SolveConfig(classical_mode=classical)
+        for n in range(1, 6):
+            sweep(n, cfg)
+    assert len(seen) == 2 * (1 + 1 + 2 + 12 + 288)
+    for family, config, kwargs, res in seen:
+        assert "_tables" in kwargs
+        lone = real(family, config)
+        assert (res.status, res.nodes_expanded) == (lone.status, lone.nodes_expanded)
+        assert res.labeling == lone.labeling
+    lone = [real(family) for family in family_enumerate(5)]
+    for workers in (1, 2):
+        rows = sweep(5, workers=workers).rows
+        assert [(r.status, r.nodes) for r in rows] == [
+            (res.status, res.nodes_expanded) for res in lone
+        ]
+
+
+def test_shared_tables_hold_for_any_blocked_pairs():
+    """The verdict key is the whole state the exact cover reads.  With
+    blocked pairs two boundaries can share free pairs and used loops:
+    in classical `star_family(2)`, the root boundary with pair 0-1
+    blocked and the last boundary once 0-1 is used.  One pair of tables
+    shared by every search of one n and mode, over every single blocked
+    pair, still gives each search its table-less answer."""
+    for classical in (False, True):
+        cfg = SolveConfig(classical_mode=classical)
+        for n in (2, 3, 4):
+            tables = ({}, {})
+            blocks = [()] + [(p,) for p in itertools.combinations(range(n), 2)]
+            for family in family_enumerate(n):
+                for blocked in blocks:
+                    want = pack(family, cfg, _blocked_pairs=blocked)
+                    got = pack(family, cfg, _blocked_pairs=blocked, _tables=tables)
+                    assert (got.status, got.nodes_expanded, got.labeling) == (
+                        want.status, want.nodes_expanded, want.labeling
+                    ), (n, classical, blocked)
+
+
+def test_sweep_pool_is_capped(monkeypatch):
+    """The pool starts every worker at once, so its size is capped at the
+    chunks and the usable CPUs; the report is the serial one.  A serial
+    stand-in records the size: no process is started."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    assert solver._usable_cpus() >= 1
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    serial = {n: sweep(n).rows for n in (3, 5)}
+    # (n, workers, usable CPUs): 2 families make 2 chunks; 288 make 12
+    cases = [(3, 100_000, 64), (3, 100_000, 1), (5, 3, 64), (5, 3, 2), (5, 100_000, 8)]
+    for n, workers, cpus in cases:
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        rows = sweep(n, workers=workers).rows
+        assert [(r.index, r.status, r.nodes) for r in rows] == [
+            (r.index, r.status, r.nodes) for r in serial[n]
+        ]
+    assert sizes == [2, 1, 3, 2, 8]
 
 
 def test_sweep_bound():
