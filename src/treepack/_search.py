@@ -67,21 +67,38 @@ distinct one is checked once per search and rows share their slot tuples.
 On the cap family ``generate_family(6, "mixed", 3)`` (1 215 360 rows) that
 took the search from 577 716 `check_permutation` calls, 7.0 s of CPU time
 and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB.  A lone first-only
-search keeps neither: a boundary state there rarely recurs, skipping a
-failed subtree would change node counts and with them the restart
-schedule, and it builds one row, so a table would be pure cost.
+search keeps neither: within one family a boundary state rarely recurs,
+and it builds one row, so either table would be pure cost.
 
-A sweep is different: its families are small and share n, so its
-searches keep asking the same questions.  `sweep(6)` asks
-`_boundary_feasible` 227 960 times about 1 488 distinct states, and
-builds 207 360 slot permutations from 433 distinct heads.  So every
-search of one sweep chunk shares two tables (`search`'s ``tables``):
-boundary verdicts keyed by ``(step, free-pair masks, used loops)``, and
-the head table above.  A verdict hit is the verdict itself, not a
-skipped subtree, so node counts and restarts are those of a lone search
-(the soundness note sits at the lookup).  That took `sweep(6)` from a
-median of 3.5 s to 2.2 s of CPU time over five alternating runs, with
-1 488 verdicts and 433 permutations in the tables at its end.
+A sweep is different: its families are small, share n and come in
+product order, the largest tree changing fastest, so runs of (n - 1)!
+consecutive families (120 at n = 6, 5 040 at n = 8) share every tree the
+search places after its first boundary.  So every search of one sweep
+chunk shares three tables (`search`'s ``tables``).  The first is the
+boundary memo above in first-solution mode, used only in attempt 0,
+where every scan offset is zero.  It keeps one dict per count j of
+unstarted slots, and that dict belongs to the current tail: the trees of
+slots 0..j-1, compared by value.  A family with another tail replaces
+the level's dict; product order never brings an old tail back, so the
+memo stays bounded and hits as often as an unbounded table would.  A
+miss opens a frame as in enumeration; exhaustion stores no completion, a
+solution stores its unstarted slots' permutations in every open frame,
+each with the nodes its subtree took up to it, and a budget trip or the
+deadline stores nothing.  A hit adds the stored count, trips the budget
+on the node past it where that count passes the budget, as the search it
+stands for would, and otherwise emits the stored completion after the
+placed slots or treats the step as exhausted.  So statuses, labelings,
+node counts and restarts are those of a lone search (the soundness note
+sits at the lookup).  The other two tables are boundary verdicts keyed by
+``(step, free-pair masks, used loops)``, which hold across tails and are
+asked only on memo misses, and the head table above.  A verdict hit is
+the verdict itself, not a skipped subtree.  With the memo, `sweep(6)`
+took a median of 1.3 s of CPU time against 2.1 s with the two other
+tables alone (five alternating runs), and ended with 1 333 stored
+subtrees, 1 488 verdicts and 433 permutations in its tables; without the
+verdicts it asked the exact cover 52 635 times instead of 1 488 and
+took 1.85 s instead of 1.55 s (medians of five alternating in-process
+runs).
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -317,9 +334,10 @@ def search(
     runs a single unbounded pass in ascending order, with the boundary
     memo of the module docstring.
 
-    ``tables`` is a sweep chunk's pair (boundary verdicts, slot-head
-    permutations) of the module docstring, shared by every search of the
-    chunk: one n, one ``classical``.  A hit returns what the call it
+    ``tables`` is a sweep chunk's triple (boundary verdicts, slot-head
+    permutations, subtree memo by level) of the module docstring, shared
+    by every first-only search of the chunk: one n, one ``classical``,
+    symmetry pruning on.  A hit returns what the call or subtree it
     stands for would, so results and node counts are those without it.
     """
     n = family.n
@@ -354,17 +372,28 @@ def search(
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
-    # full enumeration: per tree-boundary state, the unstarted slots'
-    # permutations of each completion below it and the nodes it took
-    # (first-only search keeps none, and close_at stays -1)
-    memo: dict[tuple, tuple[tuple, int]] | None = None if first_only else {}
     # boundary verdicts, kept only by a sweep chunk, and per slot head its
     # checked permutation (`_slot_permutations`): full enumeration keeps
-    # one for as long as the memo, a lone first-only search has none
+    # one for as long as its memo, a lone first-only search has none
     if tables is None:
-        verdicts, known = None, None if first_only else {}
+        verdicts, known, levels = None, None if first_only else {}, None
     else:
-        verdicts, known = tables
+        verdicts, known, levels = tables
+    # the tree-boundary memo by count j of unstarted slots: full
+    # enumeration keeps one dict of its own for every j, a sweep chunk's
+    # attempt 0 the dict of each level's tail (slots 0..j-1, by value),
+    # and a lone first-only search none (close_at then stays -1)
+    memos: list[dict[tuple, tuple[tuple, int]]] | None = None
+    if not first_only:
+        memos = [{}] * n
+    elif levels is not None:
+        memos = [None] * n
+        for j in range(1, n):
+            tail = family.trees[:j]
+            level = levels.get(j)
+            if level is None or level[0] != tail:
+                level = levels[j] = (tail, {})
+            memos[j] = level[1]
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
 
@@ -388,7 +417,7 @@ def search(
                 if i == total:
                     solutions.append(_slot_permutations(images, slot_steps, n, known))
                     if first_only:
-                        break
+                        break  # the open boundaries store it after the loop
                 else:
                     ppos = step_parent[i]
                     if ppos >= 0:
@@ -398,15 +427,20 @@ def search(
                             cand &= -2 << images[sp]
                     else:
                         hit = None
-                        if memo is not None and i:
+                        if memos is not None and i:
                             # Everything the subtree below this boundary
-                            # reads is a function of the key: the free
-                            # pairs, the used loops, the unstarted trees'
-                            # empty tree_used, all-zero scan offsets, and
-                            # no root pin past step 0.  Its permutations
-                            # of the unstarted slots, their DFS order and
-                            # its node count are therefore the same at
-                            # every visit; only the placed slots differ.
+                            # reads is a function of the key and the level's
+                            # tail: the free pairs (blocked pairs included),
+                            # the used loops, the unstarted trees' compiled
+                            # rows and empty tree_used, all-zero scan
+                            # offsets (attempt 0), no root pin past step 0,
+                            # and n, classical and symmetry pruning, which
+                            # one search or one sweep chunk fixes.  Its
+                            # completions of the unstarted slots, their DFS
+                            # order and its node count (up to the first
+                            # completion, first-only) are therefore the same
+                            # at every visit; only the placed slots differ.
+                            memo = memos[step_slot[i] + 1]
                             key = (i, tuple(pairfree), loops_used)
                             hit = memo.get(key)
                             if hit is None:  # closed when step i is exhausted
@@ -414,13 +448,19 @@ def search(
                                 close_at = i
                         if hit is not None:
                             done, took = hit
+                            before = nodes
+                            nodes += took
+                            if nodes > budget_abs:
+                                # the subtree it stands for tripped the
+                                # budget inside, on the node past it
+                                nodes = budget_abs + 1
+                                budget_tripped = True
+                                break
                             if done:
                                 placed = _slot_permutations(
                                     images, slot_steps[step_slot[i] + 1:], n, known
                                 )
                                 solutions += [d + placed for d in done]
-                            before = nodes
-                            nodes += took
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees
                             if (
@@ -429,6 +469,8 @@ def search(
                                 and monotonic() > deadline
                             ):
                                 timed_out = True
+                                break
+                            if first_only and done:
                                 break
                         else:
                             if verdicts is None:
@@ -478,7 +520,9 @@ def search(
                 if i == close_at:  # store the completions below its boundary
                     close_at, key, start, before = frames.pop()
                     j = step_slot[i] + 1  # the unstarted slots
-                    memo[key] = (tuple([sol[:j] for sol in solutions[start:]]), nodes - before)
+                    memos[j][key] = (
+                        tuple([sol[:j] for sol in solutions[start:]]), nodes - before
+                    )
                 i -= 1
                 v = images[i]
                 enter = False
@@ -503,8 +547,18 @@ def search(
                     assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
             if enter:
                 i += 1
+        if first_only and solutions:  # every open boundary led to it
+            row = solutions[0]
+            for _, key, _, before in frames:
+                j = step_slot[key[0]] + 1
+                memos[j][key] = ((row[:j],), nodes - before)
         if timed_out or solutions or not budget_tripped:
             break
+        # later attempts scan from random offsets: the memo holds only for
+        # attempt 0, and the boundaries the budget cut store nothing
+        memos = None
+        frames.clear()
+        close_at = -1
         attempt += 1
         grant = luby(attempt + 1) * RESTART_BASE_BUDGET
         if rng is None:

@@ -29,7 +29,7 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from itertools import islice, product
+from itertools import chain, islice, product
 from typing import NamedTuple
 
 from .errors import (
@@ -507,9 +507,11 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     Trees are prebuilt once per size and shared between the yielded
     families (they are immutable), so a full n = 6 sweep materializes
     34560 families cheaply.  ``start`` and ``stop`` slice the index range
-    before any family is built, so a sweep chunk builds only its own.
-    Refuses n beyond ``SWEEP_MAX_N`` (BoundExceededError) before building
-    any tree: n = 9 alone would mean 46 234 of them.
+    before any family is built, so a sweep chunk builds only its own, and
+    the walk begins at ``start`` without stepping through the families
+    before it (`_product_slice`).  Refuses n beyond ``SWEEP_MAX_N``
+    (BoundExceededError) before building any tree: n = 9 alone would mean
+    46 234 of them.
     """
     if n < 1:
         raise BadSizeError("a family needs at least one vertex")
@@ -522,8 +524,36 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     for m in range(1, n + 1):
         choices = product(*(range(u) for u in range(1, m)))
         per_size.append([build_tree((0,) + tail, n) for tail in choices])
-    for combo in islice(product(*per_size), start, stop):
-        yield AugTreeFamily(n=n, trees=tuple(combo))
+    for combo in _product_slice(per_size, start, stop):
+        yield AugTreeFamily(n=n, trees=combo)
+
+
+def _product_slice(pools: list[list], start: int, stop: int | None):
+    """``islice(product(*pools), start, stop)`` without the walk to ``start``.
+
+    Index ``start`` is a mixed-radix number whose digits pick one item per
+    pool, the last pool's digit the least significant.  From those digits
+    the product runs on as an odometer: the last pool from its digit on,
+    then each earlier pool k in turn from its next digit, with the pools
+    before k held at their digits and those after k running in full.
+    """
+    if start < 0 or (stop is not None and stop < 0):
+        raise ValueError("a family index range cannot be negative")
+    digits = []
+    rest = start
+    for pool in reversed(pools):
+        rest, d = divmod(rest, len(pool))
+        digits.append(d)
+    if rest:  # start is past the last family
+        return iter(())
+    digits.reverse()
+    last = len(pools) - 1
+    held = [[pool[d]] for pool, d in zip(pools, digits)]
+    runs = chain.from_iterable(
+        product(*held[:k], pools[k][digits[k] + (k < last):], *pools[k + 1:])
+        for k in range(last, -1, -1)
+    )
+    return runs if stop is None else islice(runs, max(0, stop - start))
 
 
 def leaf_sibling_groups(tree: AugFuncTree) -> list[tuple[int, ...]]:

@@ -138,9 +138,9 @@ def _usable_cpus() -> int:
 def _sweep_chunk(args) -> list[FamilyOutcome]:
     n, start, stop, cfg = args
     rows = []
-    # boundary verdicts and slot permutations, shared by this chunk's
-    # searches (one n, one config) and dropped with it
-    tables = ({}, {})
+    # boundary verdicts, slot permutations and the per-level subtree memo,
+    # shared by this chunk's searches (one n, one config) and dropped with it
+    tables = ({}, {}, {})
     for index, family in enumerate(family_enumerate(n, start, stop), start=start):
         res = pack(family, cfg, _tables=tables)
         rows.append(
@@ -162,11 +162,12 @@ def sweep(
 
     Refuses n beyond ``SWEEP_MAX_N`` (the enumeration is a product of
     factorials; n = 8 already means 1.25e11 families).  ``workers`` > 1
-    splits the index range into at most ``4 * workers`` chunks over a
-    process pool; each chunk builds only its own families, and pool.map
-    keeps the chunks in order.  The pool starts no more processes than
-    there are chunks or usable CPUs, however large ``workers`` is; the
-    chunks do not depend on that cap, and the report depends on neither.
+    splits the index range into at most ``4 * min(workers, usable CPUs)``
+    chunks over a process pool; each chunk builds only its own families,
+    and pool.map keeps the chunks in order.  The pool starts no more
+    processes than there are chunks or usable CPUs, however large
+    ``workers`` is, and the jobs built before any work stay as few.  The
+    report does not depend on the chunking.
     """
     if n > SWEEP_MAX_N:
         raise BoundExceededError(
@@ -179,14 +180,17 @@ def sweep(
     if workers <= 1:
         rows = _sweep_chunk((n, 0, total, cfg))
     else:
-        chunk = max(1, -(-total // (workers * 4)))
+        # every chunk starts with cold search tables, and every job is
+        # built up front: no more chunks than the CPUs can use
+        cpus = _usable_cpus()
+        chunk = max(1, -(-total // (4 * min(workers, cpus))))
         jobs = [
             (n, start, min(start + chunk, total), cfg)
             for start in range(0, total, chunk)
         ]
         # the pool starts every worker at once: never more than the jobs
         # or the CPUs this process may run on
-        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), _usable_cpus())) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs), cpus)) as pool:
             parts = list(pool.map(_sweep_chunk, jobs))
         rows = [row for part in parts for row in part]
     elapsed_ms = (time.perf_counter() - t0) * 1000.0

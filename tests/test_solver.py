@@ -11,12 +11,14 @@ import pytest
 
 from treepack import (
     EXHAUSTED,
+    AugTreeFamily,
     PACKED,
     TIMED_OUT,
     BoundExceededError,
     Labeling,
     SolveConfig,
     TreePackError,
+    family_count,
     family_enumerate,
     generate_family,
     is_complete,
@@ -539,16 +541,17 @@ def test_sweep_tables_change_no_answer(monkeypatch):
 
 
 def test_shared_tables_hold_for_any_blocked_pairs():
-    """The verdict key is the whole state the exact cover reads.  With
-    blocked pairs two boundaries can share free pairs and used loops:
-    in classical `star_family(2)`, the root boundary with pair 0-1
-    blocked and the last boundary once 0-1 is used.  One pair of tables
-    shared by every search of one n and mode, over every single blocked
-    pair, still gives each search its table-less answer."""
+    """The verdict key is the whole state the exact cover reads, and with
+    the level's tail the whole state a subtree reads.  With blocked pairs
+    two boundaries can share free pairs and used loops: in classical
+    `star_family(2)`, the root boundary with pair 0-1 blocked and the
+    last boundary once 0-1 is used.  One set of tables shared by every
+    search of one n and mode, over every single blocked pair, still
+    gives each search its table-less answer."""
     for classical in (False, True):
         cfg = SolveConfig(classical_mode=classical)
         for n in (2, 3, 4):
-            tables = ({}, {})
+            tables = ({}, {}, {})
             blocks = [()] + [(p,) for p in itertools.combinations(range(n), 2)]
             for family in family_enumerate(n):
                 for blocked in blocks:
@@ -557,6 +560,79 @@ def test_shared_tables_hold_for_any_blocked_pairs():
                     assert (got.status, got.nodes_expanded, got.labeling) == (
                         want.status, want.nodes_expanded, want.labeling
                     ), (n, classical, blocked)
+
+
+def frontier_like_12():
+    """The benchmark's 40 n = 12 frontier families, then eight seeds each
+    of three more generator kinds: 64 families, 9 of which restart."""
+    fams = [generate_family(12, "random-uniform", 7919 * 12 + j) for j in range(40)]
+    kinds = ("mixed", "caterpillar", "random-recursive")
+    return fams + [generate_family(12, kind, s) for kind in kinds for s in range(8)]
+
+
+def test_subtree_memo_changes_no_answer_across_families():
+    """The subtree memo belongs to each level's tail of unstarted trees:
+    families that share no tail may share boundary states, and a family
+    packed again finds its own subtrees stored.  Packed twice through one
+    set of tables, every family keeps the status, node count and labeling
+    of a lone `pack`, restarted ones included (the memo serves attempt 0
+    only)."""
+    fams = frontier_like_12()
+    lone = [pack(fam) for fam in fams]
+    tables = ({}, {}, {})
+    restarted = 0
+    for _ in range(2):
+        for fam, want in zip(fams, lone):
+            got = pack(fam, _tables=tables)
+            assert (got.status, got.nodes_expanded, got.labeling) == (
+                want.status, want.nodes_expanded, want.labeling
+            )
+            restarted += got.nodes_expanded > RESTART_BASE_BUDGET
+    assert restarted == 2 * 9
+
+
+def test_subtree_memo_hit_past_the_budget_trips_it():
+    """A stored subtree can take more nodes than a later family has left
+    in attempt 0.  Frontier family 12:0 with the largest tree swapped for
+    that of 12:6 shares every other tree with 12:0, reaches a boundary
+    12:0 stored, and the stored count carries it past the budget: the hit
+    must trip the budget on the node past it, as the search it stands for
+    would, and restart from there."""
+    fams = frontier_like_12()
+    a = fams[0]
+    b = AugTreeFamily(12, a.trees[:-1] + fams[6].trees[-1:])
+    want = pack(b)
+    assert want.nodes_expanded == 2180  # attempt 0 ran out of budget
+    tables = ({}, {}, {})
+    assert pack(a, _tables=tables).nodes_expanded == pack(a).nodes_expanded
+    got = pack(b, _tables=tables)
+    assert (got.status, got.nodes_expanded, got.labeling) == (
+        want.status, want.nodes_expanded, want.labeling
+    )
+
+
+def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
+    """After `sweep(6)` each level of the chunk's subtree memo holds the
+    stored subtrees of one tail, the last family's, and only boundary
+    states of its own step: the memo is replaced, not grown, as the sweep
+    moves on."""
+    seen = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        seen.append((family, kwargs["_tables"]))
+        return real(family, config, **kwargs)
+
+    monkeypatch.setattr(solver, "pack", recording)
+    sweep(6)
+    last, (_, _, levels) = seen[-1]
+    assert len({id(tables) for _, tables in seen}) == 1  # one serial chunk
+    assert sorted(levels) == [1, 2, 3, 4, 5]
+    total = 6 * 7 // 2
+    for j, (tail, memo) in levels.items():
+        assert tail == last.trees[:j]
+        assert {key[0] for key in memo} <= {total - j * (j + 1) // 2}
+    assert sum(len(memo) for _, memo in levels.values()) < 2000
 
 
 def test_sweep_pool_is_capped(monkeypatch):
@@ -590,6 +666,39 @@ def test_sweep_pool_is_capped(monkeypatch):
             (r.index, r.status, r.nodes) for r in serial[n]
         ]
     assert sizes == [2, 1, 3, 2, 8]
+
+
+def test_sweep_jobs_are_capped_at_the_usable_cpus(monkeypatch):
+    """Every job is built before any work, so a sweep makes at most four
+    chunks per usable CPU however many workers it is asked for: n = 7
+    with 10**5 workers once built 394 972 jobs.  A stand-in pool records
+    the jobs, checks that they tile the index range in order, and runs
+    none of them."""
+    built = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            built.append(list(jobs))
+            return [[] for _ in built[-1]]
+
+    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    total = family_count(7)
+    for workers, cpus, chunks in ((10**5, 4, 16), (10**5, 1, 4), (3, 64, 12), (2, 2, 8)):
+        monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
+        sweep(7, workers=workers)
+        jobs = built.pop()
+        assert len(jobs) == chunks
+        assert [job[1] for job in jobs[1:]] == [job[2] for job in jobs[:-1]]
+        assert (jobs[0][1], jobs[-1][2]) == (0, total)
 
 
 def test_sweep_bound():
