@@ -17,9 +17,11 @@ n(n+1)/2 steps.  Candidates are tried in ascending vertex order.  Together
 these make node counts a pure function of (family, options).  A tree of
 size m takes the same steps in every family on Z_n, so its step rows and
 leaf-swap factor are compiled once per tree (``CompiledTree.steps`` to
-``leaf_swaps``), and a search only concatenates them, largest tree first.
-Because ``steps`` lists a slot's steps by slot position, the (0 k) swap
-that moves the root to slot k stays inside `functree._compile`.
+``leaf_swaps``).  A search reads those of slots n - 2..0, the tail, from
+a plan (`_TailPlan`) built by concatenating them, and adds the rows of
+its largest tree in front.  Because ``steps`` lists a slot's steps by
+slot position, the (0 k) swap that moves the root to slot k stays inside
+`functree._compile`.
 
 The backtracking is one explicit loop over per-step arrays, not a
 recursion, so its depth is not bounded by the interpreter's stack and no
@@ -72,33 +74,42 @@ and it builds one row, so either table would be pure cost.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
-consecutive families (120 at n = 6, 5 040 at n = 8) share every tree the
-search places after its first boundary.  So every search of one sweep
-chunk shares three tables (`search`'s ``tables``).  The first is the
-boundary memo above in first-solution mode, used only in attempt 0,
+consecutive families (120 at n = 6, 5 040 at n = 8) share their tail,
+every tree the search places after its first boundary.  So every search
+of one sweep chunk shares the chunk's `ChunkTables`: the plan of the
+current tail and two tables.  A search whose tail equals the plan's,
+compared by value, reuses it; otherwise it builds the plan of its own
+tail and leaves it there.  The step rows, slot steps and leaf-swap
+factor of the tail are thus built once per tail, not once per family; a
+lone search builds its own plan on the same path.  The plan also holds
+the boundary memo above in first-solution mode, used only in attempt 0,
 where every scan offset is zero.  It keeps one dict per count j of
-unstarted slots, and that dict belongs to the current tail: the trees of
-slots 0..j-1, compared by value.  A family with another tail replaces
-the level's dict; product order never brings an old tail back, so the
-memo stays bounded and hits as often as an unbounded table would.  A
-miss opens a frame as in enumeration; exhaustion stores no completion, a
-solution stores its unstarted slots' permutations in every open frame,
-each with the nodes its subtree took up to it, and a budget trip or the
-deadline stores nothing.  A hit adds the stored count, trips the budget
-on the node past it where that count passes the budget, as the search it
-stands for would, and otherwise emits the stored completion after the
-placed slots or treats the step as exhausted.  So statuses, labelings,
-node counts and restarts are those of a lone search (the soundness note
-sits at the lookup).  The other two tables are boundary verdicts keyed by
-``(step, free-pair masks, used loops)``, which hold across tails and are
-asked only on memo misses, and the head table above.  A verdict hit is
-the verdict itself, not a skipped subtree.  With the memo, `sweep(6)`
-took a median of 1.3 s of CPU time against 2.1 s with the two other
-tables alone (five alternating runs), and ended with 1 333 stored
-subtrees, 1 488 verdicts and 433 permutations in its tables; without the
-verdicts it asked the exact cover 52 635 times instead of 1 488 and
-took 1.85 s instead of 1.55 s (medians of five alternating in-process
-runs).
+unstarted slots, and that dict belongs to the trees of slots 0..j-1: a
+new plan keeps the old plan's dict where those trees are the same and
+starts an empty one where they differ.  Product order never brings an
+old tail back, so the memo stays bounded and hits as often as an
+unbounded table would.  A miss opens a frame as in enumeration;
+exhaustion stores no completion, a solution stores its unstarted slots'
+permutations in every open frame, each with the nodes its subtree took
+up to it, and a budget trip or the deadline stores nothing.  A hit adds
+the stored count, trips the budget on the node past it where that count
+passes the budget, as the search it stands for would, and otherwise
+emits the stored completion after the placed slots or treats the step as
+exhausted.  So statuses, labelings, node counts and restarts are those
+of a lone search (the soundness note sits at the lookup).  The other two
+tables are boundary verdicts keyed by ``(step, free-pair masks, used
+loops)``, which hold across tails and are asked only on memo misses, and
+the head table above.  A verdict hit is the verdict itself, not a
+skipped subtree.  With the memo, `sweep(6)` took a median of 1.3 s of
+CPU time against 2.1 s with the two other tables alone (five alternating
+runs), and ended with 1 333 stored subtrees, 1 488 verdicts and 433
+permutations in its tables; without the verdicts it asked the exact
+cover 52 635 times instead of 1 488 and took 1.85 s instead of 1.55 s
+(medians of five alternating in-process runs).  Building the tail's rows
+once per tail instead of once per family, with the enumeration's slot
+checks made once per tree, took the benchmark's `sweep(6)` from a median
+of 37 794 to 47 369 families/s (ten alternating pairs of 30 s runs,
+Python 3.11.7 on a 2-core shared machine).
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -123,12 +134,12 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import reduce
 from operator import or_
 
 # leaf_sibling_groups stays a module attribute: perfbench/layers.py counts it here
-from .functree import AugTreeFamily, Mapping, check_permutation, leaf_sibling_groups
+from .functree import AugFuncTree, AugTreeFamily, Mapping, check_permutation, leaf_sibling_groups
 
 RESTART_BASE_BUDGET = 1 << 11  # the Luby unit: attempt 0's node budget
 RESTART_SEED = 1  # seeds the scan offsets of attempts 1, 2, ...
@@ -303,6 +314,79 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
         path.append(c)
 
 
+@dataclass(eq=False)
+class _TailPlan:
+    """What a search reads of a family's tail: the trees of slots 0..n-2.
+
+    The largest tree takes steps 0..n-1, so the tail's steps follow them
+    in every family on Z_n, and their rows (``step_parent``,
+    ``step_prev``), the tail's ``slot_steps`` and its leaf-swap ``factor``
+    hold for every family with this tail; a search adds its largest
+    tree's rows in front.  ``step_slot`` depends on n alone and covers
+    every step.  ``levels[j]`` is the subtree memo of the boundaries with
+    j unstarted slots, whose trees are ``tail[:j]`` (``levels[0]`` is
+    None: no boundary leaves every slot placed).
+    """
+
+    tail: tuple[AugFuncTree, ...]
+    step_slot: tuple[int, ...]
+    step_parent: tuple[int, ...]
+    step_prev: tuple[int, ...]
+    slot_steps: tuple[tuple[int, ...], ...]
+    factor: int
+    levels: list[dict | None]
+
+
+def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> _TailPlan:
+    """The plan of ``tail`` on Z_n.  A memo level of ``old`` whose trees
+    ``tail`` shares (compared by value) is kept; every other level starts
+    empty, so a level only ever holds the subtrees of its own trees."""
+    compiled = [t.compiled() for t in tail]
+    step_slot = [n - 1] * n
+    step_parent: list[int] = []  # step of the parent, -1 at roots
+    step_prev: list[int] = []  # step of the previous leaf sibling, -1
+    factor = 1
+    for slot in range(n - 2, -1, -1):  # larger trees first
+        c = compiled[slot]
+        step_slot += [slot] * (slot + 1)
+        step_parent += c.parent_step
+        step_prev += c.prev_leaf_step
+        factor *= c.leaf_swaps
+    shared = 0  # levels 1..shared keep their trees
+    if old is not None:
+        for a, b in zip(old.tail, tail):
+            if a != b:
+                break
+            shared += 1
+    return _TailPlan(
+        tail=tail,
+        step_slot=tuple(step_slot),
+        step_parent=tuple(step_parent),
+        step_prev=tuple(step_prev),
+        slot_steps=tuple([c.steps for c in compiled]),
+        factor=factor,
+        levels=[None] + [
+            old.levels[j] if j <= shared else {} for j in range(1, n)
+        ],
+    )
+
+
+@dataclass(eq=False)
+class ChunkTables:
+    """What every search of one sweep chunk shares (module docstring):
+    one n, one ``classical``, first-only with symmetry pruning.
+
+    ``verdicts`` maps a boundary state to the exact cover's verdict,
+    ``known`` a slot head to its checked permutation
+    (`_slot_permutations`), and ``plan`` is the plan of the last tail
+    searched, with its subtree memo; a family with another tail replaces
+    it."""
+
+    verdicts: dict = field(default_factory=dict)
+    known: dict = field(default_factory=dict)
+    plan: _TailPlan | None = None
+
+
 def search(
     family: AugTreeFamily,
     *,
@@ -311,8 +395,7 @@ def search(
     first_only: bool = True,
     time_limit_s: float | None = None,
     blocked_pairs=(),
-    debug: bool = False,
-    tables: tuple[dict, dict] | None = None,
+    tables: ChunkTables | None = None,
 ) -> SearchOutcome:
     """Run the embedding search over one family.
 
@@ -322,8 +405,6 @@ def search(
     the outcome reports the exact count multiplier they remove.
     ``blocked_pairs`` pre-consumes edges; it exists so tests can force the
     exhausted branch, which no valid family reaches on its own.
-    ``debug`` maintains a global used-edge mask and asserts its popcount
-    matches the number of embedded edges at every node.
 
     With ``first_only`` the Luby restart schedule described in the module
     docstring is active and ``nodes`` accumulates over attempts.  Each
@@ -334,30 +415,31 @@ def search(
     runs a single unbounded pass in ascending order, with the boundary
     memo of the module docstring.
 
-    ``tables`` is a sweep chunk's triple (boundary verdicts, slot-head
-    permutations, subtree memo by level) of the module docstring, shared
-    by every first-only search of the chunk: one n, one ``classical``,
-    symmetry pruning on.  A hit returns what the call or subtree it
-    stands for would, so results and node counts are those without it.
+    ``tables`` are a sweep chunk's `ChunkTables`.  The search reuses
+    their plan when the family's tail equals its tail, and otherwise
+    builds the plan and stores it there; without tables it builds one
+    for itself.  A table hit returns what the call or subtree it stands
+    for would, so results and node counts are those without tables.
     """
     n = family.n
     full = (1 << n) - 1
 
-    compiled = [t.compiled() for t in family.trees]
-    slot_steps = [c.steps for c in compiled]  # per slot: its steps by slot position
-    step_slot: list[int] = []
-    step_parent: list[int] = []  # step of the parent, -1 at roots
-    step_prev: list[int] = []  # step of the previous leaf sibling, -1
-    factor = n
-    for slot in range(n - 1, -1, -1):  # largest tree first
-        c = compiled[slot]
-        step_slot += [slot] * (slot + 1)
-        step_parent += c.parent_step
-        step_prev += c.prev_leaf_step
-        factor *= c.leaf_swaps
+    tail = family.trees[:-1]
+    plan = None if tables is None else tables.plan
+    if plan is None or plan.tail != tail:
+        plan = _tail_plan(n, tail, plan)
+        if tables is not None:
+            tables.plan = plan
+    last = family.trees[-1].compiled()  # the largest tree: steps 0..n-1
+    step_slot = plan.step_slot
+    step_parent = last.parent_step + plan.step_parent
+    slot_steps = plan.slot_steps + (last.steps,)  # per slot: its steps by slot position
     total = len(step_slot)
-    if not symmetry_pruning:
-        step_prev = [-1] * total
+    if symmetry_pruning:
+        step_prev = last.prev_leaf_step + plan.step_prev
+        factor = n * last.leaf_swaps * plan.factor
+    else:
+        step_prev = (-1,) * total
         factor = 1
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
@@ -376,24 +458,14 @@ def search(
     # checked permutation (`_slot_permutations`): full enumeration keeps
     # one for as long as its memo, a lone first-only search has none
     if tables is None:
-        verdicts, known, levels = None, None if first_only else {}, None
+        verdicts, known = None, None if first_only else {}
     else:
-        verdicts, known, levels = tables
+        verdicts, known = tables.verdicts, tables.known
     # the tree-boundary memo by count j of unstarted slots: full
-    # enumeration keeps one dict of its own for every j, a sweep chunk's
-    # attempt 0 the dict of each level's tail (slots 0..j-1, by value),
-    # and a lone first-only search none (close_at then stays -1)
-    memos: list[dict[tuple, tuple[tuple, int]]] | None = None
-    if not first_only:
-        memos = [{}] * n
-    elif levels is not None:
-        memos = [None] * n
-        for j in range(1, n):
-            tail = family.trees[:j]
-            level = levels.get(j)
-            if level is None or level[0] != tail:
-                level = levels[j] = (tail, {})
-            memos[j] = level[1]
+    # enumeration and a sweep chunk's attempt 0 read the plan's levels
+    # (fresh for each enumeration), a lone first-only search none
+    # (close_at then stays -1)
+    memos = plan.levels if tables is not None or not first_only else None
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
 
@@ -405,8 +477,6 @@ def search(
         pairfree = list(base_pairfree)
         loops_used = 0
         tree_used = [0] * n
-        pairs_mask = 0
-        edges_placed = 0
         budget_abs = nodes + grant
         budget_tripped = False
         i = 0
@@ -540,11 +610,6 @@ def search(
                 p = images[ppos]
                 pairfree[p] ^= b
                 pairfree[v] ^= 1 << p
-                if debug:
-                    lo, hi = (p, v) if p < v else (v, p)
-                    pairs_mask ^= 1 << (lo * n + hi)
-                    edges_placed += 1 if enter else -1
-                    assert pairs_mask.bit_count() == edges_placed, "edge mask drift"
             if enter:
                 i += 1
         if first_only and solutions:  # every open boundary led to it

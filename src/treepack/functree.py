@@ -424,6 +424,19 @@ def generate_family(n: int, kind: str = "random-uniform", seed: int = 0) -> AugT
 # Families
 # =====================================================================
 
+def _check_slot(k: int, t, n: int) -> None:
+    """Does ``t`` fit slot k of a family on Z_n?  Size k + 1, root 0,
+    semigroup form and ambient n; InvalidFamilyError if not."""
+    if not isinstance(t, AugFuncTree):
+        raise InvalidFamilyError(f"slot {k} is not an AugFuncTree")
+    if t.n != n:
+        raise InvalidFamilyError(f"slot {k} lives in Z_{t.n}, family in Z_{n}")
+    if t.m != k + 1 or t.root != 0:
+        raise InvalidFamilyError(f"slot {k} must have component size {k + 1} rooted at 0")
+    if u := t.compiled().semigroup_break:
+        raise InvalidFamilyError(f"slot {k} is not in semigroup form at vertex {u}")
+
+
 @dataclass(frozen=True)
 class AugTreeFamily:
     """One augmented tree per component size 1..n, all in semigroup form.
@@ -450,20 +463,20 @@ class AugTreeFamily:
                 f"family on Z_{self.n} needs {self.n} trees, got {len(trees)}"
             )
         for k, t in enumerate(trees):
-            if not isinstance(t, AugFuncTree):
-                raise InvalidFamilyError(f"slot {k} is not an AugFuncTree")
-            if t.n != self.n:
-                raise InvalidFamilyError(
-                    f"slot {k} lives in Z_{t.n}, family in Z_{self.n}"
-                )
-            if t.m != k + 1 or t.root != 0:
-                raise InvalidFamilyError(
-                    f"slot {k} must have component size {k + 1} rooted at 0"
-                )
-            if u := t.compiled().semigroup_break:
-                raise InvalidFamilyError(
-                    f"slot {k} is not in semigroup form at vertex {u}"
-                )
+            _check_slot(k, t, self.n)
+
+    @classmethod
+    def _checked(cls, n: int, trees: tuple[AugFuncTree, ...]) -> "AugTreeFamily":
+        """A family whose slots need no second check.
+
+        Precondition: ``trees`` is a tuple of n trees, and `_check_slot`
+        passed each at its slot on Z_n.  `family_enumerate` checks each
+        prebuilt tree once and then builds every family through here.
+        """
+        fam = object.__new__(cls)
+        object.__setattr__(fam, "n", n)
+        object.__setattr__(fam, "trees", trees)
+        return fam
 
     def slot_form(self, k: int) -> AugFuncTree:
         """Slot k conjugated by the transposition (0 k): root moves to k.
@@ -505,8 +518,10 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     """Yield every family on Z_n, ordered lexicographically by parent arrays.
 
     Trees are prebuilt once per size and shared between the yielded
-    families (they are immutable), so a full n = 6 sweep materializes
-    34560 families cheaply.  ``start`` and ``stop`` slice the index range
+    families (they are immutable).  Each is checked against its slot
+    once, when it is built, so the families skip that check
+    (`AugTreeFamily._checked`) and a full n = 6 sweep materializes 34560
+    families cheaply.  ``start`` and ``stop`` slice the index range
     before any family is built, so a sweep chunk builds only its own, and
     the walk begins at ``start`` without stepping through the families
     before it (`_product_slice`).  Refuses n beyond ``SWEEP_MAX_N``
@@ -523,9 +538,13 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     per_size: list[list[AugFuncTree]] = []
     for m in range(1, n + 1):
         choices = product(*(range(u) for u in range(1, m)))
-        per_size.append([build_tree((0,) + tail, n) for tail in choices])
+        pool = [build_tree((0,) + tail, n) for tail in choices]
+        for t in pool:  # each tree once, not once per family it joins
+            _check_slot(m - 1, t, n)
+        per_size.append(pool)
+    checked = AugTreeFamily._checked
     for combo in _product_slice(per_size, start, stop):
-        yield AugTreeFamily(n=n, trees=combo)
+        yield checked(n, combo)
 
 
 def _product_slice(pools: list[list], start: int, stop: int | None):

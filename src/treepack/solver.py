@@ -12,10 +12,9 @@ from __future__ import annotations
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from ._search import search
+from ._search import ChunkTables, search
 from .errors import BoundExceededError, TreePackError
 from .functree import SWEEP_MAX_N, AugTreeFamily, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
@@ -86,8 +85,8 @@ def pack(
 
     ``_blocked_pairs`` pre-consumes edges and exists purely so tests can
     reach the exhausted branch; valid families always pack.  ``_tables``
-    carries a sweep chunk's shared search tables (`_search.search`); they
-    change no result.
+    carries a sweep chunk's shared `_search.ChunkTables`; they change no
+    result.
     """
     cfg = config or SolveConfig()
     t0 = time.perf_counter()
@@ -138,9 +137,8 @@ def _usable_cpus() -> int:
 def _sweep_chunk(args) -> list[FamilyOutcome]:
     n, start, stop, cfg = args
     rows = []
-    # boundary verdicts, slot permutations and the per-level subtree memo,
-    # shared by this chunk's searches (one n, one config) and dropped with it
-    tables = ({}, {}, {})
+    # shared by this chunk's searches (one n, one config), dropped with it
+    tables = ChunkTables()
     for index, family in enumerate(family_enumerate(n, start, stop), start=start):
         res = pack(family, cfg, _tables=tables)
         rows.append(
@@ -188,6 +186,9 @@ def sweep(
             (n, start, min(start + chunk, total), cfg)
             for start in range(0, total, chunk)
         ]
+        # imported here: multiprocessing is not loaded for serial work
+        from concurrent.futures import ProcessPoolExecutor
+
         # the pool starts every worker at once: never more than the jobs
         # or the CPUs this process may run on
         with ProcessPoolExecutor(max_workers=min(workers, len(jobs), cpus)) as pool:

@@ -315,18 +315,18 @@ def test_family_enumerate_range_is_a_slice(n, monkeypatch):
         (0, total),
         (last, total),
     ]
-    real = AugTreeFamily.__post_init__
+    real = AugTreeFamily._checked
     for a, b in ranges:
         want = list(itertools.islice(family_enumerate(n), a, b))
         built = 0
 
-        def counting(self):
+        def counting(n, trees):
             nonlocal built
             built += 1
-            real(self)
+            return real(n, trees)
 
         with monkeypatch.context() as m:
-            m.setattr(AugTreeFamily, "__post_init__", counting)
+            m.setattr(AugTreeFamily, "_checked", counting)
             got = list(family_enumerate(n, a, b))
         assert got == want
         assert built == len(want) == (total if b is None else b) - a
@@ -379,6 +379,36 @@ def test_family_enumerate_refuses_past_the_sweep_cap(monkeypatch):
     monkeypatch.setattr(functree, "build_tree", refuse)
     with pytest.raises(BoundExceededError):
         next(family_enumerate(SWEEP_MAX_N + 1))
+
+
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        (lambda real, n: real((0, 2, 0), n), "semigroup form at vertex 1"),
+        (lambda real, n: real((1, 1, 1), n), "rooted at 0"),
+        (lambda real, n: real((0, 0), n), "component size 3"),
+        (lambda real, n: real((0, 0, 1), n + 1), "lives in Z_4"),
+    ],
+)
+def test_family_enumerate_checks_each_pool_tree(monkeypatch, bad, match):
+    """The slot checks run once per prebuilt tree, so a tree that does
+    not fit its slot stops the walk before any family is yielded or
+    built.  ``build_tree`` is patched to hand back such a tree for the
+    size-3 parent array (0, 0, 1)."""
+    from treepack import functree
+
+    real = functree.build_tree
+
+    def swapped(parents, n=None):
+        return bad(real, n) if tuple(parents) == (0, 0, 1) else real(parents, n)
+
+    def never(n, trees):
+        raise AssertionError("a family was built from an unchecked pool")
+
+    monkeypatch.setattr(functree, "build_tree", swapped)
+    monkeypatch.setattr(AugTreeFamily, "_checked", never)
+    with pytest.raises(InvalidFamilyError, match=match):
+        next(family_enumerate(3))
 
 
 def test_star_family_and_generate_family():

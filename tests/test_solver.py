@@ -1,8 +1,10 @@
 """Backtracking engine: soundness, exhaustiveness, determinism, restarts."""
 
+import concurrent.futures
 import functools
 import hashlib
 import itertools
+import math
 import operator
 import random
 import sys
@@ -438,23 +440,41 @@ def test_enumeration_deterministic_and_counts_match():
     assert len(full.solutions) == essential
 
 
-def test_debug_mode_runs_the_bitset_audit():
-    """The debug edge-mask audit passes at every node and changes nothing,
-    with and without pre-consumed pairs."""
+def assert_edge_disjoint(fam, solutions, blocked):
+    """Replay each solution's arcs through the compiled trees: no edge,
+    loop or pair, is used twice, and none is a pre-consumed pair."""
+    n = fam.n
+    for row in solutions:
+        edges = [
+            (min(sig[a], sig[b]), max(sig[a], sig[b]))
+            for tree, sig in zip(fam.trees, row)
+            for a, b in tree.compiled().slot_arcs()
+        ]
+        assert len(edges) == n * (n + 1) // 2
+        assert len(set(edges) | set(blocked)) == len(edges) + len(blocked)
+
+
+def test_solutions_are_edge_disjoint():
+    """Every solution tiles without a repeated edge, with and without
+    pre-consumed pairs, and the outcome is that of a search through a
+    sweep chunk's tables (first-only) or of a second search (full
+    enumeration)."""
     for fam, blocked, first_only in (
         (generate_family(6, "mixed", seed=9), (), True),
         (generate_family(12, "random-uniform", 7919 * 12 + 25), (), True),
         (generate_family(7, "mixed", seed=2), ((0, 1), (2, 5)), True),
         (star_family(3), ((0, 1),), True),
-        # restarts with nonzero scan offsets: the audit under rotated scans
+        # restarts with nonzero scan offsets: rotated scans
         (generate_family(24, "random-uniform", 7919 * 24), (), True),
         # full enumeration, boundary memo hits included
         (generate_family(5, "mixed", seed=1), (), False),
     ):
-        checked = search(fam, debug=True, blocked_pairs=blocked, first_only=first_only)
         plain = search(fam, blocked_pairs=blocked, first_only=first_only)
-        assert checked.solutions == plain.solutions
-        assert checked.nodes == plain.nodes
+        assert_edge_disjoint(fam, plain.solutions, blocked)
+        tables = _search.ChunkTables() if first_only else None
+        other = search(fam, blocked_pairs=blocked, first_only=first_only, tables=tables)
+        assert other.solutions == plain.solutions
+        assert other.nodes == plain.nodes
 
 
 def test_classical_mode_packs_and_verifies():
@@ -551,7 +571,7 @@ def test_shared_tables_hold_for_any_blocked_pairs():
     for classical in (False, True):
         cfg = SolveConfig(classical_mode=classical)
         for n in (2, 3, 4):
-            tables = ({}, {}, {})
+            tables = _search.ChunkTables()
             blocks = [()] + [(p,) for p in itertools.combinations(range(n), 2)]
             for family in family_enumerate(n):
                 for blocked in blocks:
@@ -579,7 +599,7 @@ def test_subtree_memo_changes_no_answer_across_families():
     only)."""
     fams = frontier_like_12()
     lone = [pack(fam) for fam in fams]
-    tables = ({}, {}, {})
+    tables = _search.ChunkTables()
     restarted = 0
     for _ in range(2):
         for fam, want in zip(fams, lone):
@@ -603,7 +623,7 @@ def test_subtree_memo_hit_past_the_budget_trips_it():
     b = AugTreeFamily(12, a.trees[:-1] + fams[6].trees[-1:])
     want = pack(b)
     assert want.nodes_expanded == 2180  # attempt 0 ran out of budget
-    tables = ({}, {}, {})
+    tables = _search.ChunkTables()
     assert pack(a, _tables=tables).nodes_expanded == pack(a).nodes_expanded
     got = pack(b, _tables=tables)
     assert (got.status, got.nodes_expanded, got.labeling) == (
@@ -612,27 +632,63 @@ def test_subtree_memo_hit_past_the_budget_trips_it():
 
 
 def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
-    """After `sweep(6)` each level of the chunk's subtree memo holds the
-    stored subtrees of one tail, the last family's, and only boundary
-    states of its own step: the memo is replaced, not grown, as the sweep
-    moves on."""
+    """Through `sweep(6)` each level j of the chunk's subtree memo holds
+    the stored subtrees of one tail, the trees of slots 0..j-1: a level
+    is replaced exactly when those trees change, and kept while they
+    stay.  After the sweep the plan is the last family's, and each level
+    holds only boundary states of its own step: the memo is replaced, not
+    grown, as the sweep moves on."""
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
-        seen.append((family, kwargs["_tables"]))
-        return real(family, config, **kwargs)
+        res = real(family, config, **kwargs)
+        seen.append((family, kwargs["_tables"], kwargs["_tables"].plan.levels))
+        return res
 
     monkeypatch.setattr(solver, "pack", recording)
     sweep(6)
-    last, (_, _, levels) = seen[-1]
-    assert len({id(tables) for _, tables in seen}) == 1  # one serial chunk
-    assert sorted(levels) == [1, 2, 3, 4, 5]
+    assert len({id(tables) for _, tables, _ in seen}) == 1  # one serial chunk
+    for (f, _, before), (g, _, after) in zip(seen, seen[1:]):
+        for j in range(1, 6):
+            assert (before[j] is after[j]) == (f.trees[:j] == g.trees[:j])
+    last, tables, levels = seen[-1]
+    assert tables.plan.tail == last.trees[:-1]
+    assert len(levels) == 6 and levels[0] is None
     total = 6 * 7 // 2
-    for j, (tail, memo) in levels.items():
-        assert tail == last.trees[:j]
-        assert {key[0] for key in memo} <= {total - j * (j + 1) // 2}
-    assert sum(len(memo) for _, memo in levels.values()) < 2000
+    for j in range(1, 6):
+        assert {key[0] for key in levels[j]} <= {total - j * (j + 1) // 2}
+    assert sum(len(memo) for memo in levels[1:]) < 2000
+
+
+def test_sweep_builds_one_plan_per_tail(monkeypatch):
+    """`sweep(5)` builds one plan per tail of slots 0..3, 288 / 4! = 12,
+    and each family's engine outcome equals that of a lone `search`,
+    which builds its own plan."""
+    plans = []
+    real_plan = _search._tail_plan
+
+    def counting(n, tail, old):
+        plans.append(tail)
+        return real_plan(n, tail, old)
+
+    seen = []
+    real_search = solver.search
+
+    def recording(family, **kwargs):
+        out = real_search(family, **kwargs)
+        seen.append((family, kwargs, out))
+        return out
+
+    monkeypatch.setattr(_search, "_tail_plan", counting)
+    monkeypatch.setattr(solver, "search", recording)
+    sweep(5)
+    assert len(seen) == 288
+    assert len(plans) == len(set(plans)) == 288 // math.factorial(4)
+    monkeypatch.undo()
+    for family, kwargs, out in seen:
+        assert kwargs.pop("tables") is not None
+        assert out == search(family, **kwargs)
 
 
 def test_sweep_pool_is_capped(monkeypatch):
@@ -655,7 +711,7 @@ def test_sweep_pool_is_capped(monkeypatch):
             return map(fn, jobs)
 
     assert solver._usable_cpus() >= 1
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = {n: sweep(n).rows for n in (3, 5)}
     # (n, workers, usable CPUs): 2 families make 2 chunks; 288 make 12
     cases = [(3, 100_000, 64), (3, 100_000, 1), (5, 3, 64), (5, 3, 2), (5, 100_000, 8)]
@@ -690,7 +746,7 @@ def test_sweep_jobs_are_capped_at_the_usable_cpus(monkeypatch):
             built.append(list(jobs))
             return [[] for _ in built[-1]]
 
-    monkeypatch.setattr(solver, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     total = family_count(7)
     for workers, cpus, chunks in ((10**5, 4, 16), (10**5, 1, 4), (3, 64, 12), (2, 2, 8)):
         monkeypatch.setattr(solver, "_usable_cpus", lambda: cpus)
