@@ -96,16 +96,27 @@ the stored count, trips the budget on the node past it where that count
 passes the budget, as the search it stands for would, and otherwise
 emits the stored completion after the placed slots or treats the step as
 exhausted.  So statuses, labelings, node counts and restarts are those
-of a lone search (the soundness note sits at the lookup).  The other two
-tables are boundary verdicts keyed by ``(step, free-pair masks, used
-loops)``, which hold across tails and are asked only on memo misses, and
-the head table above.  A verdict hit is the verdict itself, not a
-skipped subtree.  With the memo, `sweep(6)` took a median of 1.3 s of
-CPU time against 2.1 s with the two other tables alone (five alternating
-runs), and ended with 1 333 stored subtrees, 1 488 verdicts and 433
-permutations in its tables; without the verdicts it asked the exact
-cover 52 635 times instead of 1 488 and took 1.85 s instead of 1.55 s
-(medians of five alternating in-process runs).  Building the tail's rows
+of a lone search (the soundness note sits at the lookup).  Last, the
+plan holds what `packing.is_complete` reads when `pack` verifies a
+chunk's labeling: per mode and per tail slot k, a dict from slot k's
+permutation to the edge mask its tree covers under it.  A new plan keeps
+slot k's dict where the tree of slot k is the same, per slot and not
+per prefix, so a dict only ever holds one tree's masks, and only the
+largest tree is walked arc by arc per family (the soundness note sits in
+`is_complete`).  That took verification per family in traced
+benchmark passes of `sweep(6)` from 14.9–16.2 µs to 7.4–9.4 µs (four
+alternating pairs, clock time), and the benchmark's sweep6 from a median
+of 46 707 to 53 374 families/s (ten alternating pairs of 30 s runs).
+Beside the plan, the chunk keeps two tables: boundary verdicts keyed by
+``(step, free-pair masks, used loops)``, which hold across tails and are
+asked only on memo misses, and the head table above.  A verdict hit is
+the verdict itself, not a skipped subtree.  With the memo, `sweep(6)`
+took a median of 1.3 s of CPU time against 2.1 s with those two tables
+alone (five alternating runs), and ended with 1 333 stored subtrees,
+1 488 verdicts and 433 permutations in its tables; without the
+verdicts it asked the exact cover 52 635 times instead of 1 488 and
+took 1.85 s instead of 1.55 s (medians of five alternating in-process
+runs).  Building the tail's rows
 once per tail instead of once per family, with the enumeration's slot
 checks made once per tree, took the benchmark's `sweep(6)` from a median
 of 37 794 to 47 369 families/s (ten alternating pairs of 30 s runs,
@@ -325,7 +336,11 @@ class _TailPlan:
     tree's rows in front.  ``step_slot`` depends on n alone and covers
     every step.  ``levels[j]`` is the subtree memo of the boundaries with
     j unstarted slots, whose trees are ``tail[:j]`` (``levels[0]`` is
-    None: no boundary leaves every slot placed).
+    None: no boundary leaves every slot placed).  ``masks`` holds, for
+    loop mode and then classical mode, one dict per tail slot k from a
+    slot permutation to the edge mask of ``tail[k]`` under it, which
+    `packing.is_complete` fills and reads; a dict belongs to the tree of
+    its slot alone.
     """
 
     tail: tuple[AugFuncTree, ...]
@@ -335,12 +350,15 @@ class _TailPlan:
     slot_steps: tuple[tuple[int, ...], ...]
     factor: int
     levels: list[dict | None]
+    masks: tuple[list[dict], list[dict]]
 
 
 def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> _TailPlan:
     """The plan of ``tail`` on Z_n.  A memo level of ``old`` whose trees
-    ``tail`` shares (compared by value) is kept; every other level starts
-    empty, so a level only ever holds the subtrees of its own trees."""
+    ``tail`` shares (compared by value) is kept, and so is the mask dict
+    of each slot whose tree it shares; every other level and dict starts
+    empty, so a level only ever holds the subtrees of its own trees and a
+    dict the masks of its own tree."""
     compiled = [t.compiled() for t in tail]
     step_slot = [n - 1] * n
     step_parent: list[int] = []  # step of the parent, -1 at roots
@@ -352,12 +370,11 @@ def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> 
         step_parent += c.parent_step
         step_prev += c.prev_leaf_step
         factor *= c.leaf_swaps
-    shared = 0  # levels 1..shared keep their trees
-    if old is not None:
-        for a, b in zip(old.tail, tail):
-            if a != b:
-                break
-            shared += 1
+    # per tail slot: does old hold the same tree there?  (trees on
+    # another n never compare equal)
+    old_tail = () if old is None else old.tail
+    same = [k < len(old_tail) and old_tail[k] == t for k, t in enumerate(tail)]
+    shared = (same + [False]).index(False)  # levels 1..shared keep their trees
     return _TailPlan(
         tail=tail,
         step_slot=tuple(step_slot),
@@ -368,6 +385,10 @@ def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> 
         levels=[None] + [
             old.levels[j] if j <= shared else {} for j in range(1, n)
         ],
+        masks=tuple(
+            [old.masks[mode][k] if same[k] else {} for k in range(len(tail))]
+            for mode in (0, 1)
+        ),
     )
 
 
@@ -379,8 +400,8 @@ class ChunkTables:
     ``verdicts`` maps a boundary state to the exact cover's verdict,
     ``known`` a slot head to its checked permutation
     (`_slot_permutations`), and ``plan`` is the plan of the last tail
-    searched, with its subtree memo; a family with another tail replaces
-    it."""
+    searched, with its subtree memo and its tail slots' edge masks; a
+    family with another tail replaces it."""
 
     verdicts: dict = field(default_factory=dict)
     known: dict = field(default_factory=dict)

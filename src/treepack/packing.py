@@ -25,6 +25,7 @@ from .errors import (
     OutOfRangeError,
 )
 from .functree import (
+    AugFuncTree,
     AugTreeFamily,
     Mapping,
     check_permutation,
@@ -122,23 +123,56 @@ class EdgeOrientation:
 # Completeness
 # =====================================================================
 
-def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = False) -> bool:
+def is_complete(
+    family: AugTreeFamily, labeling: Labeling, classical: bool = False, *, _tables=None
+) -> bool:
     """True iff the labeling's arcs tile looped K_n edge-disjointly.
 
     The arcs of slot k are the compiled root-at-k arcs of the stored tree,
     so no tree is rebuilt: this is the hot verification path.
     ``classical`` drops the n loops and only asks the binomial(n, 2)
     proper edges to be distinct.
+
+    ``_tables`` are a sweep chunk's `_search.ChunkTables`, passed by
+    `solver.pack`.  When their plan's tail is the family's, each tail
+    slot's edge mask under its permutation is read from the plan, computed
+    on the first labeling that uses that permutation there, and only the
+    largest slot is walked arc by arc.  The verdict is the one without
+    tables.
     """
     if labeling.n != family.n:
         raise DimensionMismatchError(
             f"labeling on Z_{labeling.n} against family on Z_{family.n}"
         )
     n = family.n
+    trees = family.trees
+    sigmas = labeling.sigmas
     seen = 0
+    plan = None if _tables is None else _tables.plan
+    if plan is not None and plan.tail == trees[:-1]:
+        # Still an edge-by-edge check of this labeling.  The mask of slot
+        # k is a pure function of (tree, sigma, n, classical): the plan's
+        # dict for slot k belongs to one tree (`_search._tail_plan` keeps
+        # it only while that tree stays, compared by value, and a tree
+        # fixes n), there is one list of dicts per mode, and the dict is
+        # keyed by sigma.  A clash inside one slot is -1, which always
+        # fails: slot 0 has at most one arc, so it is never slot 0's; a
+        # tail slot's, or-ed into seen, meets the edges of the next slot,
+        # which has a pair arc; the largest slot's fails the sign test.
+        # What is left of the check, that the slots' edges are pairwise
+        # disjoint, is tested here for this labeling.
+        for masks, sig, tree in zip(plan.masks[1 if classical else 0], sigmas, trees):
+            m = masks.get(sig)
+            if m is None:
+                m = masks[sig] = _slot_mask(tree, sig, n, classical)
+            if seen & m:
+                return False
+            seen |= m
+        m = _slot_mask(trees[-1], sigmas[-1], n, classical)  # changes every family
+        return m >= 0 and not seen & m
     for k in range(n):
-        sig = labeling.sigmas[k]
-        arcs = family.trees[k].compiled().slot_arcs()
+        sig = sigmas[k]
+        arcs = trees[k].compiled().slot_arcs()
         if classical:
             next(arcs)  # arc 0 is the root's loop
         for a, b in arcs:
@@ -148,6 +182,22 @@ def is_complete(family: AugTreeFamily, labeling: Labeling, classical: bool = Fal
                 return False
             seen |= bit
     return True
+
+
+def _slot_mask(tree: AugFuncTree, sig: Mapping, n: int, classical: bool) -> int:
+    """The edges one slot's arcs cover under ``sig``, one bit per edge as
+    in `is_complete`, or -1 if two of them cover the same edge."""
+    arcs = tree.compiled().slot_arcs()
+    if classical:
+        next(arcs)  # arc 0 is the root's loop
+    mask = 0
+    for a, b in arcs:
+        a, b = sig[a], sig[b]
+        bit = 1 << (a * n + b if a <= b else b * n + a)
+        if mask & bit:
+            return -1
+        mask |= bit
+    return mask
 
 
 def orientation(family: AugTreeFamily, labeling: Labeling) -> EdgeOrientation:

@@ -85,7 +85,8 @@ def pack(
 
     ``_blocked_pairs`` pre-consumes edges and exists purely so tests can
     reach the exhausted branch; valid families always pack.  ``_tables``
-    carries a sweep chunk's shared `_search.ChunkTables`; they change no
+    carries a sweep chunk's shared `_search.ChunkTables`, which the search
+    and the verification of its labeling both read; they change no
     result.
     """
     cfg = config or SolveConfig()
@@ -101,7 +102,7 @@ def pack(
     elapsed_ms = (time.perf_counter() - t0) * 1000.0
     if outcome.solutions:
         labeling = _labeling_from_injections(family, outcome.solutions[0])
-        if not is_complete(family, labeling, classical=cfg.classical_mode):
+        if not is_complete(family, labeling, classical=cfg.classical_mode, _tables=_tables):
             raise TreePackError("engine produced a non-complete labeling")
         return SolveResult(
             status=PACKED,

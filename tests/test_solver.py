@@ -8,6 +8,7 @@ import math
 import operator
 import random
 import sys
+import types
 
 import pytest
 
@@ -28,7 +29,7 @@ from treepack import (
     star_family,
     sweep,
 )
-from treepack import _search, solver
+from treepack import _search, packing, solver
 from treepack._search import RESTART_BASE_BUDGET, SearchOutcome, luby, search
 from treepack.packing import phi_enumerate
 
@@ -689,6 +690,186 @@ def test_sweep_builds_one_plan_per_tail(monkeypatch):
     for family, kwargs, out in seen:
         assert kwargs.pop("tables") is not None
         assert out == search(family, **kwargs)
+
+
+def fresh_mask(tree, sig, n, classical):
+    """A slot's edge mask rebuilt from its arcs, as `is_complete` numbers
+    edges: bit a * n + b for the edge {a, b} with a <= b."""
+    edges = {
+        tuple(sorted((sig[a], sig[b])))
+        for a, b in list(tree.compiled().slot_arcs())[1 if classical else 0:]
+    }
+    return sum(1 << a * n + b for a, b in edges)
+
+
+def stub_search(monkeypatch, row):
+    """Make `pack`'s search report ``row`` as its solution; the tables'
+    plan stays that of the last real search."""
+    outcome = SearchOutcome(solutions=[row], nodes=1, timed_out=False, symmetry_factor=1)
+    monkeypatch.setattr(solver, "search", lambda *args, **kwargs: outcome)
+
+
+def test_slot_masks_never_hide_a_clash(monkeypatch):
+    """Once a chunk's slot masks are warm, `pack` still refuses every
+    non-complete row: two tail slots' permutations swapped, the largest
+    slot's composed with a transposition, and (loop mode) one slot's root
+    moved onto another's root vertex.  A stored clash sentinel always
+    fails.  On every labeling of every family with n <= 3, `is_complete`
+    with the tables gives its verdict without them.  Both modes."""
+    for classical in (False, True):
+        cfg = SolveConfig(classical_mode=classical)
+        tables = _search.ChunkTables()
+        fams = list(family_enumerate(5, 0, 72))  # three tails of 24 families
+        for fam in fams:
+            pack(fam, cfg, _tables=tables)
+        fam = fams[-1]
+        row = pack(fam, cfg).labeling.sigmas
+        masks = tables.plan.masks[classical]
+        assert tables.plan.tail == fam.trees[:-1]
+        assert all(sig in slot for slot, sig in zip(masks, row))  # warm
+        kinds = {"swapped": [], "transposed": [], "root": []}
+        for j, k in itertools.combinations(range(4), 2):
+            r = list(row)
+            r[j], r[k] = r[k], r[j]
+            kinds["swapped"].append(tuple(r))
+        for u, v in itertools.combinations(range(5), 2):
+            s = list(row[-1])
+            s[u], s[v] = s[v], s[u]
+            kinds["transposed"].append(row[:-1] + (tuple(s),))
+        for j, k in [] if classical else itertools.permutations(range(5), 2):
+            # slot j's root sits at position j, so move sigma_k(k) there
+            s = list(row[j])
+            i = s.index(row[k][k])
+            s[j], s[i] = s[i], s[j]
+            r = list(row)
+            r[j] = tuple(s)
+            kinds["root"].append(tuple(r))
+        for kind, rows in kinds.items():
+            assert rows or (kind == "root" and classical)
+            for r in rows:
+                assert not is_complete(fam, Labeling(n=5, sigmas=r), classical), kind
+                stub_search(monkeypatch, r)
+                with pytest.raises(TreePackError, match="non-complete"):
+                    pack(fam, cfg, _tables=tables)
+                monkeypatch.undo()
+            assert tables.plan.tail == fam.trees[:-1]
+        lab = Labeling(n=5, sigmas=row)
+        assert is_complete(fam, lab, classical, _tables=tables)
+        masks[0][row[0]] = -1  # the sentinel of a clash inside one slot
+        assert not is_complete(fam, lab, classical, _tables=tables)
+        # no tree repeats an edge, so only a stand-in stores the sentinel
+        repeated = types.SimpleNamespace(
+            compiled=lambda: types.SimpleNamespace(
+                slot_arcs=lambda: iter([(1, 1), (0, 1), (2, 1), (1, 0)])
+            )
+        )
+        assert packing._slot_mask(repeated, (2, 0, 1), 3, classical) == -1
+        verdicts = set()
+        for n in (1, 2, 3):
+            tables = _search.ChunkTables()
+            perms = list(itertools.permutations(range(n)))
+            for fam in family_enumerate(n):
+                lab = pack(fam, cfg, _tables=tables).labeling
+                for combo in itertools.product(perms, repeat=n):
+                    other = Labeling(n=n, sigmas=combo)
+                    want = is_complete(fam, other, classical)
+                    assert is_complete(fam, other, classical, _tables=tables) == want
+                    verdicts.add(want)
+                # the tail's masks are stored; a clash in the largest slot
+                # fails even where the tail covers no edge (n = 1, and
+                # n = 2 in classical mode)
+                with monkeypatch.context() as patch:
+                    patch.setattr(packing, "_slot_mask", lambda *args: -1)
+                    assert not is_complete(fam, lab, classical, _tables=tables)
+        assert verdicts == {True, False}
+
+
+def test_slot_masks_are_kept_per_mode_and_per_tail(monkeypatch):
+    """A classical mask leaves out its slot's root loop, so one set of
+    tables shared by both modes must not answer one mode from the other's
+    masks: a row whose slots 0 and 1 root on the same vertex is complete
+    classically and not with loops, whichever mode filled the masks
+    first.  And masks are read only for the plan's own tail: with the
+    plan of one family, another family with another tail gets the
+    table-less verdict on every labeling of either family's Phi."""
+    n = 4
+    fam = next(family_enumerate(n))
+    row = list(pack(fam).labeling.sigmas)
+    s = list(row[0])
+    i = s.index(row[1][1])
+    s[0], s[i] = s[i], s[0]
+    row[0] = tuple(s)
+    row = tuple(row)
+    lab = Labeling(n=n, sigmas=row)
+    assert is_complete(fam, lab, True) and not is_complete(fam, lab)
+    loop, classical = SolveConfig(), SolveConfig(classical_mode=True)
+    for first, second in ((classical, loop), (loop, classical)):
+        tables = _search.ChunkTables()
+        for cfg in (first, second):
+            pack(fam, cfg, _tables=tables)
+            stub_search(monkeypatch, row)
+            if cfg.classical_mode:
+                assert pack(fam, cfg, _tables=tables).labeling == lab
+            else:
+                with pytest.raises(TreePackError, match="non-complete"):
+                    pack(fam, cfg, _tables=tables)
+            monkeypatch.undo()
+    fams = list(family_enumerate(n))
+    a, b = fams[0], fams[6]
+    assert a.trees[:-1] != b.trees[:-1]
+    labs = phi_enumerate(a)[0] + phi_enumerate(b)[0]
+    for c in (False, True):
+        tables = _search.ChunkTables()
+        pack(a, SolveConfig(classical_mode=c), _tables=tables)
+        for fam in (a, b):
+            for lab in labs:
+                assert is_complete(fam, lab, c, _tables=tables) == is_complete(fam, lab, c)
+        assert tables.plan.tail == a.trees[:-1]
+
+
+def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
+    """Through `sweep(5)`, in each mode, the mask dict of tail slot k
+    belongs to the tree of slot k: it is replaced exactly when that tree
+    changes, and kept while it stays, whatever the other slots do.  Only
+    the sweep's own mode fills its dicts, and every stored mask is the
+    slot's edges under its permutation, rebuilt from the arcs."""
+    seen = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        seen.append((family, config.classical_mode, kwargs["_tables"].plan.masks))
+        return res
+
+    monkeypatch.setattr(solver, "pack", recording)
+    for classical in (False, True):
+        sweep(5, SolveConfig(classical_mode=classical))
+    assert len(seen) == 2 * 288
+    for (f, cf, before), (g, cg, after) in zip(seen, seen[1:]):
+        if cf != cg:
+            continue
+        for mode in (0, 1):
+            for k in range(4):
+                assert (before[mode][k] is after[mode][k]) == (f.trees[k] == g.trees[k])
+    checked = {}
+    for family, classical, masks in seen:
+        assert not any(masks[1 - classical])
+        for k, slot in enumerate(masks[classical]):
+            checked[id(slot)] = (family.trees[k], classical, slot)
+    for tree, classical, slot in checked.values():
+        assert slot  # its family's verification read it
+        for sig, mask in slot.items():
+            assert mask == fresh_mask(tree, sig, 5, classical)
+    # product order changes every later slot with an earlier one; a tail
+    # that changes slot 2 alone keeps the dicts of slots 0, 1 and 3
+    fams = list(family_enumerate(5))
+    a, b = fams[0].trees[:-1], fams[0].trees[:2] + fams[-1].trees[2:3] + fams[0].trees[3:4]
+    assert a[2] != b[2]
+    old = _search._tail_plan(5, a, None)
+    new = _search._tail_plan(5, b, old)
+    for mode in (0, 1):
+        assert [x is y for x, y in zip(old.masks[mode], new.masks[mode])] == [True, True, False, True]
+    assert [x is y for x, y in zip(old.levels, new.levels)] == [True, True, True, False, False]
 
 
 def test_sweep_pool_is_capped(monkeypatch):
