@@ -56,21 +56,32 @@ a tree, the search reads nothing but the step, the free pairs and the
 used loops (the soundness note sits at the lookup), and in enumeration
 most boundary states recur: 97 % of those reached over forty n = 5
 families had been reached before.  So the engine keys each boundary it
-leaves by ``(step, free-pair masks, used loops)`` and stores the unstarted
-slots' permutations for every completion found below it, in DFS order,
-with the nodes the subtree took.  A later visit with the same key appends
-those completions to the placed slots, adds the node count and treats the
-step as exhausted, so solutions, their order and node counts are those of
-the plain search.  Beside the memo, and for exactly as long, full
+leaves by ``(step, free-pair masks, used loops)`` and stores the range
+``[a, b)`` of the solution rows first found below it, in DFS order, with
+the nodes the subtree took.  Rows are only ever appended, so the range
+stays put.  A later visit with the same key, with j slots unstarted,
+re-emits ``row[:j] + placed`` for each row in the range, adds the node
+count and treats the step as exhausted, so solutions, their order and
+node counts are those of the plain search; on the forty n = 5 families
+51 310 such hits emit 338 200 of the 338 400 rows.  Full enumeration
+also keeps one sort key per row (`SearchOutcome.keys`): its slot heads,
+slot 0 first, read as one base-n number.  The placed slots j..n-1 are a
+key's low digits, so the memo also stores their part of the keys in its
+range, and a hit adds one constant to every key it copies: the placed
+part now minus the stored one.  The memo holds no copy of a completion,
+and `packing.phi_enumerate` sorts the rows by comparing ints instead of
+nested tuples.  Beside the memo, and for exactly as long, full
 enumeration keeps one table from a slot's head (its step images by slot
 position) to its checked permutation, read at the solution leaf and at
 memo hits; a permutation is built and checked only on a miss, so each
 distinct one is checked once per search and rows share their slot tuples.
 On the cap family ``generate_family(6, "mixed", 3)`` (1 215 360 rows) that
 took the search from 577 716 `check_permutation` calls, 7.0 s of CPU time
-and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB.  A lone first-only
-search keeps neither: within one family a boundary state rarely recurs,
-and it builds one row, so either table would be pure cost.
+and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB; keeping row ranges
+instead of completions took its peak from 273 MB to 205 MB (three runs
+each, one process, Python 3.11.7 on a 2-core shared machine).  A lone
+first-only search keeps neither: within one family a boundary state
+rarely recurs, and it builds one row, so either table would be pure cost.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
@@ -207,12 +218,18 @@ def _slot_permutations(
 @dataclass
 class SearchOutcome:
     """Raw engine result.  Each solution is a labeling's slot permutations,
-    slot 0 first, every one checked by `_slot_permutations`."""
+    slot 0 first, every one checked by `_slot_permutations`.
+
+    Full enumeration also reports ``keys``, one int per solution: its
+    slot heads, slot 0 first, read as one base-n number.  A slot's
+    permutation is its head followed by the ascending fill, so sorting by
+    key sorts the solutions as tuples.  First-only search reports None."""
 
     solutions: list[tuple[Mapping, ...]]
     nodes: int
     timed_out: bool
     symmetry_factor: int
+    keys: list[int] | None = None
 
 
 def _boundary_feasible(
@@ -334,8 +351,9 @@ class _TailPlan:
     ``step_prev``), the tail's ``slot_steps`` and its leaf-swap ``factor``
     hold for every family with this tail; a search adds its largest
     tree's rows in front.  ``step_slot`` depends on n alone and covers
-    every step.  ``levels[j]`` is the subtree memo of the boundaries with
-    j unstarted slots, whose trees are ``tail[:j]`` (``levels[0]`` is
+    every step.  ``levels[j]`` is the first-solution subtree memo of the
+    boundaries with j unstarted slots, whose trees are ``tail[:j]``
+    (full enumeration keeps its own; ``levels[0]`` is
     None: no boundary leaves every slot placed).  ``masks`` holds, for
     loop mode and then classical mode, one dict per tail slot k from a
     slot permutation to the edge mask of ``tail[k]`` under it, which
@@ -482,13 +500,23 @@ def search(
         verdicts, known = None, None if first_only else {}
     else:
         verdicts, known = tables.verdicts, tables.known
-    # the tree-boundary memo by count j of unstarted slots: full
-    # enumeration and a sweep chunk's attempt 0 read the plan's levels
-    # (fresh for each enumeration), a lone first-only search none
-    # (close_at then stays -1)
-    memos = plan.levels if tables is not None or not first_only else None
+    # the tree-boundary memo by count j of unstarted slots: a sweep
+    # chunk's attempt 0 reads the plan's, a lone first-only search has
+    # none (close_at then stays -1), and full enumeration keeps levels of
+    # its own, whose row ranges index this search's solutions
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
+    keys: list[int] | None = None  # full enumeration: one per solution
+    if first_only:
+        memos = None if tables is None else plan.levels
+    else:
+        memos = [None] + [{} for _ in range(1, n)]
+        keys = []
+        # per count j of unstarted slots: the steps of slots j..n-1 by
+        # slot position, whose images are a key's low digits, and the
+        # power of n above them
+        key_steps = [tuple([s for steps in slot_steps[j:] for s in steps]) for j in range(n)]
+        key_mod = [n ** len(steps) for steps in key_steps]
 
     shift = [0] * (total + 1)  # scan offset per step of work: all 0 in attempt 0
     grant = RESTART_BASE_BUDGET if first_only else UNBOUNDED
@@ -509,6 +537,10 @@ def search(
                     solutions.append(_slot_permutations(images, slot_steps, n, known))
                     if first_only:
                         break  # the open boundaries store it after the loop
+                    k = 0
+                    for s in key_steps[0]:
+                        k = k * n + images[s]
+                    keys.append(k)
                 else:
                     ppos = step_parent[i]
                     if ppos >= 0:
@@ -531,14 +563,20 @@ def search(
                             # order and its node count (up to the first
                             # completion, first-only) are therefore the same
                             # at every visit; only the placed slots differ.
-                            memo = memos[step_slot[i] + 1]
+                            # In enumeration they are the digits of the keys
+                            # below the unstarted slots' digits, so every key
+                            # of the subtree moves by one constant.
+                            j = step_slot[i] + 1
                             key = (i, tuple(pairfree), loops_used)
-                            hit = memo.get(key)
+                            hit = memos[j].get(key)
                             if hit is None:  # closed when step i is exhausted
                                 frames.append((close_at, key, len(solutions), nodes))
                                 close_at = i
                         if hit is not None:
-                            done, took = hit
+                            if first_only:
+                                done, took = hit
+                            else:
+                                a, b, took, lo = hit
                             before = nodes
                             nodes += took
                             if nodes > budget_abs:
@@ -547,11 +585,20 @@ def search(
                                 nodes = budget_abs + 1
                                 budget_tripped = True
                                 break
-                            if done:
-                                placed = _slot_permutations(
-                                    images, slot_steps[step_slot[i] + 1:], n, known
-                                )
-                                solutions += [d + placed for d in done]
+                            if first_only:
+                                if done:
+                                    solutions.append(
+                                        done[0]
+                                        + _slot_permutations(images, slot_steps[j:], n, known)
+                                    )
+                            elif b > a:
+                                placed = _slot_permutations(images, slot_steps[j:], n, known)
+                                solutions += [row[:j] + placed for row in solutions[a:b]]
+                                k = 0
+                                for s in key_steps[j]:
+                                    k = k * n + images[s]
+                                k -= lo
+                                keys += [x + k for x in keys[a:b]]
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees
                             if (
@@ -608,12 +655,15 @@ def search(
                 images[i] = v
                 enter = True
             elif i:  # step i is exhausted: undo the image of step i - 1
-                if i == close_at:  # store the completions below its boundary
+                if i == close_at:  # store what the subtree below its boundary found
                     close_at, key, start, before = frames.pop()
                     j = step_slot[i] + 1  # the unstarted slots
-                    memos[j][key] = (
-                        tuple([sol[:j] for sol in solutions[start:]]), nodes - before
-                    )
+                    if first_only:  # it ran out: no completion
+                        memos[j][key] = ((), nodes - before)
+                    else:  # its rows, and the placed slots' part of their keys
+                        stop = len(solutions)
+                        lo = keys[start] % key_mod[j] if stop > start else 0
+                        memos[j][key] = (start, stop, nodes - before, lo)
                 i -= 1
                 v = images[i]
                 enter = False
@@ -656,4 +706,5 @@ def search(
         nodes=nodes,
         timed_out=timed_out,
         symmetry_factor=factor,
+        keys=keys,
     )

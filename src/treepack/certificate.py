@@ -481,19 +481,29 @@ def lagrange_basis(f, point=None, expand: bool = False):
     )
 
 
+def _uni_numerator(fv: int, n: int) -> tuple[list[int], int]:
+    """prod over j != fv in Z_n of (x - j), low degree first, and the
+    product of the (fv - j): the univariate Lagrange basis through fv
+    is their quotient."""
+    uni = [1]
+    denom = 1
+    for j in range(n):
+        if j == fv:
+            continue
+        denom *= fv - j
+        uni = [0] + uni  # times x, then subtract j times the old poly
+        for e in range(len(uni) - 1):
+            uni[e] -= j * uni[e + 1]
+    return uni, denom
+
+
 def _basis_numerator(vals, n: int) -> tuple[dict[Monomial, int], int]:
     """Integer expansion of prod (x - j) plus the common denominator."""
     acc: dict[Monomial, int] = {(): 1}
     denom = 1
     for vid, fv in vals:
-        uni = [1]  # prod over j != fv of (x - j), low degree first
-        for j in range(n):
-            if j == fv:
-                continue
-            denom *= fv - j
-            uni = [0] + uni  # times x, then subtract j times the old poly
-            for e in range(len(uni) - 1):
-                uni[e] -= j * uni[e + 1]
+        uni, d = _uni_numerator(fv, n)
+        denom *= d
         nxt: dict[Monomial, int] = {}
         for mono, c in acc.items():
             for e, u in enumerate(uni):
@@ -519,8 +529,10 @@ def _phi_full(family: AugTreeFamily):
             head = sig[: k + 1]
             rest = [x for x in range(n) if x not in head]
             pools.append([head + tail for tail in permutations(rest)])
+        # each slot is a checked head followed by an ordering of the
+        # values it leaves out, so a permutation by construction
         for combo in product(*pools):
-            yield Labeling(n=n, sigmas=tuple(combo))
+            yield Labeling._checked(n, combo)
 
 
 def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
@@ -532,6 +544,19 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
     n^(n*n) lattice points.  Both land on the same polynomial — off-Phi
     points contribute nothing because the certificate vanishes there —
     and the test suite insists on term-for-term agreement.
+
+    The sum is expanded one variable at a time, not one point at a time
+    (a sum-factorized Lagrange expansion).  A point's basis is a product
+    of univariate numerators, one per variable, over one denominator.  So
+    the points are grouped by their values on the variables before the
+    last one still unexpanded; each group's partial sum, whose monomials
+    hold only later variables, is multiplied by that variable's numerator
+    and added into its group one level up, until one sum is left.  No
+    point expands its own basis of up to n^(n*n) terms, and points that
+    agree on their leading variables share the work for the rest.  The y
+    coefficients of a monomial ride along packed in one int.  One
+    Fraction is built per distinct numerator: the n = 3 forms have
+    25 076 and 28 950 terms but 2 750 and 2 302 distinct coefficients.
     """
     if mode not in CANONICAL_REP_MODES:
         raise ValidationError(f"unknown canonical_rep mode {mode!r}")
@@ -551,35 +576,62 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
                 f"(n^(n*n) points)"
             )
         points = product(product(range(n), repeat=n), repeat=n)
-    # the certificate vanishes unless every slot is a permutation, and a
-    # basis denominator depends only on each slot's set of values, so every
-    # point that contributes has the same one and integer accumulation is
-    # exact.  acc[mono][t] is the coefficient of mono * y^t; the y power
-    # joins the monomial only when the terms are emitted.
-    acc: dict[Monomial, list[int]] = {}
-    denom = 1
+    # the certificate vanishes unless every slot is a permutation, and the
+    # basis denominator is the product of each variable's, which depends
+    # only on each slot's set of values: every point that contributes has
+    # the same one, and integer accumulation is exact
+    unis = [_uni_numerator(a, n) for a in range(n)]
+    denom = prod(unis[a][1] for a in range(n)) ** n
+    certs = {}  # per contributing point, by its values in variable order
     for rows in points:
         cert = certificate_eval(family, rows)
-        if cert.is_zero():
-            continue
-        vals = [(k * n + v, rows[k][v]) for k in range(n) for v in range(n)]
-        numer, denom = _basis_numerator(vals, n)
-        width = len(cert.coeffs)
-        nonzero = [(t, c) for t, c in enumerate(cert.coeffs) if c]
-        for mono, a in numer.items():
-            ys = acc.get(mono)
-            if ys is None:
-                ys = acc[mono] = [0] * width
-            elif len(ys) < width:
-                ys.extend([0] * (width - len(ys)))
-            for t, c in nonzero:
-                ys[t] += c * a
-    terms = {
-        mono + ((y_id, t),) if t else mono: Fraction(c, denom)
-        for mono, ys in acc.items()
-        for t, c in enumerate(ys)
-        if c
+        if not cert.is_zero():
+            certs[tuple([v for row in rows for v in row])] = cert.coeffs
+    # y is carried as 2**shift (Kronecker substitution): the expansion only
+    # adds and scales by ints, so each monomial's y coefficients stay one
+    # int.  A final coefficient is a sum over points of a certificate
+    # coefficient times one numerator coefficient per variable, so bound
+    # caps its size and shift gives each a field it fits in, sign included.
+    u_max = max([abs(u) for uni, _ in unis for u in uni])
+    bound = sum([max(map(abs, cs)) for cs in certs.values()]) * u_max ** y_id
+    shift = bound.bit_length() + 1
+    width = max(map(len, certs.values()), default=0)
+    # a partial sum maps a monomial in the x variables to its packed y
+    # coefficients
+    groups: dict[tuple[int, ...], dict[Monomial, int]] = {
+        values: {(): sum([c << shift * t for t, c in enumerate(cs)])}
+        for values, cs in certs.items()
     }
+    for vid in range(y_id - 1, -1, -1):
+        # times x[vid]'s numerator: the monomials so far hold only later
+        # variables, so prepending x[vid] keeps them sorted by id
+        up: dict[tuple[int, ...], dict[Monomial, int]] = {}
+        for values, part in groups.items():
+            acc = up.get(values[:vid])
+            if acc is None:
+                acc = up[values[:vid]] = {}
+            for e, u in enumerate(unis[values[vid]][0]):
+                if not u:
+                    continue
+                var = ((vid, e),) if e else ()
+                for mono, ys in part.items():
+                    mono = var + mono
+                    acc[mono] = acc.get(mono, 0) + u * ys
+        groups = up
+    fractions: dict[int, Fraction] = {}
+    terms = {}
+    field_mask = (1 << shift) - 1
+    for mono, ys in groups.get((), {}).items():
+        for t in range(width):  # unpack, low power first
+            c = ys & field_mask
+            if c >> shift - 1:  # a negative coefficient
+                c -= field_mask + 1
+            ys = (ys - c) >> shift
+            if c:
+                f = fractions.get(c)
+                if f is None:
+                    f = fractions[c] = Fraction(c, denom)
+                terms[mono + ((y_id, t),) if t else mono] = f
     # each monomial lists its x ids ascending, each once, then y; each
     # coefficient is a nonzero Fraction
     return SparsePoly._checked(n, terms)

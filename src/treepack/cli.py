@@ -126,9 +126,12 @@ def parse_labeling(text: str) -> Labeling:
     return Labeling(n=n, sigmas=tuple(tuple(row) for row in sigma))
 
 
+def _labeling_doc(labeling: Labeling) -> dict:
+    return {"n": labeling.n, "sigma": [list(s) for s in labeling.sigmas]}
+
+
 def emit_labeling(labeling: Labeling) -> str:
-    doc = {"n": labeling.n, "sigma": [list(s) for s in labeling.sigmas]}
-    return json.dumps(doc, sort_keys=True)
+    return json.dumps(_labeling_doc(labeling), sort_keys=True)
 
 
 def emit_orientation(orient: EdgeOrientation, format: str = "dot") -> str:
@@ -236,9 +239,7 @@ def _cmd_pack(args: argparse.Namespace) -> int:
             "status": result.status,
             "nodes": result.nodes_expanded,
             "millis": round(result.elapsed_ms, 3),
-            "labeling": (
-                json.loads(emit_labeling(result.labeling)) if packed else None
-            ),
+            "labeling": _labeling_doc(result.labeling) if packed else None,
         }
         if seed is not None:
             payload["seed"] = seed
@@ -276,7 +277,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         payload = {
             "essential": essential,
             "full": full,
-            "members": [json.loads(emit_labeling(m)) for m in members],
+            "members": [_labeling_doc(m) for m in members],
             "n": n,
         }
         _write_out(json.dumps(payload, sort_keys=True), args.output)

@@ -35,11 +35,12 @@ from .functree import (
 # Full enumeration of essential injections is exponential in n.  At the
 # essential cap one call takes several seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
-# them as checked slot permutations in about 3.3 s of CPU time (12.1 M
-# nodes, most of them counted by boundary memo hits; 1 956 distinct slot
-# permutations built and checked, shared by all rows), and phi_enumerate,
-# which sorts them and holds every member as a Labeling, takes about 9.4 s
-# and peaks at 283 MB (Python 3.11.7 on a 2-core machine).
+# them as checked slot permutations in 4.2-4.5 s of CPU time and at a
+# 205 MB peak (12.1 M nodes, most of them counted by boundary memo hits;
+# 1 956 distinct slot permutations built and checked, shared by all rows).
+# phi_enumerate, which sorts them by their integer keys and holds every
+# member as a Labeling, takes 9.3-10.1 s and peaks at 271 MB (three runs
+# each, Python 3.11.7 on a shared 2-core machine).
 PHI_ESSENTIAL_MAX_N = 6
 
 
@@ -72,8 +73,10 @@ class Labeling:
         Precondition: every slot in ``sigmas`` is a tuple that
         ``check_permutation(·, n)`` would return unchanged.  Only the slot
         count is checked here.  The callers are `pack` (through
-        `_labeling_from_injections`) and `phi_enumerate`, whose rows the
-        engine checked slot by slot as it built them, and `closure_check`
+        `_labeling_from_injections`), whose row the engine checked slot by
+        slot as it built it (`phi_enumerate` builds its members the same
+        way, inline), `certificate._phi_full`, whose slots are checked
+        heads followed by the values they leave out, and `closure_check`
         and `diagonal_relabel`, whose new slots are compositions of
         checked permutations and so permutations too.
         """
@@ -248,14 +251,29 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             f"phi_enumerate is exhaustive; n={n} exceeds the cap "
             f"{PHI_ESSENTIAL_MAX_N}"
         )
-    rows = search(
+    out = search(
         family,
         symmetry_pruning=False,
         classical=False,
         first_only=False,
-    ).solutions
-    rows.sort()
-    members = [Labeling._checked(n, row) for row in rows]
+    )
+    rows, keys = out.solutions, out.keys
+    del out
+    # the keys sort the rows as tuples would (SearchOutcome), with int
+    # comparisons; they and the order are freed before the members are built
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    del keys
+    rows = [rows[i] for i in order]
+    del order
+    # Labeling._checked inlined: each row holds n slots the engine checked
+    new, put = object.__new__, object.__setattr__
+    members = []
+    append = members.append
+    for row in rows:
+        lab = new(Labeling)
+        put(lab, "n", n)
+        put(lab, "sigmas", row)
+        append(lab)
     return members, len(members)
 
 

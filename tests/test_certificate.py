@@ -11,6 +11,7 @@ import pytest
 from treepack import (
     BoundExceededError,
     DimensionMismatchError,
+    Labeling,
     OutOfRangeError,
     SparsePoly,
     ValidationError,
@@ -28,6 +29,7 @@ from treepack import (
     variable_dependency_check,
     vertex_poly_eval,
 )
+from treepack.certificate import _basis_numerator, _phi_full
 from treepack.packing import full_count_multiplier, phi_enumerate
 
 FAM2 = next(family_enumerate(2))
@@ -345,6 +347,50 @@ def test_canonical_rep_terms_are_already_normalized():
         assert all(type(c) is Fraction for c in rep.terms.values())
 
 
+def per_point_canonical_rep(fam, mode):
+    """The oracle: canonical_rep's sum accumulated point by point, each
+    contributing point expanding its own basis numerator over all n*n
+    variables, with no grouping."""
+    n = fam.n
+    y_id = n * n
+    if mode == "phi-sum":
+        points = (lab.sigmas for lab in _phi_full(fam))
+    else:
+        points = itertools.product(itertools.product(range(n), repeat=n), repeat=n)
+    acc = {}  # (x monomial, y power) -> integer numerator
+    denom = None
+    for rows in points:
+        cert = certificate_eval(fam, rows)
+        if cert.is_zero():
+            continue
+        vals = [(k * n + v, rows[k][v]) for k in range(n) for v in range(n)]
+        numer, d = _basis_numerator(vals, n)
+        assert denom in (None, d)  # one denominator for every point
+        denom = d
+        for mono, a in numer.items():
+            for t, c in enumerate(cert.coeffs):
+                acc[mono, t] = acc.get((mono, t), 0) + a * c
+    return {
+        mono + ((y_id, t),) if t else mono: Fraction(c, denom)
+        for (mono, t), c in acc.items()
+        if c
+    }
+
+
+def test_canonical_rep_matches_per_point_expansion():
+    """The expansion one variable at a time equals the per-point oracle
+    term for term: every family with n <= 2 in both modes, and both
+    n = 3 families in phi-sum mode."""
+    cases = [(fam, mode) for n in (1, 2) for fam in family_enumerate(n)
+             for mode in ("phi-sum", "lattice")]
+    cases += [(fam, "phi-sum") for fam in family_enumerate(3)]
+    assert len(cases) == 6
+    for fam, mode in cases:
+        rep = canonical_rep(fam, mode=mode)
+        assert rep.terms == per_point_canonical_rep(fam, mode)
+    assert [len(canonical_rep(fam).terms) for fam in family_enumerate(3)] == [25076, 28950]
+
+
 def test_canonical_rep_sampled_lattice_agreement_n3():
     """1000 seeded lattice points; comparing whole y-coefficient vectors
     checks every y at once."""
@@ -514,9 +560,9 @@ def test_composition_implication_small_n():
 
 def test_phi_full_members_all_complete():
     """The full-Phi expansion behind phi-sum only produces certificates
-    that evaluate nonzero, and exactly essential * multiplier members."""
-    from treepack.certificate import _phi_full
-
+    that evaluate nonzero, and exactly essential * multiplier members.
+    Its labelings skip the public constructor's check; each must still
+    be the labeling that constructor builds from the same slots."""
     for fam in family_enumerate(3):
         labs = list(_phi_full(fam))
         _, essential = phi_enumerate(fam, mode="essential")
@@ -524,4 +570,5 @@ def test_phi_full_members_all_complete():
         assert len(labs) == full
         assert len({lab.sigmas for lab in labs}) == full
         for lab in labs:
+            assert lab == Labeling(n=3, sigmas=lab.sigmas)
             assert not certificate_eval(fam, lab.sigmas).is_zero()

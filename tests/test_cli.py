@@ -5,6 +5,7 @@ the streams); one subprocess check at the end proves the module entry
 point is wired up.
 """
 
+import hashlib
 import json
 import os
 import random
@@ -211,6 +212,18 @@ def test_enumerate_text_tail(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["essential: 2", "full: 2"]
     assert len(lines) == 4  # one row per member, then the two counts
+
+
+def test_enumerate_json_output_is_frozen(capsys):
+    """The member documents are emit_labeling's, built without a JSON
+    round trip; one n = 5 family's whole output is frozen byte for byte."""
+    assert run(["enumerate", "--n", "5", "--kind", "mixed", "--seed", "3", "--json"]) == 0
+    out = capsys.readouterr().out
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "d553122c35ac5f115937822335468d8afd05d6a5b12c0d00aefa664e033fa530"
+    members = json.loads(out)["members"]
+    assert len(members) == 1920
+    assert members[0] == json.loads(emit_labeling(parse_labeling(json.dumps(members[0]))))
 
 
 def test_sweep_n3_json_and_csv(capsys, tmp_path):

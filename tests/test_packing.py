@@ -14,6 +14,7 @@ from treepack import (
     NotAutomorphismError,
     NotCompleteError,
     OutOfRangeError,
+    build_tree,
     closure_check,
     diagonal_relabel,
     family_enumerate,
@@ -23,6 +24,8 @@ from treepack import (
     phi_enumerate,
     star_family,
 )
+from treepack._search import search
+from treepack.functree import AugTreeFamily
 from treepack.packing import full_count_multiplier
 from treepack.solver import SolveConfig, pack, star_identity_labeling
 
@@ -207,6 +210,55 @@ def test_phi_members_are_complete_and_sorted():
     assert all(is_complete(fam, m) for m in members)
     keys = [m.sigmas for m in members]
     assert keys == sorted(keys)
+
+
+def relabel_increasing(tree, rng):
+    """Isomorphic copy of a semigroup-form tree under a random increasing
+    labeling: every parent labeled below its children."""
+    kids = [[] for _ in range(tree.m)]
+    for v in range(1, tree.m):
+        kids[tree.map[v]].append(v)
+    label = [0] * tree.m
+    ready = list(kids[0])
+    for fresh in range(1, tree.m):
+        v = ready.pop(rng.randrange(len(ready)))
+        label[v] = fresh
+        ready.extend(kids[v])
+    parents = [0] * tree.m
+    for v in range(1, tree.m):
+        parents[label[v]] = label[tree.map[v]]
+    return build_tree(parents, tree.n)
+
+
+def test_phi_members_are_the_engine_rows_sorted():
+    """phi_enumerate orders the engine's rows by their integer keys; the
+    members must be the rows sorted as tuples, on every family with
+    n <= 4 and on eight n = 5 families relabeled by random increasing
+    labelings, so that the key digits are not only the semigroup labels.
+    Each key is the row's slot heads, slot 0 first, read in base n, also
+    on the rows that boundary memo hits re-emit with shifted keys."""
+    families = [fam for n in range(1, 5) for fam in family_enumerate(n)]
+    rng = random.Random(2024)
+    relabeled = []
+    for s in itertools.count():
+        base = generate_family(5, "mixed", s)
+        fam = AugTreeFamily(n=5, trees=tuple(relabel_increasing(t, rng) for t in base.trees))
+        if fam != base:  # some shapes have one increasing labeling only
+            relabeled.append(fam)
+            if len(relabeled) == 8:
+                break
+    for fam in families + relabeled:
+        n = fam.n
+        out = search(fam, symmetry_pruning=False, first_only=False)
+        members, count = phi_enumerate(fam)
+        assert [m.sigmas for m in members] == sorted(out.solutions)
+        assert count == len(out.keys) == len(set(out.keys))
+        for row, key in zip(out.solutions, out.keys):
+            digits = 0
+            for k, sig in enumerate(row):
+                for v in sig[: k + 1]:
+                    digits = digits * n + v
+            assert key == digits
 
 
 def test_phi_members_equal_publicly_built_labelings():
