@@ -46,10 +46,7 @@ whatever pairs the large ones left behind.  Most boundaries fail, and
 most failures are cheap to see, so `_boundary_feasible` tries the cheap
 refutations first: more orphan loops (a free loop on a vertex with no
 free pair) than one-vertex trees left, before any list is built, then a
-component with no free loop as soon as the walk closes it.  On the
-frontier set's 36 147 boundary calls per pass (78 % of them False) that
-cut the test's CPU time from 0.27 s to 0.09 s, with the same verdict on
-every call.
+component with no free loop as soon as the walk closes it.
 
 Full enumeration also memoizes tree boundaries.  Below the root step of
 a tree, the search reads nothing but the step, the free pairs and the
@@ -75,13 +72,8 @@ enumeration keeps one table from a slot's head (its step images by slot
 position) to its checked permutation, read at the solution leaf and at
 memo hits; a permutation is built and checked only on a miss, so each
 distinct one is checked once per search and rows share their slot tuples.
-On the cap family ``generate_family(6, "mixed", 3)`` (1 215 360 rows) that
-took the search from 577 716 `check_permutation` calls, 7.0 s of CPU time
-and a 332 MB peak to 1 956 calls, 3.3 s and 279 MB; keeping row ranges
-instead of completions took its peak from 273 MB to 205 MB (three runs
-each, one process, Python 3.11.7 on a 2-core shared machine).  A lone
-first-only search keeps neither: within one family a boundary state
-rarely recurs, and it builds one row, so either table would be pure cost.
+A lone first-only search keeps a head table of its own but no memo:
+within one family a boundary state rarely recurs.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
@@ -109,29 +101,16 @@ emits the stored completion after the placed slots or treats the step as
 exhausted.  So statuses, labelings, node counts and restarts are those
 of a lone search (the soundness note sits at the lookup).  Last, the
 plan holds what `packing.is_complete` reads when `pack` verifies a
-chunk's labeling: per mode and per tail slot k, a dict from slot k's
-permutation to the edge mask its tree covers under it.  A new plan keeps
-slot k's dict where the tree of slot k is the same, per slot and not
-per prefix, so a dict only ever holds one tree's masks, and only the
-largest tree is walked arc by arc per family (the soundness note sits in
-`is_complete`).  That took verification per family in traced
-benchmark passes of `sweep(6)` from 14.9–16.2 µs to 7.4–9.4 µs (four
-alternating pairs, clock time), and the benchmark's sweep6 from a median
-of 46 707 to 53 374 families/s (ten alternating pairs of 30 s runs).
-Beside the plan, the chunk keeps two tables: boundary verdicts keyed by
-``(step, free-pair masks, used loops)``, which hold across tails and are
-asked only on memo misses, and the head table above.  A verdict hit is
-the verdict itself, not a skipped subtree.  With the memo, `sweep(6)`
-took a median of 1.3 s of CPU time against 2.1 s with those two tables
-alone (five alternating runs), and ended with 1 333 stored subtrees,
-1 488 verdicts and 433 permutations in its tables; without the
-verdicts it asked the exact cover 52 635 times instead of 1 488 and
-took 1.85 s instead of 1.55 s (medians of five alternating in-process
-runs).  Building the tail's rows
-once per tail instead of once per family, with the enumeration's slot
-checks made once per tree, took the benchmark's `sweep(6)` from a median
-of 37 794 to 47 369 families/s (ten alternating pairs of 30 s runs,
-Python 3.11.7 on a 2-core shared machine).
+chunk's labeling: per tail slot k, a dict from slot k's permutation to
+the edge mask its tree covers under it, root loop included, so one dict
+serves both modes.  A new plan keeps slot k's dict where the tree of
+slot k is the same, per slot and not per prefix, so a dict only ever
+holds one tree's masks, and only the largest slot's mask is built per
+family (the soundness note sits in `is_complete`).  Beside the plan, the
+chunk keeps two tables: boundary verdicts keyed by ``(step, free-pair
+masks, used loops)``, which hold across tails and are asked only on
+memo misses, and the head table above.  A verdict hit is the verdict
+itself, not a skipped subtree.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -184,7 +163,7 @@ def luby(i: int) -> int:
 
 
 def _slot_permutations(
-    images: list[int], slot_steps, n: int, known: dict | None
+    images: list[int], slot_steps, n: int, known: dict
 ) -> tuple[Mapping, ...]:
     """The permutation of each slot in ``slot_steps``, read off ``images``.
 
@@ -193,24 +172,21 @@ def _slot_permutations(
     above its component, ascending.  Every tuple is checked here, where
     it is built, and nowhere again.
 
-    ``known`` maps a head to its checked permutation.  Full enumeration
-    keeps one per search, a sweep chunk shares one across all its
-    searches, and a lone first-only search passes None: it builds one
-    row, so a table would be pure cost.  It is sound to share one table
-    across all slots of every search on one n: a slot's permutation is a
-    pure function of its head and n; slot k's head has k + 1 entries, so
-    a head also names its slot; and every tuple in the table was checked
-    once, where it was built, on the miss that stored it.  A hit hands
-    back that same tuple, so rows, and a chunk's labelings, share their
-    slots."""
+    ``known`` maps a head to its checked permutation.  A lone search
+    keeps one for itself and a sweep chunk shares one across all its
+    searches.  It is sound to share one table across all slots of every
+    search on one n: a slot's permutation is a pure function of its head
+    and n; slot k's head has k + 1 entries, so a head also names its
+    slot; and every tuple in the table was checked once, where it was
+    built, on the miss that stored it.  A hit hands back that same tuple,
+    so rows, and a chunk's labelings, share their slots."""
     out = []
     for steps in slot_steps:
         head = tuple([images[s] for s in steps])
-        sig = None if known is None else known.get(head)
+        sig = known.get(head)
         if sig is None:
-            sig = check_permutation(head + tuple([x for x in range(n) if x not in head]), n)
-            if known is not None:
-                known[head] = sig
+            fill = tuple([x for x in range(n) if x not in head])
+            sig = known[head] = check_permutation(head + fill, n)
         out.append(sig)
     return tuple(out)
 
@@ -354,11 +330,11 @@ class _TailPlan:
     every step.  ``levels[j]`` is the first-solution subtree memo of the
     boundaries with j unstarted slots, whose trees are ``tail[:j]``
     (full enumeration keeps its own; ``levels[0]`` is
-    None: no boundary leaves every slot placed).  ``masks`` holds, for
-    loop mode and then classical mode, one dict per tail slot k from a
-    slot permutation to the edge mask of ``tail[k]`` under it, which
-    `packing.is_complete` fills and reads; a dict belongs to the tree of
-    its slot alone.
+    None: no boundary leaves every slot placed).  ``masks`` holds one
+    dict per tail slot k from a slot permutation to the edge mask of
+    ``tail[k]`` under it, root loop included, which `packing.is_complete`
+    fills and reads in both modes; a dict belongs to the tree of its slot
+    alone.
     """
 
     tail: tuple[AugFuncTree, ...]
@@ -368,7 +344,7 @@ class _TailPlan:
     slot_steps: tuple[tuple[int, ...], ...]
     factor: int
     levels: list[dict | None]
-    masks: tuple[list[dict], list[dict]]
+    masks: list[dict]
 
 
 def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> _TailPlan:
@@ -403,10 +379,7 @@ def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> 
         levels=[None] + [
             old.levels[j] if j <= shared else {} for j in range(1, n)
         ],
-        masks=tuple(
-            [old.masks[mode][k] if same[k] else {} for k in range(len(tail))]
-            for mode in (0, 1)
-        ),
+        masks=[old.masks[k] if same[k] else {} for k in range(len(tail))],
     )
 
 
@@ -494,10 +467,10 @@ def search(
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
     # boundary verdicts, kept only by a sweep chunk, and per slot head its
-    # checked permutation (`_slot_permutations`): full enumeration keeps
-    # one for as long as its memo, a lone first-only search has none
+    # checked permutation (`_slot_permutations`), which a lone search keeps
+    # for itself
     if tables is None:
-        verdicts, known = None, None if first_only else {}
+        verdicts, known = None, {}
     else:
         verdicts, known = tables.verdicts, tables.known
     # the tree-boundary memo by count j of unstarted slots: a sweep

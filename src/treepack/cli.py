@@ -231,6 +231,10 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_pack(args: argparse.Namespace) -> int:
+    if args.classical_mode and args.output is not None:
+        # an orientation holds every root loop, and classical labelings
+        # may root two slots on one vertex
+        raise ValidationError("-o writes an orientation of looped K_n; --classical-mode has none")
     family, seed = _family_from_args(args)
     result = pack(family, _solve_config(args))
     packed = result.status == PACKED

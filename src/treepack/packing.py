@@ -136,12 +136,21 @@ def is_complete(
     ``classical`` drops the n loops and only asks the binomial(n, 2)
     proper edges to be distinct.
 
+    Each slot's edges are one `_slot_mask`, root loop included, and the
+    labeling is complete iff no mask is negative (a clash inside one
+    slot) and no two masks share a bit that ``keep`` keeps: every bit in
+    loop mode, every bit off the diagonal, which holds the loops, in
+    classical mode.
+
     ``_tables`` are a sweep chunk's `_search.ChunkTables`, passed by
     `solver.pack`.  When their plan's tail is the family's, each tail
-    slot's edge mask under its permutation is read from the plan, computed
-    on the first labeling that uses that permutation there, and only the
-    largest slot is walked arc by arc.  The verdict is the one without
-    tables.
+    slot's mask is read from the plan, computed on the first labeling that
+    uses that permutation there, and only the largest slot's is built.
+    A mask is a pure function of (tree, sigma, n): the plan's dict for
+    slot k belongs to one tree (`_search._tail_plan` keeps it only while
+    that tree stays, compared by value, and a tree fixes n) and is keyed
+    by sigma.  It holds the loop bit in both modes, so the verdict is the
+    one without tables whichever mode filled the dict.
     """
     if labeling.n != family.n:
         raise DimensionMismatchError(
@@ -149,52 +158,31 @@ def is_complete(
         )
     n = family.n
     trees = family.trees
-    sigmas = labeling.sigmas
-    seen = 0
     plan = None if _tables is None else _tables.plan
-    if plan is not None and plan.tail == trees[:-1]:
-        # Still an edge-by-edge check of this labeling.  The mask of slot
-        # k is a pure function of (tree, sigma, n, classical): the plan's
-        # dict for slot k belongs to one tree (`_search._tail_plan` keeps
-        # it only while that tree stays, compared by value, and a tree
-        # fixes n), there is one list of dicts per mode, and the dict is
-        # keyed by sigma.  A clash inside one slot is -1, which always
-        # fails: slot 0 has at most one arc, so it is never slot 0's; a
-        # tail slot's, or-ed into seen, meets the edges of the next slot,
-        # which has a pair arc; the largest slot's fails the sign test.
-        # What is left of the check, that the slots' edges are pairwise
-        # disjoint, is tested here for this labeling.
-        for masks, sig, tree in zip(plan.masks[1 if classical else 0], sigmas, trees):
-            m = masks.get(sig)
+    cached = plan.masks if plan is not None and plan.tail == trees[:-1] else ()
+    tail = len(cached)  # slots 0..tail-1 read their masks from the plan
+    # the diagonal bits a * n + a, one per loop: sum of 2**(a * (n + 1))
+    keep = ~(((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)) if classical else -1
+    seen = 0
+    for k, sig in enumerate(labeling.sigmas):
+        if k < tail:
+            m = cached[k].get(sig)
             if m is None:
-                m = masks[sig] = _slot_mask(tree, sig, n, classical)
-            if seen & m:
-                return False
-            seen |= m
-        m = _slot_mask(trees[-1], sigmas[-1], n, classical)  # changes every family
-        return m >= 0 and not seen & m
-    for k in range(n):
-        sig = sigmas[k]
-        arcs = trees[k].compiled().slot_arcs()
-        if classical:
-            next(arcs)  # arc 0 is the root's loop
-        for a, b in arcs:
-            a, b = sig[a], sig[b]
-            bit = 1 << (a * n + b if a <= b else b * n + a)  # one bit per edge
-            if seen & bit:
-                return False
-            seen |= bit
+                m = cached[k][sig] = _slot_mask(trees[k], sig, n)
+        else:
+            m = _slot_mask(trees[k], sig, n)
+        if m < 0 or seen & m & keep:
+            return False
+        seen |= m
     return True
 
 
-def _slot_mask(tree: AugFuncTree, sig: Mapping, n: int, classical: bool) -> int:
-    """The edges one slot's arcs cover under ``sig``, one bit per edge as
-    in `is_complete`, or -1 if two of them cover the same edge."""
-    arcs = tree.compiled().slot_arcs()
-    if classical:
-        next(arcs)  # arc 0 is the root's loop
+def _slot_mask(tree: AugFuncTree, sig: Mapping, n: int) -> int:
+    """The edges one slot's arcs cover under ``sig``, root loop included,
+    one bit per edge: a * n + b for {a, b} with a <= b, so a loop is a
+    diagonal bit.  -1 if two of the arcs cover the same edge."""
     mask = 0
-    for a, b in arcs:
+    for a, b in tree.compiled().slot_arcs():
         a, b = sig[a], sig[b]
         bit = 1 << (a * n + b if a <= b else b * n + a)
         if mask & bit:

@@ -183,6 +183,18 @@ def test_pack_writes_orientation_file(capsys, tmp_path):
     assert dot.read_text().rstrip("\n") == emit_orientation(orientation(fam, lab), "dot")
 
 
+def test_pack_refuses_classical_mode_with_an_orientation_file(capsys, tmp_path, monkeypatch):
+    """Classical labelings may root two slots on one vertex, so they have
+    no orientation of looped K_n: the flag pair is refused before any
+    search, with exit 2 and a message naming both flags."""
+    monkeypatch.setattr(cli, "pack", lambda *args: pytest.fail("searched"))
+    dot = tmp_path / "pack.dot"
+    assert run(["pack", "--n", "5", "--seed", "1", "--classical-mode", "-o", str(dot)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not dot.exists()
+    assert "--classical-mode" in captured.err and "-o" in captured.err
+
+
 def test_verify_incomplete_is_exit_one(capsys, tmp_path):
     fam_path = write(tmp_path, "fam.json", emit_family(FAM2))
     lab_path = write(tmp_path, "lab.json", emit_labeling(MIXED2))

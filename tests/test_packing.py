@@ -24,6 +24,7 @@ from treepack import (
     phi_enumerate,
     star_family,
 )
+from treepack import _search, packing
 from treepack._search import search
 from treepack.functree import AugTreeFamily
 from treepack.packing import full_count_multiplier
@@ -108,6 +109,66 @@ def test_is_complete_matches_oracle_on_random_labelings():
             sig.append(tuple(row))
         lab = Labeling(n=n, sigmas=tuple(sig))
         assert is_complete(fam, lab) == complete_oracle(fam, lab)
+
+
+def test_mask_cache_filled_in_one_mode_answers_the_other():
+    """A chunk's slot masks hold each slot's root loop, so masks stored
+    while verifying in one mode give the other mode's verdict, the
+    oracle's.  Every labeling of every family with n <= 3, and the Phi
+    members of two n = 4 families with different tails, checked against
+    both families, filling in loop mode and then classical, and the
+    other way round."""
+    cases = [(fam, list(all_labelings(n))) for n in (1, 2, 3) for fam in family_enumerate(n)]
+    fams = list(family_enumerate(4))
+    a, b = fams[0], fams[6]
+    assert a.trees[:-1] != b.trees[:-1]
+    labs = phi_enumerate(a)[0] + phi_enumerate(b)[0]
+    cases += [(a, labs), (b, labs)]
+    verdicts = set()
+    for fill in (False, True):
+        for fam, labelings in cases:
+            tables = _search.ChunkTables()
+            pack(fam, SolveConfig(classical_mode=fill), _tables=tables)
+            assert tables.plan.tail == fam.trees[:-1]
+            for classical in (fill, not fill):
+                for lab in labelings:
+                    want = complete_oracle(fam, lab, classical)
+                    assert is_complete(fam, lab, classical, _tables=tables) == want
+                    verdicts.add((classical, want))
+            assert all(tables.plan.masks)  # both modes read the stored masks
+    assert len(verdicts) == 4
+
+
+def test_a_clash_inside_one_slot_fails_in_both_modes(monkeypatch):
+    """A slot whose own arcs cover one edge twice has mask -1, which no
+    tree's arcs give, so a stand-in `_slot_mask` plants it.  `is_complete`
+    refuses it at slot 0, whose one loop bit meets no other mask, at a
+    middle tail slot and at the largest slot, in both modes: without
+    tables, with cold tables, and, for a tail slot, with the -1 stored in
+    warm tables.  At n <= 2 the largest slot may meet no kept bit at all,
+    so only the sign test can refuse it there."""
+    real = packing._slot_mask
+    fams = [generate_family(5, "mixed", 11), *family_enumerate(2), *family_enumerate(1)]
+    for fam, classical in itertools.product(fams, (False, True)):
+        n = fam.n
+        cfg = SolveConfig(classical_mode=classical)
+        lab = pack(fam, cfg).labeling
+        for k in sorted({0, n // 2, n - 1}):
+            tree = fam.trees[k]
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    packing, "_slot_mask", lambda t, sig, n: -1 if t is tree else real(t, sig, n)
+                )
+                assert not is_complete(fam, lab, classical)
+                tables = _search.ChunkTables()
+                tables.plan = _search._tail_plan(n, fam.trees[:-1], None)
+                assert not is_complete(fam, lab, classical, _tables=tables)
+            tables = _search.ChunkTables()
+            pack(fam, cfg, _tables=tables)
+            assert is_complete(fam, lab, classical, _tables=tables)
+            if k < n - 1:
+                tables.plan.masks[k][lab.sigmas[k]] = -1
+                assert not is_complete(fam, lab, classical, _tables=tables)
 
 
 def test_solver_output_passes_oracle():

@@ -46,3 +46,27 @@ def test_readme_quick_start_runs():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("[(0, 0)")
+
+
+def test_benchmark_names_exist(monkeypatch):
+    """The benchmark under ``perfbench/`` reaches treepack by name: its
+    traced runs wrap the attributes in ``perfbench.layers`` (the engine as
+    ``search`` on each caller, so the exhaustive workload can meter its
+    nodes), the exhaustive workload passes ``mode`` to `phi_enumerate` and
+    `canonical_rep`, and sweep6 reads each row of ``SweepReport.rows``.
+    Those names change only together with the benchmark."""
+    monkeypatch.syspath_prepend(str(ROOT))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # read perfbench/ only
+    from perfbench import layers
+
+    for owner, attr, _ in layers.SPANS + layers.ITERATORS + layers.COUNTED:
+        assert callable(getattr(owner, attr, None)), (owner, attr)
+    for owner in layers.ENGINE_CALLERS:
+        assert callable(getattr(owner, "search", None)), owner
+    fam = treepack.star_family(3)
+    members, count = treepack.packing.phi_enumerate(fam, mode="essential")
+    assert count == len(members) > 0
+    assert treepack.certificate.canonical_rep(fam, mode="phi-sum").to_text()
+    report = treepack.solver.sweep(3, workers=1)
+    assert [(r.index, r.status) for r in report.rows] == [(0, "packed"), (1, "packed")]
+    assert sum(r.nodes for r in report.rows) == report.nodes_total

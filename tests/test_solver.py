@@ -692,13 +692,11 @@ def test_sweep_builds_one_plan_per_tail(monkeypatch):
         assert out == search(family, **kwargs)
 
 
-def fresh_mask(tree, sig, n, classical):
-    """A slot's edge mask rebuilt from its arcs, as `is_complete` numbers
-    edges: bit a * n + b for the edge {a, b} with a <= b."""
-    edges = {
-        tuple(sorted((sig[a], sig[b])))
-        for a, b in list(tree.compiled().slot_arcs())[1 if classical else 0:]
-    }
+def fresh_mask(tree, sig, n):
+    """A slot's edge mask rebuilt from its arcs, root loop included, as
+    `is_complete` numbers edges: bit a * n + b for the edge {a, b} with
+    a <= b."""
+    edges = {tuple(sorted((sig[a], sig[b]))) for a, b in tree.compiled().slot_arcs()}
     return sum(1 << a * n + b for a, b in edges)
 
 
@@ -724,7 +722,7 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
             pack(fam, cfg, _tables=tables)
         fam = fams[-1]
         row = pack(fam, cfg).labeling.sigmas
-        masks = tables.plan.masks[classical]
+        masks = tables.plan.masks
         assert tables.plan.tail == fam.trees[:-1]
         assert all(sig in slot for slot, sig in zip(masks, row))  # warm
         kinds = {"swapped": [], "transposed": [], "root": []}
@@ -763,7 +761,7 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
                 slot_arcs=lambda: iter([(1, 1), (0, 1), (2, 1), (1, 0)])
             )
         )
-        assert packing._slot_mask(repeated, (2, 0, 1), 3, classical) == -1
+        assert packing._slot_mask(repeated, (2, 0, 1), 3) == -1
         verdicts = set()
         for n in (1, 2, 3):
             tables = _search.ChunkTables()
@@ -784,14 +782,14 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
         assert verdicts == {True, False}
 
 
-def test_slot_masks_are_kept_per_mode_and_per_tail(monkeypatch):
-    """A classical mask leaves out its slot's root loop, so one set of
-    tables shared by both modes must not answer one mode from the other's
-    masks: a row whose slots 0 and 1 root on the same vertex is complete
-    classically and not with loops, whichever mode filled the masks
-    first.  And masks are read only for the plan's own tail: with the
-    plan of one family, another family with another tail gets the
-    table-less verdict on every labeling of either family's Phi."""
+def test_slot_masks_serve_both_modes_and_one_tail(monkeypatch):
+    """One mask dict serves both modes: a mask holds its slot's root
+    loop, which classical mode ignores, so a row whose slots 0 and 1 root
+    on the same vertex is complete classically and not with loops,
+    whichever mode filled the masks first.  And masks are read only for
+    the plan's own tail: with the plan of one family, another family with
+    another tail gets the table-less verdict on every labeling of either
+    family's Phi."""
     n = 4
     fam = next(family_enumerate(n))
     row = list(pack(fam).labeling.sigmas)
@@ -830,9 +828,9 @@ def test_slot_masks_are_kept_per_mode_and_per_tail(monkeypatch):
 def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     """Through `sweep(5)`, in each mode, the mask dict of tail slot k
     belongs to the tree of slot k: it is replaced exactly when that tree
-    changes, and kept while it stays, whatever the other slots do.  Only
-    the sweep's own mode fills its dicts, and every stored mask is the
-    slot's edges under its permutation, rebuilt from the arcs."""
+    changes, and kept while it stays, whatever the other slots do.  Every
+    stored mask is the slot's edges under its permutation, root loop
+    included, rebuilt from the arcs."""
     seen = []
     real = solver.pack
 
@@ -848,18 +846,16 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     for (f, cf, before), (g, cg, after) in zip(seen, seen[1:]):
         if cf != cg:
             continue
-        for mode in (0, 1):
-            for k in range(4):
-                assert (before[mode][k] is after[mode][k]) == (f.trees[k] == g.trees[k])
+        for k in range(4):
+            assert (before[k] is after[k]) == (f.trees[k] == g.trees[k])
     checked = {}
-    for family, classical, masks in seen:
-        assert not any(masks[1 - classical])
-        for k, slot in enumerate(masks[classical]):
-            checked[id(slot)] = (family.trees[k], classical, slot)
-    for tree, classical, slot in checked.values():
+    for family, _, masks in seen:
+        for k, slot in enumerate(masks):
+            checked[id(slot)] = (family.trees[k], slot)
+    for tree, slot in checked.values():
         assert slot  # its family's verification read it
         for sig, mask in slot.items():
-            assert mask == fresh_mask(tree, sig, 5, classical)
+            assert mask == fresh_mask(tree, sig, 5)
     # product order changes every later slot with an earlier one; a tail
     # that changes slot 2 alone keeps the dicts of slots 0, 1 and 3
     fams = list(family_enumerate(5))
@@ -867,8 +863,7 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     assert a[2] != b[2]
     old = _search._tail_plan(5, a, None)
     new = _search._tail_plan(5, b, old)
-    for mode in (0, 1):
-        assert [x is y for x, y in zip(old.masks[mode], new.masks[mode])] == [True, True, False, True]
+    assert [x is y for x, y in zip(old.masks, new.masks)] == [True, True, False, True]
     assert [x is y for x, y in zip(old.levels, new.levels)] == [True, True, True, False, False]
 
 
