@@ -13,15 +13,15 @@ machine-word operations per node.
 Placement order is fixed: trees largest first, vertices of each tree
 breadth-first from the root with children ascending (the tree's compiled
 ``order``).  Each placement is one step, so a family has ``total`` =
-n(n+1)/2 steps.  Candidates are tried in ascending vertex order.  Together
-these make node counts a pure function of (family, options).  A tree of
-size m takes the same steps in every family on Z_n, so its step rows and
-leaf-swap factor are compiled once per tree (``CompiledTree.steps`` to
-``leaf_swaps``).  A search reads those of slots n - 2..0, the tail, from
-a plan (`_TailPlan`) built by concatenating them, and adds the rows of
-its largest tree in front.  Because ``steps`` lists a slot's steps by
-slot position, the (0 k) swap that moves the root to slot k stays inside
-`functree._compile`.
+n(n+1)/2 steps.  Candidates are tried in ascending vertex order.
+Together these make node counts a pure function of (family, options).  A
+tree of size m takes the same steps in every family on Z_n, so its step
+rows and leaf-swap factor are compiled once per tree
+(``CompiledTree.steps`` to ``leaf_swaps``).  A search reads those of
+slots n - 2..0, the tail, concatenated in its `ChunkTables`, and adds
+the rows of its largest tree in front.  Because ``steps`` lists a slot's
+steps by slot position, the (0 k) swap that moves the root to slot k
+stays inside `functree._compile`.
 
 The backtracking is one explicit loop over per-step arrays, not a
 recursion, so its depth is not bounded by the interpreter's stack and no
@@ -51,66 +51,59 @@ component with no free loop as soon as the walk closes it.
 Full enumeration also memoizes tree boundaries.  Below the root step of
 a tree, the search reads nothing but the step, the free pairs and the
 used loops (the soundness note sits at the lookup), and in enumeration
-most boundary states recur: 97 % of those reached over forty n = 5
-families had been reached before.  So the engine keys each boundary it
-leaves by ``(step, free-pair masks, used loops)`` and stores the range
+most boundary states recur.  So the engine keys each boundary it leaves
+by ``(step, free-pair masks, used loops)`` and stores the range
 ``[a, b)`` of the solution rows first found below it, in DFS order, with
 the nodes the subtree took.  Rows are only ever appended, so the range
 stays put.  A later visit with the same key, with j slots unstarted,
 re-emits ``row[:j] + placed`` for each row in the range, adds the node
 count and treats the step as exhausted, so solutions, their order and
-node counts are those of the plain search; on the forty n = 5 families
-51 310 such hits emit 338 200 of the 338 400 rows.  Full enumeration
-also keeps one sort key per row (`SearchOutcome.keys`): its slot heads,
-slot 0 first, read as one base-n number.  The placed slots j..n-1 are a
-key's low digits, so the memo also stores their part of the keys in its
-range, and a hit adds one constant to every key it copies: the placed
-part now minus the stored one.  The memo holds no copy of a completion,
-and `packing.phi_enumerate` sorts the rows by comparing ints instead of
-nested tuples.  Beside the memo, and for exactly as long, full
-enumeration keeps one table from a slot's head (its step images by slot
-position) to its checked permutation, read at the solution leaf and at
-memo hits; a permutation is built and checked only on a miss, so each
-distinct one is checked once per search and rows share their slot tuples.
-A lone first-only search keeps a head table of its own but no memo:
-within one family a boundary state rarely recurs.
+node counts are those of the plain search.  Full enumeration also keeps
+one sort key per row (`SearchOutcome.keys`): its slot heads, slot 0
+first, read as one base-n number.  The placed slots j..n-1 are a key's
+low digits, so a hit adds one constant to every key it copies: the
+placed part now minus that of key ``a``.  The memo holds no copy of a
+completion, and `packing.phi_enumerate` sorts the rows by comparing ints
+instead of nested tuples.  Every search also keeps a table from a
+slot's head (its step images by slot position) to its checked
+permutation, read at the solution leaf and at memo hits; a permutation
+is built and checked only on a miss, so each distinct one is checked
+once per table and rows share their slot tuples.  A lone first-only
+search keeps no memo: within one family a boundary state rarely recurs.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
 consecutive families (120 at n = 6, 5 040 at n = 8) share their tail,
 every tree the search places after its first boundary.  So every search
-of one sweep chunk shares the chunk's `ChunkTables`: the plan of the
-current tail and two tables.  A search whose tail equals the plan's,
-compared by value, reuses it; otherwise it builds the plan of its own
-tail and leaves it there.  The step rows, slot steps and leaf-swap
-factor of the tail are thus built once per tail, not once per family; a
-lone search builds its own plan on the same path.  The plan also holds
-the boundary memo above in first-solution mode, used only in attempt 0,
-where every scan offset is zero.  It keeps one dict per count j of
-unstarted slots, and that dict belongs to the trees of slots 0..j-1: a
-new plan keeps the old plan's dict where those trees are the same and
-starts an empty one where they differ.  Product order never brings an
+of one sweep chunk shares one `ChunkTables`; a lone search makes its own
+and reads only its tail rows and head table.  The tables hold the
+current tail's step rows, slot steps and leaf-swap factor, which
+`_retarget` rebuilds only when a family's tail differs, compared by
+value, so they are built once per tail, not once per family.  Per tail
+they also hold the boundary memo above in first-solution mode, one dict
+per count j of unstarted slots, and what `packing.is_complete` reads
+when `pack` verifies a chunk's labeling: per tail slot k, a dict from
+slot k's permutation to the edge mask its tree covers under it, root
+loop included, so one dict serves both modes and only the largest slot's
+mask is built per family (the soundness note sits in `is_complete`).
+One carry rule serves both: when the tail changes, memo level k + 1 and
+mask dict k are kept while the trees of slots 0..k stay, and start empty
+otherwise.  Product order changes a suffix of the tail slots, so a mask
+dict is kept exactly while its own tree stays, and it never brings an
 old tail back, so the memo stays bounded and hits as often as an
-unbounded table would.  A miss opens a frame as in enumeration;
-exhaustion stores no completion, a solution stores its unstarted slots'
+unbounded table would.  The memo is used only in attempt 0, where every
+scan offset is zero.  A miss opens a frame as in enumeration; exhaustion
+stores no completion, a solution stores its unstarted slots'
 permutations in every open frame, each with the nodes its subtree took
 up to it, and a budget trip or the deadline stores nothing.  A hit adds
 the stored count, trips the budget on the node past it where that count
 passes the budget, as the search it stands for would, and otherwise
 emits the stored completion after the placed slots or treats the step as
 exhausted.  So statuses, labelings, node counts and restarts are those
-of a lone search (the soundness note sits at the lookup).  Last, the
-plan holds what `packing.is_complete` reads when `pack` verifies a
-chunk's labeling: per tail slot k, a dict from slot k's permutation to
-the edge mask its tree covers under it, root loop included, so one dict
-serves both modes.  A new plan keeps slot k's dict where the tree of
-slot k is the same, per slot and not per prefix, so a dict only ever
-holds one tree's masks, and only the largest slot's mask is built per
-family (the soundness note sits in `is_complete`).  Beside the plan, the
-chunk keeps two tables: boundary verdicts keyed by ``(step, free-pair
-masks, used loops)``, which hold across tails and are asked only on
-memo misses, and the head table above.  A verdict hit is the verdict
-itself, not a skipped subtree.
+of a lone search (the soundness note sits at the lookup).  Across tails
+the chunk keeps the head table above and the boundary verdicts, keyed by
+the memo's key, built once per boundary for both and asked only on memo
+misses.  A verdict hit is the verdict itself, not a skipped subtree.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -319,40 +312,38 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
 
 
 @dataclass(eq=False)
-class _TailPlan:
-    """What a search reads of a family's tail: the trees of slots 0..n-2.
+class ChunkTables:
+    """What every search of one sweep chunk shares (module docstring):
+    one n, one ``classical``, first-only with symmetry pruning; a lone
+    search makes its own.  ``verdicts`` (boundary state to the exact
+    cover's verdict) and ``known`` (slot head to checked permutation,
+    `_slot_permutations`) hold across tails.  The rest belongs to
+    ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
+    tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
+    search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
+    which depends on n alone; ``levels[j]``, the first-solution subtree
+    memo of the boundaries with j unstarted slots (``levels[0]`` is None:
+    no boundary leaves every slot placed); and ``masks[k]``, from slot k's
+    permutation to the edge mask of ``tail[k]`` under it, root loop
+    included, which `packing.is_complete` fills and reads in both modes."""
 
-    The largest tree takes steps 0..n-1, so the tail's steps follow them
-    in every family on Z_n, and their rows (``step_parent``,
-    ``step_prev``), the tail's ``slot_steps`` and its leaf-swap ``factor``
-    hold for every family with this tail; a search adds its largest
-    tree's rows in front.  ``step_slot`` depends on n alone and covers
-    every step.  ``levels[j]`` is the first-solution subtree memo of the
-    boundaries with j unstarted slots, whose trees are ``tail[:j]``
-    (full enumeration keeps its own; ``levels[0]`` is
-    None: no boundary leaves every slot placed).  ``masks`` holds one
-    dict per tail slot k from a slot permutation to the edge mask of
-    ``tail[k]`` under it, root loop included, which `packing.is_complete`
-    fills and reads in both modes; a dict belongs to the tree of its slot
-    alone.
-    """
-
-    tail: tuple[AugFuncTree, ...]
-    step_slot: tuple[int, ...]
-    step_parent: tuple[int, ...]
-    step_prev: tuple[int, ...]
-    slot_steps: tuple[tuple[int, ...], ...]
-    factor: int
-    levels: list[dict | None]
-    masks: list[dict]
+    verdicts: dict = field(default_factory=dict)
+    known: dict = field(default_factory=dict)
+    tail: tuple[AugFuncTree, ...] | None = None
+    step_slot: tuple[int, ...] = ()
+    step_parent: tuple[int, ...] = ()
+    step_prev: tuple[int, ...] = ()
+    slot_steps: tuple[tuple[int, ...], ...] = ()
+    factor: int = 1
+    levels: list[dict | None] = field(default_factory=list)
+    masks: list[dict] = field(default_factory=list)
 
 
-def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> _TailPlan:
-    """The plan of ``tail`` on Z_n.  A memo level of ``old`` whose trees
-    ``tail`` shares (compared by value) is kept, and so is the mask dict
-    of each slot whose tree it shares; every other level and dict starts
-    empty, so a level only ever holds the subtrees of its own trees and a
-    dict the masks of its own tree."""
+def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> None:
+    """Rebind the per-tail fields of ``tables`` to ``tail`` on Z_n.  The
+    one carry rule: while the trees of slots 0..k stay, compared by value,
+    memo level k + 1 and mask dict k are kept; every other level and dict
+    starts empty, so each only ever holds what its own trees give."""
     compiled = [t.compiled() for t in tail]
     step_slot = [n - 1] * n
     step_parent: list[int] = []  # step of the parent, -1 at roots
@@ -364,39 +355,19 @@ def _tail_plan(n: int, tail: tuple[AugFuncTree, ...], old: _TailPlan | None) -> 
         step_parent += c.parent_step
         step_prev += c.prev_leaf_step
         factor *= c.leaf_swaps
-    # per tail slot: does old hold the same tree there?  (trees on
-    # another n never compare equal)
-    old_tail = () if old is None else old.tail
-    same = [k < len(old_tail) and old_tail[k] == t for k, t in enumerate(tail)]
-    shared = (same + [False]).index(False)  # levels 1..shared keep their trees
-    return _TailPlan(
-        tail=tail,
-        step_slot=tuple(step_slot),
-        step_parent=tuple(step_parent),
-        step_prev=tuple(step_prev),
-        slot_steps=tuple([c.steps for c in compiled]),
-        factor=factor,
-        levels=[None] + [
-            old.levels[j] if j <= shared else {} for j in range(1, n)
-        ],
-        masks=[old.masks[k] if same[k] else {} for k in range(len(tail))],
-    )
-
-
-@dataclass(eq=False)
-class ChunkTables:
-    """What every search of one sweep chunk shares (module docstring):
-    one n, one ``classical``, first-only with symmetry pruning.
-
-    ``verdicts`` maps a boundary state to the exact cover's verdict,
-    ``known`` a slot head to its checked permutation
-    (`_slot_permutations`), and ``plan`` is the plan of the last tail
-    searched, with its subtree memo and its tail slots' edge masks; a
-    family with another tail replaces it."""
-
-    verdicts: dict = field(default_factory=dict)
-    known: dict = field(default_factory=dict)
-    plan: _TailPlan | None = None
+    kept = 0  # slots 0..kept-1 hold the same trees (trees on another n never do)
+    for old, new in zip(tables.tail or (), tail):
+        if old != new:
+            break
+        kept += 1
+    tables.tail = tail
+    tables.step_slot = tuple(step_slot)
+    tables.step_parent = tuple(step_parent)
+    tables.step_prev = tuple(step_prev)
+    tables.slot_steps = tuple([c.steps for c in compiled])
+    tables.factor = factor
+    tables.levels = [None] + [tables.levels[j] if j <= kept else {} for j in range(1, n)]
+    tables.masks = [tables.masks[k] if k < kept else {} for k in range(n - 1)]
 
 
 def search(
@@ -427,29 +398,29 @@ def search(
     runs a single unbounded pass in ascending order, with the boundary
     memo of the module docstring.
 
-    ``tables`` are a sweep chunk's `ChunkTables`.  The search reuses
-    their plan when the family's tail equals its tail, and otherwise
-    builds the plan and stores it there; without tables it builds one
-    for itself.  A table hit returns what the call or subtree it stands
-    for would, so results and node counts are those without tables.
+    ``tables`` are a sweep chunk's `ChunkTables`; the search retargets
+    them when the family's tail is not theirs.  Without tables it makes
+    its own and keeps neither verdicts nor a first-solution memo.  A table
+    hit returns what the call or subtree it stands for would, so results
+    and node counts are those without tables.
     """
     n = family.n
     full = (1 << n) - 1
 
+    lone = tables is None
+    if lone:
+        tables = ChunkTables()
     tail = family.trees[:-1]
-    plan = None if tables is None else tables.plan
-    if plan is None or plan.tail != tail:
-        plan = _tail_plan(n, tail, plan)
-        if tables is not None:
-            tables.plan = plan
+    if tables.tail != tail:
+        _retarget(tables, n, tail)
     last = family.trees[-1].compiled()  # the largest tree: steps 0..n-1
-    step_slot = plan.step_slot
-    step_parent = last.parent_step + plan.step_parent
-    slot_steps = plan.slot_steps + (last.steps,)  # per slot: its steps by slot position
+    step_slot = tables.step_slot
+    step_parent = last.parent_step + tables.step_parent
+    slot_steps = tables.slot_steps + (last.steps,)  # per slot: its steps by slot position
     total = len(step_slot)
     if symmetry_pruning:
-        step_prev = last.prev_leaf_step + plan.step_prev
-        factor = n * last.leaf_swaps * plan.factor
+        step_prev = last.prev_leaf_step + tables.step_prev
+        factor = n * last.leaf_swaps * tables.factor
     else:
         step_prev = (-1,) * total
         factor = 1
@@ -467,21 +438,18 @@ def search(
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
     # boundary verdicts, kept only by a sweep chunk, and per slot head its
-    # checked permutation (`_slot_permutations`), which a lone search keeps
-    # for itself
-    if tables is None:
-        verdicts, known = None, {}
-    else:
-        verdicts, known = tables.verdicts, tables.known
+    # checked permutation (`_slot_permutations`)
+    verdicts = None if lone else tables.verdicts
+    known = tables.known
     # the tree-boundary memo by count j of unstarted slots: a sweep
-    # chunk's attempt 0 reads the plan's, a lone first-only search has
+    # chunk's attempt 0 reads the tables', a lone first-only search has
     # none (close_at then stays -1), and full enumeration keeps levels of
     # its own, whose row ranges index this search's solutions
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
     keys: list[int] | None = None  # full enumeration: one per solution
     if first_only:
-        memos = None if tables is None else plan.levels
+        memos = None if lone else tables.levels
     else:
         memos = [None] + [{} for _ in range(1, n)]
         keys = []
@@ -523,6 +491,9 @@ def search(
                             cand &= -2 << images[sp]
                     else:
                         hit = None
+                        if memos is not None or verdicts is not None:
+                            # one key for the memo level and the verdicts
+                            key = (i, tuple(pairfree), loops_used)
                         if memos is not None and i:
                             # Everything the subtree below this boundary
                             # reads is a function of the key and the level's
@@ -540,7 +511,6 @@ def search(
                             # below the unstarted slots' digits, so every key
                             # of the subtree moves by one constant.
                             j = step_slot[i] + 1
-                            key = (i, tuple(pairfree), loops_used)
                             hit = memos[j].get(key)
                             if hit is None:  # closed when step i is exhausted
                                 frames.append((close_at, key, len(solutions), nodes))
@@ -549,7 +519,7 @@ def search(
                             if first_only:
                                 done, took = hit
                             else:
-                                a, b, took, lo = hit
+                                a, b, took = hit
                             before = nodes
                             nodes += took
                             if nodes > budget_abs:
@@ -570,7 +540,7 @@ def search(
                                 k = 0
                                 for s in key_steps[j]:
                                     k = k * n + images[s]
-                                k -= lo
+                                k -= keys[a] % key_mod[j]  # the placed part of row a's key
                                 keys += [x + k for x in keys[a:b]]
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees
@@ -597,10 +567,9 @@ def search(
                                 # argument, blocked pairs included (they are
                                 # in pairfree).  A hit is the verdict the
                                 # call would return, and skips no node.
-                                vkey = (i, tuple(pairfree), loops_used)
-                                ok = verdicts.get(vkey)
+                                ok = verdicts.get(key)
                                 if ok is None:
-                                    ok = verdicts[vkey] = _boundary_feasible(
+                                    ok = verdicts[key] = _boundary_feasible(
                                         step_slot[i] + 1, pairfree, loops_used, classical
                                     )
                             if ok:
@@ -633,10 +602,8 @@ def search(
                     j = step_slot[i] + 1  # the unstarted slots
                     if first_only:  # it ran out: no completion
                         memos[j][key] = ((), nodes - before)
-                    else:  # its rows, and the placed slots' part of their keys
-                        stop = len(solutions)
-                        lo = keys[start] % key_mod[j] if stop > start else 0
-                        memos[j][key] = (start, stop, nodes - before, lo)
+                    else:  # the range of its rows
+                        memos[j][key] = (start, len(solutions), nodes - before)
                 i -= 1
                 v = images[i]
                 enter = False

@@ -469,12 +469,13 @@ def lagrange_basis(f, point=None, expand: bool = False):
                         return out
         return out
 
-    terms = prod(n if fv == 0 else n - 1 for _, fv in vals)
-    if terms > LAGRANGE_EXPAND_MAX_TERMS:
-        raise BoundExceededError(
-            f"an expansion of {terms} terms exceeds the cap "
-            f"{LAGRANGE_EXPAND_MAX_TERMS}"
-        )
+    terms = 1
+    for _, fv in vals:  # stops as soon as the count passes the cap
+        terms *= n if fv == 0 else n - 1
+        if terms > LAGRANGE_EXPAND_MAX_TERMS:
+            raise BoundExceededError(
+                f"the expansion exceeds the cap of {LAGRANGE_EXPAND_MAX_TERMS} terms"
+            )
     numer, denom = _basis_numerator(vals, n)
     return SparsePoly(
         n=n, terms={m: Fraction(c, denom) for m, c in numer.items()}
@@ -658,13 +659,7 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
         if not all(map(is_int, variables)):
             raise OutOfRangeError(f"variable ids {variables} must be integers")
         vset = frozenset(variables)
-    fall = [1]  # falling factorial, low degree first
-    for t in range(n):
-        fall = [0] + fall
-        for e in range(len(fall) - 1):
-            fall[e] -= t * fall[e + 1]
-    # x^n = fall(x) + r(x) with deg r < n, i.e. r = x^n - fall
-    r = [-c for c in fall[:n]]
+    r = None  # x^n = fall(x) + r(x), deg r < n: built at the first x^n
     work = dict(p.terms)
     out: dict[Monomial, Fraction] = {}
     while work:
@@ -679,6 +674,13 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
         if hit is None:
             out[mono] = out.get(mono, Fraction(0)) + coef
             continue
+        if r is None:
+            fall = [1]  # falling factorial, low degree first
+            for t in range(n):
+                fall = [0] + fall
+                for e in range(len(fall) - 1):
+                    fall[e] -= t * fall[e + 1]
+            r = [-c for c in fall[:n]]
         vid, e = hit
         rest = tuple(pair for pair in mono if pair[0] != vid)
         for t, rc in enumerate(r):

@@ -294,6 +294,8 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    if args.parallel < 1:
+        raise ValidationError(f"--parallel must be at least 1, got {args.parallel}")
     report = sweep(args.n, _solve_config(args), workers=args.parallel)
     if args.output is not None:
         buf = io.StringIO()

@@ -532,8 +532,7 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
         raise BadSizeError("a family needs at least one vertex")
     if n > SWEEP_MAX_N:
         raise BoundExceededError(
-            f"enumerating the {family_count(n)} families at n={n} exceeds "
-            f"the cap {SWEEP_MAX_N}"
+            f"enumerating the families at n={n} exceeds the cap n <= {SWEEP_MAX_N}"
         )
     per_size: list[list[AugFuncTree]] = []
     for m in range(1, n + 1):

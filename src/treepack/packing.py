@@ -143,14 +143,14 @@ def is_complete(
     classical mode.
 
     ``_tables`` are a sweep chunk's `_search.ChunkTables`, passed by
-    `solver.pack`.  When their plan's tail is the family's, each tail
-    slot's mask is read from the plan, computed on the first labeling that
+    `solver.pack`.  When their tail is the family's, each tail slot's
+    mask is read from the tables, computed on the first labeling that
     uses that permutation there, and only the largest slot's is built.
-    A mask is a pure function of (tree, sigma, n): the plan's dict for
-    slot k belongs to one tree (`_search._tail_plan` keeps it only while
-    that tree stays, compared by value, and a tree fixes n) and is keyed
-    by sigma.  It holds the loop bit in both modes, so the verdict is the
-    one without tables whichever mode filled the dict.
+    A mask is a pure function of (tree, sigma, n): the tables' dict for
+    slot k belongs to one tree (`_search._retarget` keeps it only while
+    the trees of slots 0..k stay, compared by value, and a tree fixes n)
+    and is keyed by sigma.  It holds the loop bit in both modes, so the
+    verdict is the one without tables whichever mode filled the dict.
     """
     if labeling.n != family.n:
         raise DimensionMismatchError(
@@ -158,9 +158,8 @@ def is_complete(
         )
     n = family.n
     trees = family.trees
-    plan = None if _tables is None else _tables.plan
-    cached = plan.masks if plan is not None and plan.tail == trees[:-1] else ()
-    tail = len(cached)  # slots 0..tail-1 read their masks from the plan
+    cached = _tables.masks if _tables is not None and _tables.tail == trees[:-1] else ()
+    tail = len(cached)  # slots 0..tail-1 read their masks from the tables
     # the diagonal bits a * n + a, one per loop: sum of 2**(a * (n + 1))
     keep = ~(((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)) if classical else -1
     seen = 0

@@ -169,10 +169,7 @@ def sweep(
     report does not depend on the chunking.
     """
     if n > SWEEP_MAX_N:
-        raise BoundExceededError(
-            f"sweep over {family_count(n)} families at n={n} exceeds "
-            f"the cap {SWEEP_MAX_N}"
-        )
+        raise BoundExceededError(f"sweep at n={n} exceeds the cap n <= {SWEEP_MAX_N}")
     cfg = config or SolveConfig()
     total = family_count(n)
     t0 = time.perf_counter()

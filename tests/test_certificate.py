@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -264,6 +265,10 @@ def test_lagrange_expand_bound():
         )  # (4 * 3^3)^4 terms
     with pytest.raises(BoundExceededError):
         lagrange_basis(tuple(range(7)), expand=True)  # 7 * 6^6 terms
+    t0 = time.perf_counter()  # the count stops once it passes the cap
+    with pytest.raises(BoundExceededError, match="cap of 19683 terms"):
+        lagrange_basis(tuple(range(2000)), expand=True)  # 2000 * 1999^1999 terms
+    assert time.perf_counter() - t0 < 1.0
     with pytest.raises(ValidationError):
         lagrange_basis((0, 1), point=(0, 1), expand=True)
     with pytest.raises(ValidationError):
@@ -447,6 +452,15 @@ def test_poly_reduce_preserves_lattice_values():
                 tuple(rng.randrange(n) for _ in range(n)) for _ in range(n)
             )
             assert p.evaluate(rows) == r.evaluate(rows)
+
+
+def test_poly_reduce_builds_no_remainder_below_degree_n():
+    """The degree-n remainder is built only for a term that needs it: a
+    constant at n = 4000 comes back unchanged at once."""
+    p = SparsePoly.const(4000, 5)
+    t0 = time.perf_counter()
+    assert poly_reduce(p) == p
+    assert time.perf_counter() - t0 < 0.5
 
 
 def test_poly_reduce_leaves_y_alone():

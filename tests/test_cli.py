@@ -429,10 +429,24 @@ def test_size_caps_refuse_before_the_family_is_generated(monkeypatch, capsys):
     ):
         assert run(argv + ["--seed", "1"]) == 2, argv
         assert "exceeds the cap" in capsys.readouterr().err
+    # sweep takes no seed; its refusal formats no family count
+    assert run(["sweep", "--n", "200"]) == 2
+    assert "exceeds the cap n <= 8" in capsys.readouterr().err
     # at the cap the family is generated
     for argv in (["enumerate", "--n", "6"], ["certify", "--n", "3"]):
         with pytest.raises(AssertionError):
             run(argv + ["--seed", "1"])
+
+
+def test_sweep_refuses_fewer_than_one_process(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep ran with --parallel below 1")
+
+    monkeypatch.setattr(cli, "sweep", refuse)
+    for t in ("0", "-5"):
+        assert run(["sweep", "--n", "3", "--parallel", t]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"--parallel must be at least 1, got {t}" in captured.err
 
 
 def test_certify_refuses_a_labeling_of_another_n_before_generating(

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -377,8 +378,11 @@ def test_family_enumerate_refuses_past_the_sweep_cap(monkeypatch):
         raise AssertionError("family_enumerate built a tree past the cap")
 
     monkeypatch.setattr(functree, "build_tree", refuse)
-    with pytest.raises(BoundExceededError):
-        next(family_enumerate(SWEEP_MAX_N + 1))
+    for n in (SWEEP_MAX_N + 1, 300):  # no family count is formatted either
+        t0 = time.perf_counter()
+        with pytest.raises(BoundExceededError, match=f"exceeds the cap n <= {SWEEP_MAX_N}"):
+            next(family_enumerate(n))
+        assert time.perf_counter() - t0 < 1.0
 
 
 @pytest.mark.parametrize(

@@ -129,13 +129,13 @@ def test_mask_cache_filled_in_one_mode_answers_the_other():
         for fam, labelings in cases:
             tables = _search.ChunkTables()
             pack(fam, SolveConfig(classical_mode=fill), _tables=tables)
-            assert tables.plan.tail == fam.trees[:-1]
+            assert tables.tail == fam.trees[:-1]
             for classical in (fill, not fill):
                 for lab in labelings:
                     want = complete_oracle(fam, lab, classical)
                     assert is_complete(fam, lab, classical, _tables=tables) == want
                     verdicts.add((classical, want))
-            assert all(tables.plan.masks)  # both modes read the stored masks
+            assert all(tables.masks)  # both modes read the stored masks
     assert len(verdicts) == 4
 
 
@@ -161,13 +161,13 @@ def test_a_clash_inside_one_slot_fails_in_both_modes(monkeypatch):
                 )
                 assert not is_complete(fam, lab, classical)
                 tables = _search.ChunkTables()
-                tables.plan = _search._tail_plan(n, fam.trees[:-1], None)
+                _search._retarget(tables, n, fam.trees[:-1])
                 assert not is_complete(fam, lab, classical, _tables=tables)
             tables = _search.ChunkTables()
             pack(fam, cfg, _tables=tables)
             assert is_complete(fam, lab, classical, _tables=tables)
             if k < n - 1:
-                tables.plan.masks[k][lab.sigmas[k]] = -1
+                tables.masks[k][lab.sigmas[k]] = -1
                 assert not is_complete(fam, lab, classical, _tables=tables)
 
 

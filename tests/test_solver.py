@@ -8,6 +8,7 @@ import math
 import operator
 import random
 import sys
+import time
 import types
 
 import pytest
@@ -636,25 +637,28 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
     """Through `sweep(6)` each level j of the chunk's subtree memo holds
     the stored subtrees of one tail, the trees of slots 0..j-1: a level
     is replaced exactly when those trees change, and kept while they
-    stay.  After the sweep the plan is the last family's, and each level
-    holds only boundary states of its own step: the memo is replaced, not
-    grown, as the sweep moves on."""
+    stay, and mask dict j - 1 is kept exactly when level j is: one carry
+    rule.  After the sweep the tables hold the last family's tail, and
+    each level holds only boundary states of its own step: the memo is
+    replaced, not grown, as the sweep moves on."""
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        seen.append((family, kwargs["_tables"], kwargs["_tables"].plan.levels))
+        tables = kwargs["_tables"]
+        seen.append((family, tables, list(tables.levels), list(tables.masks)))
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
     sweep(6)
-    assert len({id(tables) for _, tables, _ in seen}) == 1  # one serial chunk
-    for (f, _, before), (g, _, after) in zip(seen, seen[1:]):
+    assert len({id(tables) for _, tables, _, _ in seen}) == 1  # one serial chunk
+    for (f, _, before, masks_before), (g, _, after, masks_after) in zip(seen, seen[1:]):
         for j in range(1, 6):
             assert (before[j] is after[j]) == (f.trees[:j] == g.trees[:j])
-    last, tables, levels = seen[-1]
-    assert tables.plan.tail == last.trees[:-1]
+            assert (masks_before[j - 1] is masks_after[j - 1]) == (before[j] is after[j])
+    last, tables, levels, _ = seen[-1]
+    assert tables.tail == last.trees[:-1]
     assert len(levels) == 6 and levels[0] is None
     total = 6 * 7 // 2
     for j in range(1, 6):
@@ -662,16 +666,16 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
     assert sum(len(memo) for memo in levels[1:]) < 2000
 
 
-def test_sweep_builds_one_plan_per_tail(monkeypatch):
-    """`sweep(5)` builds one plan per tail of slots 0..3, 288 / 4! = 12,
-    and each family's engine outcome equals that of a lone `search`,
-    which builds its own plan."""
-    plans = []
-    real_plan = _search._tail_plan
+def test_sweep_retargets_once_per_tail(monkeypatch):
+    """`sweep(5)` retargets its tables once per tail of slots 0..3,
+    288 / 4! = 12 times, and each family's engine outcome equals that of
+    a lone `search`, which makes tables of its own."""
+    tails = []
+    real_retarget = _search._retarget
 
-    def counting(n, tail, old):
-        plans.append(tail)
-        return real_plan(n, tail, old)
+    def counting(tables, n, tail):
+        tails.append(tail)
+        real_retarget(tables, n, tail)
 
     seen = []
     real_search = solver.search
@@ -681,11 +685,11 @@ def test_sweep_builds_one_plan_per_tail(monkeypatch):
         seen.append((family, kwargs, out))
         return out
 
-    monkeypatch.setattr(_search, "_tail_plan", counting)
+    monkeypatch.setattr(_search, "_retarget", counting)
     monkeypatch.setattr(solver, "search", recording)
     sweep(5)
     assert len(seen) == 288
-    assert len(plans) == len(set(plans)) == 288 // math.factorial(4)
+    assert len(tails) == len(set(tails)) == 288 // math.factorial(4)
     monkeypatch.undo()
     for family, kwargs, out in seen:
         assert kwargs.pop("tables") is not None
@@ -701,8 +705,8 @@ def fresh_mask(tree, sig, n):
 
 
 def stub_search(monkeypatch, row):
-    """Make `pack`'s search report ``row`` as its solution; the tables'
-    plan stays that of the last real search."""
+    """Make `pack`'s search report ``row`` as its solution; the tables
+    keep the tail of the last real search."""
     outcome = SearchOutcome(solutions=[row], nodes=1, timed_out=False, symmetry_factor=1)
     monkeypatch.setattr(solver, "search", lambda *args, **kwargs: outcome)
 
@@ -722,8 +726,8 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
             pack(fam, cfg, _tables=tables)
         fam = fams[-1]
         row = pack(fam, cfg).labeling.sigmas
-        masks = tables.plan.masks
-        assert tables.plan.tail == fam.trees[:-1]
+        masks = tables.masks
+        assert tables.tail == fam.trees[:-1]
         assert all(sig in slot for slot, sig in zip(masks, row))  # warm
         kinds = {"swapped": [], "transposed": [], "root": []}
         for j, k in itertools.combinations(range(4), 2):
@@ -750,7 +754,7 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
                 with pytest.raises(TreePackError, match="non-complete"):
                     pack(fam, cfg, _tables=tables)
                 monkeypatch.undo()
-            assert tables.plan.tail == fam.trees[:-1]
+            assert tables.tail == fam.trees[:-1]
         lab = Labeling(n=5, sigmas=row)
         assert is_complete(fam, lab, classical, _tables=tables)
         masks[0][row[0]] = -1  # the sentinel of a clash inside one slot
@@ -787,9 +791,9 @@ def test_slot_masks_serve_both_modes_and_one_tail(monkeypatch):
     loop, which classical mode ignores, so a row whose slots 0 and 1 root
     on the same vertex is complete classically and not with loops,
     whichever mode filled the masks first.  And masks are read only for
-    the plan's own tail: with the plan of one family, another family with
-    another tail gets the table-less verdict on every labeling of either
-    family's Phi."""
+    the tables' own tail: with the tables of one family, another family
+    with another tail gets the table-less verdict on every labeling of
+    either family's Phi."""
     n = 4
     fam = next(family_enumerate(n))
     row = list(pack(fam).labeling.sigmas)
@@ -822,21 +826,21 @@ def test_slot_masks_serve_both_modes_and_one_tail(monkeypatch):
         for fam in (a, b):
             for lab in labs:
                 assert is_complete(fam, lab, c, _tables=tables) == is_complete(fam, lab, c)
-        assert tables.plan.tail == a.trees[:-1]
+        assert tables.tail == a.trees[:-1]
 
 
 def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     """Through `sweep(5)`, in each mode, the mask dict of tail slot k
     belongs to the tree of slot k: it is replaced exactly when that tree
-    changes, and kept while it stays, whatever the other slots do.  Every
-    stored mask is the slot's edges under its permutation, root loop
-    included, rebuilt from the arcs."""
+    changes, and kept while it stays.  Every stored mask is the slot's
+    edges under its permutation, root loop included, rebuilt from the
+    arcs."""
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        seen.append((family, config.classical_mode, kwargs["_tables"].plan.masks))
+        seen.append((family, config.classical_mode, list(kwargs["_tables"].masks)))
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
@@ -856,15 +860,18 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
         assert slot  # its family's verification read it
         for sig, mask in slot.items():
             assert mask == fresh_mask(tree, sig, 5)
-    # product order changes every later slot with an earlier one; a tail
-    # that changes slot 2 alone keeps the dicts of slots 0, 1 and 3
+    # product order changes every later slot with an earlier one, so the
+    # carry rule is by prefix: a tail that changes slot 2 alone keeps the
+    # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after
     fams = list(family_enumerate(5))
     a, b = fams[0].trees[:-1], fams[0].trees[:2] + fams[-1].trees[2:3] + fams[0].trees[3:4]
     assert a[2] != b[2]
-    old = _search._tail_plan(5, a, None)
-    new = _search._tail_plan(5, b, old)
-    assert [x is y for x, y in zip(old.masks, new.masks)] == [True, True, False, True]
-    assert [x is y for x, y in zip(old.levels, new.levels)] == [True, True, True, False, False]
+    tables = _search.ChunkTables()
+    _search._retarget(tables, 5, a)
+    old_masks, old_levels = list(tables.masks), list(tables.levels)
+    _search._retarget(tables, 5, b)
+    assert [x is y for x, y in zip(old_masks, tables.masks)] == [True, True, False, False]
+    assert [x is y for x, y in zip(old_levels, tables.levels)] == [True, True, True, False, False]
 
 
 def test_sweep_pool_is_capped(monkeypatch):
@@ -934,5 +941,10 @@ def test_sweep_jobs_are_capped_at_the_usable_cpus(monkeypatch):
 
 
 def test_sweep_bound():
-    with pytest.raises(BoundExceededError):
-        sweep(9)
+    """Past the cap the refusal comes at once and names the cap, however
+    large n is: no family count is built or formatted."""
+    for n in (9, 200, 3000):
+        t0 = time.perf_counter()
+        with pytest.raises(BoundExceededError, match="exceeds the cap n <= 8"):
+            sweep(n)
+        assert time.perf_counter() - t0 < 1.0
