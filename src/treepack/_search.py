@@ -101,9 +101,10 @@ passes the budget, as the search it stands for would, and otherwise
 emits the stored completion after the placed slots or treats the step as
 exhausted.  So statuses, labelings, node counts and restarts are those
 of a lone search (the soundness note sits at the lookup).  Across tails
-the chunk keeps the head table above and the boundary verdicts, keyed by
-the memo's key, built once per boundary for both and asked only on memo
-misses.  A verdict hit is the verdict itself, not a skipped subtree.
+the chunk keeps only the head table above; within a tail the memo is its
+one boundary cache, which stores a refuted boundary as an exhausted
+subtree.  With no pair blocked the exact cover is not asked at steps 0
+and n, where it cannot fail (the proof sits in `search`).
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -315,9 +316,8 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
 class ChunkTables:
     """What every search of one sweep chunk shares (module docstring):
     one n, one ``classical``, first-only with symmetry pruning; a lone
-    search makes its own.  ``verdicts`` (boundary state to the exact
-    cover's verdict) and ``known`` (slot head to checked permutation,
-    `_slot_permutations`) hold across tails.  The rest belongs to
+    search makes its own.  ``known`` (slot head to checked permutation,
+    `_slot_permutations`) holds across tails.  The rest belongs to
     ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
     tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
@@ -327,7 +327,6 @@ class ChunkTables:
     permutation to the edge mask of ``tail[k]`` under it, root loop
     included, which `packing.is_complete` fills and reads in both modes."""
 
-    verdicts: dict = field(default_factory=dict)
     known: dict = field(default_factory=dict)
     tail: tuple[AugFuncTree, ...] | None = None
     step_slot: tuple[int, ...] = ()
@@ -400,9 +399,8 @@ def search(
 
     ``tables`` are a sweep chunk's `ChunkTables`; the search retargets
     them when the family's tail is not theirs.  Without tables it makes
-    its own and keeps neither verdicts nor a first-solution memo.  A table
-    hit returns what the call or subtree it stands for would, so results
-    and node counts are those without tables.
+    its own, and first-only keeps no memo.  A memo hit returns what its
+    subtree would, so results and node counts are those without tables.
     """
     n = family.n
     full = (1 << n) - 1
@@ -437,10 +435,18 @@ def search(
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
-    # boundary verdicts, kept only by a sweep chunk, and per slot head its
-    # checked permutation (`_slot_permutations`)
-    verdicts = None if lone else tables.verdicts
-    known = tables.known
+    known = tables.known  # per slot head its checked permutation
+    # With no pair blocked the exact cover cannot fail at steps 0 and n,
+    # so neither asks it.  At step 0 the free-pair graph is K_n with every
+    # loop free, which the one-component fast path accepts (n = 1: the one
+    # loop is the orphan the one-vertex tree takes).  At step n it is K_n
+    # less the largest tree T, with T's root loop used.  If T is no star,
+    # its complement is connected and every vertex is live, so the fast
+    # path accepts.  If T is a star, its center is isolated: either it is
+    # the root, whose loop is used, or its loop is the one orphan, which
+    # takes the one-vertex tree.  Either way the other n - 1 vertices form
+    # K_(n-1), which passes the pair and loop counts, in both modes.
+    skip = () if blocked_pairs else (0, n)
     # the tree-boundary memo by count j of unstarted slots: a sweep
     # chunk's attempt 0 reads the tables', a lone first-only search has
     # none (close_at then stays -1), and full enumeration keeps levels of
@@ -491,9 +497,6 @@ def search(
                             cand &= -2 << images[sp]
                     else:
                         hit = None
-                        if memos is not None or verdicts is not None:
-                            # one key for the memo level and the verdicts
-                            key = (i, tuple(pairfree), loops_used)
                         if memos is not None and i:
                             # Everything the subtree below this boundary
                             # reads is a function of the key and the level's
@@ -511,6 +514,7 @@ def search(
                             # below the unstarted slots' digits, so every key
                             # of the subtree moves by one constant.
                             j = step_slot[i] + 1
+                            key = (i, tuple(pairfree), loops_used)
                             hit = memos[j].get(key)
                             if hit is None:  # closed when step i is exhausted
                                 frames.append((close_at, key, len(solutions), nodes))
@@ -553,29 +557,12 @@ def search(
                                 break
                             if first_only and done:
                                 break
-                        else:
-                            if verdicts is None:
-                                ok = _boundary_feasible(
-                                    step_slot[i] + 1, pairfree, loops_used, classical
-                                )
-                            else:
-                                # The verdict is a pure function of (j,
-                                # pairfree, loops_used, classical).  Every
-                                # search sharing the table has the same n and
-                                # classical, and j = step_slot[i] + 1 depends
-                                # on n and i alone, so the key fixes every
-                                # argument, blocked pairs included (they are
-                                # in pairfree).  A hit is the verdict the
-                                # call would return, and skips no node.
-                                ok = verdicts.get(key)
-                                if ok is None:
-                                    ok = verdicts[key] = _boundary_feasible(
-                                        step_slot[i] + 1, pairfree, loops_used, classical
-                                    )
-                            if ok:
-                                cand = full & ~loops_used  # classical: loops_used stays 0
-                                if symmetry_pruning and not i:
-                                    cand &= 1  # pin the largest tree's root
+                        elif i in skip or _boundary_feasible(
+                            step_slot[i] + 1, pairfree, loops_used, classical
+                        ):
+                            cand = full & ~loops_used  # classical: loops_used stays 0
+                            if symmetry_pruning and not i:
+                                cand &= 1  # pin the largest tree's root
                 r = shift[i]
                 if r:  # scan from vertex r: rotate bit r down to bit 0
                     cand = ((cand >> r) | (cand << n - r)) & full

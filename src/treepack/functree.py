@@ -526,8 +526,10 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     the walk begins at ``start`` without stepping through the families
     before it (`_product_slice`).  Refuses n beyond ``SWEEP_MAX_N``
     (BoundExceededError) before building any tree: n = 9 alone would mean
-    46 234 of them.
+    46 234 of them, and a non-int n (BadSizeError).
     """
+    if not is_int(n):
+        raise BadSizeError(f"a family size must be an int, not {type(n).__name__}")
     if n < 1:
         raise BadSizeError("a family needs at least one vertex")
     if n > SWEEP_MAX_N:

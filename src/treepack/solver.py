@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 
 from ._search import ChunkTables, search
-from .errors import BoundExceededError, TreePackError
+from .errors import BadSizeError, BoundExceededError, TreePackError
 from .functree import SWEEP_MAX_N, AugTreeFamily, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
 
@@ -166,8 +166,11 @@ def sweep(
     and pool.map keeps the chunks in order.  The pool starts no more
     processes than there are chunks or usable CPUs, however large
     ``workers`` is, and the jobs built before any work stay as few.  The
-    report does not depend on the chunking.
+    report does not depend on the chunking.  A non-int n is a
+    BadSizeError.
     """
+    if not is_int(n):
+        raise BadSizeError(f"a sweep size must be an int, not {type(n).__name__}")
     if n > SWEEP_MAX_N:
         raise BoundExceededError(f"sweep at n={n} exceeds the cap n <= {SWEEP_MAX_N}")
     cfg = config or SolveConfig()

@@ -18,12 +18,14 @@ from treepack import (
     AugTreeFamily,
     PACKED,
     TIMED_OUT,
+    BadSizeError,
     BoundExceededError,
     Labeling,
     SolveConfig,
     TreePackError,
     family_count,
     family_enumerate,
+    generate,
     generate_family,
     is_complete,
     pack,
@@ -105,9 +107,11 @@ def test_pruned_feasibility_matches_phi_at_n4():
 
 def test_blocked_pairs_force_exhausted():
     fam = star_family(3)
-    # consuming the {0,1} edge up front leaves too few pairs to tile
+    # consuming the {0,1} edge up front leaves too few pairs to tile, and
+    # with a pair blocked the exact cover at step 0 says so in 0 nodes
     res = pack(fam, _blocked_pairs=((0, 1),))
     assert res.status == EXHAUSTED
+    assert res.nodes_expanded == 0
     assert res.labeling is None
 
 
@@ -271,9 +275,10 @@ def test_boundary_verdicts_on_engine_states(monkeypatch):
     engine asks it about while packing the n = 12 frontier families,
     `sweep(5)` and the classical `sweep(4)`: real states, where the
     early refutations (orphan loops, a loopless component) do most of
-    the work.  A sweep chunk asks only on its verdict table's misses:
-    3 061 calls here, 4 501 when every search asked, on the same 2 232
-    distinct states."""
+    the work.  A lone `pack` asks at every boundary but the first two
+    (steps 0 and n, where with no pair blocked it cannot fail), and a
+    sweep chunk only where its memo misses past them: 2 997 calls here,
+    on 2 171 distinct states."""
     states = []
     decide = _search._boundary_feasible
 
@@ -297,8 +302,8 @@ def test_boundary_verdicts_on_engine_states(monkeypatch):
             live = functools.reduce(operator.or_, pairfree)
             orphans = ((1 << len(pairfree)) - 1 & ~live & ~loops_used).bit_count()
             orphaned += orphans > 1 or (orphans == 1 and not j)
-    assert len(set(states)) == 2232
-    assert (len(states), feasible, orphaned) == (3061, 1283, 1519)
+    assert len(set(states)) == 2171
+    assert (len(states), feasible, orphaned) == (2997, 1219, 1519)
 
 
 def test_boundary_early_refutations():
@@ -316,6 +321,51 @@ def test_boundary_early_refutations():
     # classical mode ignores loops: trees 3 and 2 take the path and the pair
     assert cover_oracle(3, pairfree, 0, True) is True
     assert _search._boundary_feasible(3, list(pairfree), 0, True) is True
+
+
+def _spanning_state(tree, relabel):
+    """K_n less the spanning ``tree``'s pairs, its vertices renamed by
+    ``relabel``, with the root's loop used: the state at step n."""
+    n = tree.n
+    pairfree = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+    for v in tree.component():
+        if v != tree.root:
+            a, b = relabel[v], relabel[tree.map[v]]
+            pairfree[a] &= ~(1 << b)
+            pairfree[b] &= ~(1 << a)
+    return pairfree, 1 << relabel[tree.root]
+
+
+def test_exact_cover_passes_at_steps_0_and_n():
+    """With no pair blocked the engine skips the exact cover at steps 0
+    and n; the proof sits in `search`.  Every rooted shape of size n <= 8
+    is in `family_enumerate`'s size-n pool, which the first (n-1)!
+    families of size n run through in their largest slot.  For each of
+    them, and for stars, paths and uniform random trees of size 12 to
+    64 under random relabelings (frontier searches are lone), the test
+    accepts K_n with no loop used and K_n less the tree with its root's
+    loop used, in both modes."""
+    rng = random.Random(26)
+    trees = []
+    for n in range(1, 9):
+        pool = itertools.islice(family_enumerate(n), math.factorial(n - 1))
+        trees += [(fam.trees[-1], list(range(n))) for fam in pool]
+    assert len(trees) == sum(math.factorial(m - 1) for m in range(1, 9))
+    for n in (12, 16, 24, 32, 48, 64):
+        for kind, seeds in (("star", 1), ("path", 1), ("random-uniform", 4)):
+            for seed in range(seeds):
+                relabel = list(range(n))
+                rng.shuffle(relabel)
+                trees.append((generate(kind, n, seed=seed), relabel))
+    for tree, relabel in trees:
+        n = tree.n
+        start = [((1 << n) - 1) & ~(1 << v) for v in range(n)]
+        pairfree, loops_used = _spanning_state(tree, relabel)
+        for classical in (False, True):
+            assert _search._boundary_feasible(n, list(start), 0, classical)
+            assert _search._boundary_feasible(n - 1, list(pairfree), loops_used, classical), (
+                tree, relabel, classical
+            )
 
 
 def test_time_limit_reports_timed_out():
@@ -563,9 +613,10 @@ def test_sweep_tables_change_no_answer(monkeypatch):
 
 
 def test_shared_tables_hold_for_any_blocked_pairs():
-    """The verdict key is the whole state the exact cover reads, and with
-    the level's tail the whole state a subtree reads.  With blocked pairs
-    two boundaries can share free pairs and used loops: in classical
+    """The memo key, with the level's tail, is the whole state a subtree
+    reads, and with a pair blocked every boundary past the memo asks the
+    exact cover, steps 0 and n included.  With blocked pairs two
+    boundaries can share free pairs and used loops: in classical
     `star_family(2)`, the root boundary with pair 0-1 blocked and the
     last boundary once 0-1 is used.  One set of tables shared by every
     search of one n and mode, over every single blocked pair, still
@@ -948,3 +999,20 @@ def test_sweep_bound():
         with pytest.raises(BoundExceededError, match="exceeds the cap n <= 8"):
             sweep(n)
         assert time.perf_counter() - t0 < 1.0
+
+
+@pytest.mark.parametrize("n", [True, 2.5])
+def test_sweep_sizes_must_be_ints(monkeypatch, n):
+    """`sweep` and `family_enumerate` refuse a size that is not an int,
+    bool included, before they build a single tree: `sweep(True)` used
+    to report on n=True, and `sweep(2.5)` to raise a bare TypeError."""
+    from treepack import functree
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was built for a size that is no int")
+
+    monkeypatch.setattr(functree, "build_tree", refuse)
+    with pytest.raises(BadSizeError, match="must be an int"):
+        sweep(n)
+    with pytest.raises(BadSizeError, match="must be an int"):
+        next(family_enumerate(n))
