@@ -106,6 +106,23 @@ one boundary cache, which stores a refuted boundary as an exhausted
 subtree.  With no pair blocked the exact cover is not asked at steps 0
 and n, where it cannot fail (the proof sits in `search`).
 
+The memo has one more level, n, for the boundary before step 0, where
+no slot has started.  A search reads its largest tree only through the
+rows ``parent_step`` and ``prev_leaf_step``, and those take Catalan(n - 1)
+values among the (n - 1)! largest trees of a tail: 42 among 120 at
+n = 6, 132 among 720 at n = 7.  So level n holds each shape's finished
+outcome, keyed by those rows and ``classical``, and a repeat returns at
+the search's entry without walking the tree.  A packed outcome stores
+the tail slots' permutations, the images of steps 0..n - 1 and the node
+total over all attempts; the hit builds only the largest slot's
+permutation, through the family's own ``steps``, and adds the nodes
+under the deadline rule of the other levels.  An exhausted outcome
+stores no row, and a timed-out search, or one with a pair blocked,
+stores nothing.  The carry rule would keep level n only while slots
+0..n - 1 stayed, so it starts empty at every tail change and holds at
+most Catalan(n - 1) entries per mode.  `pack` still verifies every row
+a hit builds.
+
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
 scan order, while a slightly different order dispatches it in thousands.
@@ -323,9 +340,12 @@ class ChunkTables:
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
     which depends on n alone; ``levels[j]``, the first-solution subtree
     memo of the boundaries with j unstarted slots (``levels[0]`` is None:
-    no boundary leaves every slot placed); and ``masks[k]``, from slot k's
-    permutation to the edge mask of ``tail[k]`` under it, root loop
-    included, which `packing.is_complete` fills and reads in both modes."""
+    no boundary leaves every slot placed), up to ``levels[n]``, the
+    finished search per largest-tree shape, which every tail change
+    empties, so it holds at most Catalan(n - 1) per mode; and
+    ``masks[k]``, from slot k's permutation to the edge mask of
+    ``tail[k]`` under it, root loop included, which `packing.is_complete`
+    fills and reads in both modes."""
 
     known: dict = field(default_factory=dict)
     tail: tuple[AugFuncTree, ...] | None = None
@@ -365,7 +385,7 @@ def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> Non
     tables.step_prev = tuple(step_prev)
     tables.slot_steps = tuple([c.steps for c in compiled])
     tables.factor = factor
-    tables.levels = [None] + [tables.levels[j] if j <= kept else {} for j in range(1, n)]
+    tables.levels = [None] + [tables.levels[j] if j <= kept else {} for j in range(1, n + 1)]
     tables.masks = [tables.masks[k] if k < kept else {} for k in range(n - 1)]
 
 
@@ -400,7 +420,9 @@ def search(
     ``tables`` are a sweep chunk's `ChunkTables`; the search retargets
     them when the family's tail is not theirs.  Without tables it makes
     its own, and first-only keeps no memo.  A memo hit returns what its
-    subtree would, so results and node counts are those without tables.
+    subtree would, so results and node counts are those without tables;
+    a hit on level n returns at entry what an earlier search of the same
+    tail and largest-tree shape found.
     """
     n = family.n
     full = (1 << n) - 1
@@ -412,16 +434,43 @@ def search(
     if tables.tail != tail:
         _retarget(tables, n, tail)
     last = family.trees[-1].compiled()  # the largest tree: steps 0..n-1
+    factor = n * last.leaf_swaps * tables.factor if symmetry_pruning else 1
+    known = tables.known  # per slot head its checked permutation
+    monotonic = time.monotonic
+    deadline = None if time_limit_s is None else monotonic() + time_limit_s
+    # level n of a sweep chunk's memo: this tail's finished searches, one
+    # per largest-tree shape, kept only with no pair blocked
+    top = None
+    if first_only and not lone and not blocked_pairs:
+        top = tables.levels[n]
+        top_key = (last.parent_step, last.prev_leaf_step, classical)
+        hit = top.get(top_key)
+        if hit is not None:
+            # The loop reads the largest tree only through its rows
+            # parent_step and prev_leaf_step, which also fix leaf_swaps,
+            # and the tail only through the tables, whose memo hits each
+            # reproduce a lone search; the tree's `steps` only write its
+            # slot's permutation.  So the outcome, restarts and node total
+            # included, is a pure function of this key and the tail: the
+            # hit rebuilds the largest slot from the stored images of
+            # steps 0..n-1 through this family's own steps.
+            row, head, nodes = hit
+            solutions = []
+            # the memo's deadline rule: a bulk add past a multiple of 4096
+            timed_out = deadline is not None and nodes >> 12 > 0 and monotonic() > deadline
+            if row is not None and not timed_out:
+                solutions.append(row + _slot_permutations(head, (last.steps,), n, known))
+            return SearchOutcome(
+                solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
+            )
     step_slot = tables.step_slot
     step_parent = last.parent_step + tables.step_parent
     slot_steps = tables.slot_steps + (last.steps,)  # per slot: its steps by slot position
     total = len(step_slot)
     if symmetry_pruning:
         step_prev = last.prev_leaf_step + tables.step_prev
-        factor = n * last.leaf_swaps * tables.factor
     else:
         step_prev = (-1,) * total
-        factor = 1
 
     base_pairfree = [full & ~(1 << a) for a in range(n)]
     for a, b in blocked_pairs:
@@ -432,10 +481,7 @@ def search(
     nodes = 0
     timed_out = False
     solutions: list[tuple[Mapping, ...]] = []
-    monotonic = time.monotonic
-    deadline = None if time_limit_s is None else monotonic() + time_limit_s
 
-    known = tables.known  # per slot head its checked permutation
     # With no pair blocked the exact cover cannot fail at steps 0 and n,
     # so neither asks it.  At step 0 the free-pair graph is K_n with every
     # loop free, which the one-component fast path accepts (n = 1: the one
@@ -628,6 +674,10 @@ def search(
             rng = random.Random(RESTART_SEED)
         draw = rng.randrange
         shift = [draw(n) if not draw(RESTART_SHIFT_ODDS) else 0 for _ in work]
+    if top is not None and not timed_out:  # a packed row, or exhaustion
+        top[top_key] = (
+            (solutions[0][:-1], tuple(images[:n]), nodes) if solutions else (None, None, nodes)
+        )
     return SearchOutcome(
         solutions=solutions,
         nodes=nodes,

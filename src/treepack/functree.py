@@ -118,18 +118,18 @@ class CompiledTree(NamedTuple):
     ``leaf_groups`` are the maximal groups of >= 2 leaves sharing a
     parent, ascending.
 
-    ``slot_vertex`` and ``slot_parent`` give, per component vertex in
-    ascending order, the vertex and its parent in the tree conjugated by
-    the transposition (0 m-1).  A semigroup-form tree of size m sits at
-    slot m-1 of its family, and this moves its root from 0 to the slot:
-    :meth:`slot_arcs` are the arcs a labeling relabels.  For such a tree
-    ``slot_vertex[v]`` is vertex v's slot position, and arc 0 is the
-    root's loop.
+    ``arcs`` gives, per component vertex in ascending order, the pair
+    (vertex, parent) in the tree conjugated by the transposition (0 m-1).
+    A semigroup-form tree of size m sits at slot m-1 of its family, and
+    this moves its root from 0 to the slot: :meth:`slot_arcs` returns
+    these pairs, the arcs a labeling relabels, built once for every
+    completeness check.  For such a tree the vertex of arc v is vertex
+    v's slot position, and arc 0 is the root's loop.
 
     The last five fields place the tree at slot m-1 of a family on Z_n,
     the only slot a family accepts it in; nothing reads them for other
     trees.  ``steps`` holds the engine step of each component vertex by
-    slot position (as ``sorted(slot_vertex)``), so its images head the
+    slot position (the arcs' vertices, ascending), so its images head the
     slot's permutation; ``parent_step`` and ``prev_leaf_step``, along
     ``order``, are the steps of the parent and of the previous member of
     the leaf-sibling group, -1 where there is none.  A step is a position
@@ -142,17 +142,16 @@ class CompiledTree(NamedTuple):
     component: tuple[int, ...]
     order: tuple[int, ...]
     leaf_groups: tuple[tuple[int, ...], ...]
-    slot_vertex: tuple[int, ...]
-    slot_parent: tuple[int, ...]
+    arcs: tuple[tuple[int, int], ...]
     steps: tuple[int, ...]
     parent_step: tuple[int, ...]
     prev_leaf_step: tuple[int, ...]
     leaf_swaps: int
     semigroup_break: int
 
-    def slot_arcs(self):
-        """Iterator over the arcs (vertex, parent) read at the slot."""
-        return zip(self.slot_vertex, self.slot_parent)
+    def slot_arcs(self) -> tuple[tuple[int, int], ...]:
+        """The arcs (vertex, parent) read at the slot."""
+        return self.arcs
 
 
 def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
@@ -198,8 +197,7 @@ def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
         component=tuple(comp),
         order=tuple(order),
         leaf_groups=tuple(groups),
-        slot_vertex=tuple(slot_vertex),
-        slot_parent=tuple([swap.get(g[v], g[v]) for v in comp]),
+        arcs=tuple(zip(slot_vertex, [swap.get(g[v], g[v]) for v in comp])),
         # the swap is its own inverse: slot position p holds vertex swap(p)
         steps=tuple([step[swap.get(p, p)] for p in sorted(slot_vertex)]),
         parent_step=(-1, *[step[g[v]] for v in order[1:]]),

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ._search import search
 from .errors import (
@@ -179,7 +180,8 @@ def is_complete(
 def _slot_mask(tree: AugFuncTree, sig: Mapping, n: int) -> int:
     """The edges one slot's arcs cover under ``sig``, root loop included,
     one bit per edge: a * n + b for {a, b} with a <= b, so a loop is a
-    diagonal bit.  -1 if two of the arcs cover the same edge."""
+    diagonal bit.  -1 if two of the arcs cover the same edge.  The arcs
+    are the tuple the tree compiled once."""
     mask = 0
     for a, b in tree.compiled().slot_arcs():
         a, b = sig[a], sig[b]
@@ -288,7 +290,7 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
         raise NotAutomorphismError(
             f"permutation does not commute with the slot-{slot} map"
         )
-    comp = set(c.slot_vertex)
+    comp = {v for v, _ in c.slot_arcs()}
     if {tau[v] for v in comp} != comp:
         raise NotAutomorphismError(
             f"permutation does not preserve the slot-{slot} component"
@@ -304,7 +306,9 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
 
 def diagonal_relabel(labeling: Labeling, gamma) -> Labeling:
     """Left-compose every slot with one permutation of the vertex labels."""
-    gamma = check_permutation(gamma, labeling.n)
-    return Labeling._checked(
-        labeling.n, tuple(tuple([gamma[x] for x in sig]) for sig in labeling.sigmas)
-    )
+    n = labeling.n
+    gamma = check_permutation(gamma, n)
+    if n == 1:  # the one relabeling is the identity; itemgetter(0) is no tuple
+        return labeling
+    # itemgetter(*sig)(gamma) is the tuple of gamma[x] for x in sig
+    return Labeling._checked(n, tuple([itemgetter(*sig)(gamma) for sig in labeling.sigmas]))

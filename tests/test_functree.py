@@ -551,7 +551,9 @@ def test_compile_matches_its_frozen_output_on_every_small_map():
     compiled field that predates the engine rows for the maps that build,
     and the exception type and message for those that are rejected.  The
     parent and previous-leaf positions, once fields of their own, are
-    derived from ``order``, the map and ``leaf_groups`` where they stood."""
+    derived from ``order``, the map and ``leaf_groups`` where they stood,
+    and the slot vertices and parents, once two fields, are unzipped from
+    ``arcs``."""
     h = hashlib.sha256()
     built = 0
     for n in range(1, 5):
@@ -566,7 +568,7 @@ def test_compile_matches_its_frozen_output_on_every_small_map():
                         parent, prev = _order_positions(c, g)
                         row = (
                             c.component, c.order, parent, prev, c.leaf_groups,
-                            c.slot_vertex, c.slot_parent,
+                            tuple([v for v, _ in c.arcs]), tuple([p for _, p in c.arcs]),
                         )
                         line = f"{n} {m} {r} {g} {row!r}"
                         built += 1

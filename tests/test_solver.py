@@ -584,7 +584,9 @@ def test_sweep_parallel_matches_serial():
 def test_sweep_tables_change_no_answer(monkeypatch):
     """A sweep chunk's shared tables change no answer: each family's
     status, node count and labeling are those of a lone `pack`, in both
-    modes, serial and across two worker processes."""
+    modes, serial and across two worker processes.  The n = 6 slice of
+    two tails (240 families, 42 largest-tree shapes each) answers most
+    of its families from the memo level of finished searches."""
     seen = []
     real = solver.pack
 
@@ -598,7 +600,8 @@ def test_sweep_tables_change_no_answer(monkeypatch):
         cfg = SolveConfig(classical_mode=classical)
         for n in range(1, 6):
             sweep(n, cfg)
-    assert len(seen) == 2 * (1 + 1 + 2 + 12 + 288)
+        solver._sweep_chunk((6, 0, 240, cfg))
+    assert len(seen) == 2 * (1 + 1 + 2 + 12 + 288 + 240)
     for family, config, kwargs, res in seen:
         assert "_tables" in kwargs
         lone = real(family, config)
@@ -689,7 +692,8 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
     the stored subtrees of one tail, the trees of slots 0..j-1: a level
     is replaced exactly when those trees change, and kept while they
     stay, and mask dict j - 1 is kept exactly when level j is: one carry
-    rule.  After the sweep the tables hold the last family's tail, and
+    rule.  Level 6, no slot started, is kept exactly while the whole tail
+    stays.  After the sweep the tables hold the last family's tail, and
     each level holds only boundary states of its own step: the memo is
     replaced, not grown, as the sweep moves on."""
     seen = []
@@ -708,9 +712,10 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
         for j in range(1, 6):
             assert (before[j] is after[j]) == (f.trees[:j] == g.trees[:j])
             assert (masks_before[j - 1] is masks_after[j - 1]) == (before[j] is after[j])
+        assert (before[6] is after[6]) == (f.trees[:5] == g.trees[:5])
     last, tables, levels, _ = seen[-1]
     assert tables.tail == last.trees[:-1]
-    assert len(levels) == 6 and levels[0] is None
+    assert len(levels) == 7 and levels[0] is None
     total = 6 * 7 // 2
     for j in range(1, 6):
         assert {key[0] for key in levels[j]} <= {total - j * (j + 1) // 2}
@@ -745,6 +750,102 @@ def test_sweep_retargets_once_per_tail(monkeypatch):
     for family, kwargs, out in seen:
         assert kwargs.pop("tables") is not None
         assert out == search(family, **kwargs)
+
+
+def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
+    """Level n of a sweep chunk's memo holds this tail's finished
+    searches, one per largest-tree shape.  Through `sweep(6)` in each
+    mode it is empty right after every tail change and ends each tail of
+    120 families with exactly Catalan(5) = 42 entries, so 78 of them are
+    answered from it.  One set of tables shared by both modes keys them
+    apart: 42 entries per mode."""
+    real_retarget = _search._retarget
+    retargets = []
+
+    def checking(tables, n, tail):
+        real_retarget(tables, n, tail)
+        assert tables.levels[n] == {}
+        retargets.append(tail)
+
+    sizes = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        sizes.append(len(kwargs["_tables"].levels[6]))
+        return res
+
+    monkeypatch.setattr(_search, "_retarget", checking)
+    monkeypatch.setattr(solver, "pack", recording)
+    for classical in (False, True):
+        sizes.clear()
+        sweep(6, SolveConfig(classical_mode=classical))
+        assert len(sizes) == 34560 and max(sizes) == 42
+        assert sizes[119::120] == [42] * 288
+        assert sizes[::120] == [1] * 288
+    assert len(retargets) == 2 * 288
+    monkeypatch.undo()
+    tables = _search.ChunkTables()
+    for classical in (False, True):
+        for family in family_enumerate(6, 0, 120):
+            pack(family, SolveConfig(classical_mode=classical), _tables=tables)
+    modes = [key[-1] for key in tables.levels[6]]
+    assert modes.count(False) == modes.count(True) == 42
+
+
+def test_finished_search_hits_are_verified(monkeypatch):
+    """A family answered from level n of the memo is still verified:
+    with the stored entry of its shape corrupted, tail slots swapped or
+    the largest tree's images moved, `pack` raises rather than report
+    the row.  Intact, the entry gives the lone answer."""
+    fams = list(family_enumerate(6, 0, 120))  # one tail
+
+    def shape(fam):
+        c = fam.trees[-1].compiled()
+        return c.parent_step, c.prev_leaf_step
+
+    a, b = next(
+        (f, g) for f, g in itertools.combinations(fams, 2) if shape(f) == shape(g)
+    )
+    want = pack(b)
+    tables = _search.ChunkTables()
+    pack(a, _tables=tables)
+    ((key, entry),) = tables.levels[6].items()
+    row, head, nodes = entry
+    got = pack(b, _tables=tables)
+    assert (got.status, got.nodes_expanded, got.labeling) == (
+        want.status, want.nodes_expanded, want.labeling
+    )
+    swapped = (row[1], row[0]) + row[2:]
+    moved = (head[0], head[2], head[1]) + head[3:]  # two images of the largest tree
+    for bad in ((swapped, head, nodes), (row, moved, nodes)):
+        tables.levels[6][key] = bad
+        with pytest.raises(TreePackError, match="non-complete"):
+            pack(b, _tables=tables)
+
+
+def test_sweep_slice_n7_is_frozen(monkeypatch):
+    """A 7 200-family n = 7 sweep chunk from index 3 000 000 (parts of
+    11 tails of 720 largest trees, 132 shapes among them, so 5 846
+    families are answered from memo level n) keeps its node total and,
+    per family, its status, node count and labeling, frozen as a sha256
+    of their reprs."""
+    digest = hashlib.sha256()
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        sigmas = res.labeling.sigmas if res.labeling else None
+        digest.update(repr((res.status, res.nodes_expanded, sigmas)).encode())
+        return res
+
+    monkeypatch.setattr(solver, "pack", recording)
+    rows = solver._sweep_chunk((7, 3_000_000, 3_007_200, SolveConfig()))
+    assert len(rows) == 7200
+    assert sum(r.nodes for r in rows) == 315466
+    assert digest.hexdigest() == (
+        "d79c89f667dbae7875d16023dc0ff313966abf5c05fac3774f6073658dc3fc63"
+    )
 
 
 def fresh_mask(tree, sig, n):
@@ -913,7 +1014,8 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
             assert mask == fresh_mask(tree, sig, 5)
     # product order changes every later slot with an earlier one, so the
     # carry rule is by prefix: a tail that changes slot 2 alone keeps the
-    # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after
+    # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after,
+    # level 5 (no slot started) included
     fams = list(family_enumerate(5))
     a, b = fams[0].trees[:-1], fams[0].trees[:2] + fams[-1].trees[2:3] + fams[0].trees[3:4]
     assert a[2] != b[2]
@@ -922,7 +1024,9 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     old_masks, old_levels = list(tables.masks), list(tables.levels)
     _search._retarget(tables, 5, b)
     assert [x is y for x, y in zip(old_masks, tables.masks)] == [True, True, False, False]
-    assert [x is y for x, y in zip(old_levels, tables.levels)] == [True, True, True, False, False]
+    assert [x is y for x, y in zip(old_levels, tables.levels)] == [
+        True, True, True, False, False, False
+    ]
 
 
 def test_sweep_pool_is_capped(monkeypatch):
