@@ -14,9 +14,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, permutations, product
 from operator import itemgetter
 
-from ._search import search
+from ._search import ChunkTables, _slot_permutations, search
 from .errors import (
     BadSizeError,
     BoundExceededError,
@@ -35,13 +36,14 @@ from .functree import (
 
 # Full enumeration of essential injections is exponential in n.  At the
 # essential cap one call takes several seconds: the mixed family
-# generate_family(6, "mixed", 3) has 1 215 360 members.  The search lists
-# them as checked slot permutations in 4.2-4.5 s of CPU time and at a
-# 205 MB peak (12.1 M nodes, most of them counted by boundary memo hits;
-# 1 956 distinct slot permutations built and checked, shared by all rows).
-# phi_enumerate, which sorts them by their integer keys and holds every
-# member as a Labeling, takes 9.3-10.1 s and peaks at 271 MB (three runs
-# each, Python 3.11.7 on a shared 2-core machine).
+# generate_family(6, "mixed", 3) has 1 215 360 members, 202 560 orbits
+# of 6 rotations (no slot has a leaf group).  The pruned search lists one
+# row per orbit in 0.7-1.1 s of CPU time at a 50 MB peak (2.0 M nodes,
+# 1 150 distinct slot permutations checked).  phi_enumerate, which
+# expands the orbits (1 956 distinct slot permutations checked in all),
+# sorts the members by their integer keys and holds each as a Labeling,
+# takes 5.4-7.7 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
+# machine, three runs of the search and five of phi_enumerate).
 PHI_ESSENTIAL_MAX_N = 6
 
 
@@ -76,10 +78,10 @@ class Labeling:
         count is checked here.  The callers are `pack` (through
         `_labeling_from_injections`), whose row the engine checked slot by
         slot as it built it (`phi_enumerate` builds its members the same
-        way, inline), `certificate._phi_full`, whose slots are checked
-        heads followed by the values they leave out, and `closure_check`
-        and `diagonal_relabel`, whose new slots are compositions of
-        checked permutations and so permutations too.
+        way, inline, from slots checked through the engine's head table),
+        `certificate._phi_full`, whose slots are checked heads followed by
+        the values they leave out, and `diagonal_relabel`, whose new slots
+        are compositions of checked permutations and so permutations too.
         """
         _check_slot_count(n, sigmas)
         lab = object.__new__(cls)
@@ -224,6 +226,42 @@ def full_count_multiplier(n: int) -> int:
     return math.prod(math.factorial(n - k - 1) for k in range(n))
 
 
+def _checked_slot(head: tuple[int, ...], n: int, known: dict) -> Mapping:
+    """The checked permutation of one slot head, through the engine's
+    head table ``known``: built and checked only on a miss."""
+    return _slot_permutations(head, (range(len(head)),), n, known)[0]
+
+
+def _head_value(sig: Mapping, k: int, n: int) -> int:
+    """Slot k's head, its first k + 1 entries, read as a base-n number."""
+    value = 0
+    for x in sig[: k + 1]:
+        value = value * n + x
+    return value
+
+
+def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
+    """Per distinct permutation in ``column``, the slot of ``tree``, the
+    permutations its leaf swaps give: every order of the images of each
+    leaf group, the pruned order included.  The images of a group are a
+    set within the head, so the fill after the head stays."""
+    k = tree.m - 1
+    # the (0 k) swap puts vertex v at slot position v, but vertex k at 0;
+    # the root 0 is no leaf
+    groups = [[0 if v == k else v for v in grp] for grp in tree.compiled().leaf_groups]
+    table = {}
+    for sig in dict.fromkeys(column):
+        head = list(sig[: k + 1])
+        variants = []
+        for choice in product(*[permutations([sig[p] for p in grp]) for grp in groups]):
+            for grp, values in zip(groups, choice):
+                for p, x in zip(grp, values):
+                    head[p] = x
+            variants.append(_checked_slot(tuple(head), n, known))
+        table[sig] = variants
+    return table
+
+
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
     """All essential members of Phi, sorted, plus their count.
 
@@ -231,6 +269,30 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     outside each component (each member extends its injections by the
     ascending fill).  Phi itself has count * `full_count_multiplier(n)`
     members.  Bound: n <= PHI_ESSENTIAL_MAX_N (BoundExceededError).
+
+    The members are listed one symmetry orbit at a time.  The search with
+    symmetry pruning lists the pinned rows: the largest tree's root at
+    vertex 0 and the images of each leaf group ascending.  Each is then
+    expanded by every order of every leaf group (right-composing a slot
+    with a swap of sibling leaves) and every rotation x -> x + r of Z_n
+    (left-composing every slot with it).  Both keep a labeling complete,
+    and both act on the essential injections alone; a member is its slot
+    heads followed by the ascending fill, rebuilt after each move.
+
+    The map (r, leaf orders, pinned row) -> member is a bijection onto
+    the essential members.  Onto: a member's largest root has some image
+    r; rotating by -r moves it to 0, and sorting each leaf group then
+    gives a pinned row, which the pruned search lists, since its pruning
+    cuts no complete labeling with the pinned form.  One-to-one: leaf
+    swaps never move the largest root, so r is the root's image in the
+    member; rotating by -r recovers the swapped row, and within each
+    group the images are distinct, so sorting them recovers the pinned
+    row and the order they stood in.  So every member appears exactly
+    once and the count is the pruned count times the search's
+    ``symmetry_factor``, n times the leaf-swap orders.  The members are
+    sorted by their integer keys, slot heads read in base n, so their
+    order is that of the unpruned search's rows sorted as tuples; only
+    the pruned search's nodes are spent.
     """
     n = family.n
     if mode != "essential":
@@ -240,21 +302,58 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             f"phi_enumerate is exhaustive; n={n} exceeds the cap "
             f"{PHI_ESSENTIAL_MAX_N}"
         )
-    out = search(
-        family,
-        symmetry_pruning=False,
-        classical=False,
-        first_only=False,
-    )
-    rows, keys = out.solutions, out.keys
+    # one table from slot head to checked permutation for the search and
+    # the expansion, so each distinct slot permutation is checked once
+    tables = ChunkTables()
+    out = search(family, first_only=False, tables=tables)
+    known = tables.known
+    # Leaf swaps, column by column.  Each pruned row stands for `orders`
+    # pinned rows, one per choice of a leaf order in every slot, in mixed
+    # radix with slot 0 the top digit: in a row's block of `orders`, slot
+    # k repeats each of its variants `after` times (the orders of slots
+    # k + 1..n - 1) and the run `before` times (those of slots 0..k - 1).
+    # A pinned column holds indices into its slot's permutations.
+    orders = out.symmetry_factor // n
+    before = 1
+    perms, columns = [], []
+    for tree, column in zip(family.trees, zip(*out.solutions)):
+        variants = _leaf_variants(tree, column, n, known)
+        sigs = list(dict.fromkeys(chain.from_iterable(variants.values())))
+        index = {sig: i for i, sig in enumerate(sigs)}
+        swaps = tree.compiled().leaf_swaps
+        after = orders // (before * swaps)
+        block = {
+            sig: tuple([index[v] for v in vs for _ in range(after)]) * before
+            for sig, vs in variants.items()
+        }
+        perms.append(sigs)
+        columns.append(list(chain.from_iterable(map(block.__getitem__, column))))
+        before *= swaps
     del out
-    # the keys sort the rows as tuples would (SearchOutcome), with int
-    # comparisons; they and the order are freed before the members are built
+    # the heads of slots k + 1..n - 1 are the digits below slot k's head
+    low = [n ** sum(range(k + 2, n + 1)) for k in range(n)]
+    rows: list[tuple[Mapping, ...]] = []
+    keys: list[int] = []
+    for r in range(n):  # rotations, column by column
+        turns, digits = [], []
+        for k, sigs in enumerate(perms):
+            turned = [
+                _checked_slot(tuple([(x + r) % n for x in sig[: k + 1]]), n, known)
+                for sig in sigs
+            ]
+            turns.append(turned.__getitem__)
+            digits.append([_head_value(sig, k, n) * low[k] for sig in turned].__getitem__)
+        rows += zip(*map(map, turns, columns))
+        keys += map(sum, zip(*map(map, digits, columns)))
+    del columns, perms
+    # a permutation is its head followed by the ascending fill, so the keys
+    # sort the rows as tuples would, with int comparisons; they and the
+    # order are freed before the members are built
     order = sorted(range(len(rows)), key=keys.__getitem__)
     del keys
     rows = [rows[i] for i in order]
     del order
-    # Labeling._checked inlined: each row holds n slots the engine checked
+    # Labeling._checked inlined: each row holds n slots checked through known
     new, put = object.__new__, object.__setattr__
     members = []
     append = members.append
@@ -297,11 +396,13 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
         )
     if not is_complete(family, labeling):
         raise NotCompleteError("closure_check needs a complete labeling")
-    sig = labeling.sigmas[slot]
-    composed = tuple([sig[t] for t in tau])
-    sigmas = list(labeling.sigmas)
-    sigmas[slot] = composed
-    return is_complete(family, Labeling._checked(n, tuple(sigmas)))
+    # Only the slot changes, so the composed labeling is complete iff its
+    # new mask is non-negative and disjoint from the other slots' masks.
+    # The input is complete, so those masks cover every edge outside the
+    # old mask; a non-negative mask holds one edge per arc, as the old one
+    # does, so it is disjoint from them iff it is the old mask.
+    tree, sig = family.trees[slot], labeling.sigmas[slot]
+    return _slot_mask(tree, tuple([sig[t] for t in tau]), n) == _slot_mask(tree, sig, n)
 
 
 def diagonal_relabel(labeling: Labeling, gamma) -> Labeling:

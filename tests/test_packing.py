@@ -292,13 +292,18 @@ def relabel_increasing(tree, rng):
 
 
 def test_phi_members_are_the_engine_rows_sorted():
-    """phi_enumerate orders the engine's rows by their integer keys; the
-    members must be the rows sorted as tuples, on every family with
-    n <= 4 and on eight n = 5 families relabeled by random increasing
-    labelings, so that the key digits are not only the semigroup labels.
-    Each key is the row's slot heads, slot 0 first, read in base n, also
-    on the rows that boundary memo hits re-emit with shifted keys."""
+    """phi_enumerate expands the pruned search's rows and orders them by
+    their integer keys; the members must be the unpruned search's rows
+    sorted as tuples, on every family with n <= 4 and on eight n = 5
+    families relabeled by random increasing labelings, so that the key
+    digits are not only the semigroup labels.  Each unpruned key is the
+    row's slot heads, slot 0 first, read in base n, also on the rows
+    that boundary memo hits re-emit with shifted keys.  The
+    star family on Z_5 expands each pinned row by 288 leaf orders and
+    generate_family(5, "mixed", 0) by none; on every family the count is
+    the pruned search's count times its symmetry factor."""
     families = [fam for n in range(1, 5) for fam in family_enumerate(n)]
+    families += [star_family(5), generate_family(5, "mixed", 0)]
     rng = random.Random(2024)
     relabeled = []
     for s in itertools.count():
@@ -308,18 +313,24 @@ def test_phi_members_are_the_engine_rows_sorted():
             relabeled.append(fam)
             if len(relabeled) == 8:
                 break
+    factors = []
     for fam in families + relabeled:
         n = fam.n
         out = search(fam, symmetry_pruning=False, first_only=False)
         members, count = phi_enumerate(fam)
         assert [m.sigmas for m in members] == sorted(out.solutions)
         assert count == len(out.keys) == len(set(out.keys))
+        pruned = search(fam, first_only=False)
+        assert count == len(pruned.solutions) * pruned.symmetry_factor
+        factors.append(pruned.symmetry_factor)
         for row, key in zip(out.solutions, out.keys):
             digits = 0
             for k, sig in enumerate(row):
                 for v in sig[: k + 1]:
                     digits = digits * n + v
             assert key == digits
+    # the star family and the mixed one, each times the 5 rotations
+    assert factors[len(families) - 2 : len(families)] == [5 * 288, 5]
 
 
 def test_phi_members_equal_publicly_built_labelings():
@@ -361,23 +372,26 @@ def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
 
 
 def test_phi_enumerate_checks_each_distinct_slot_permutation_once(monkeypatch):
-    """Full enumeration checks each distinct (slot, permutation) once per
-    search, and lists the same members: counts and digest are those of
-    the search that rebuilt every slot at every memo hit.  pack still
-    checks each of its n slots."""
+    """phi_enumerate checks each distinct (slot, permutation) once per
+    call, in the pruned search and in the expansion by leaf swaps and
+    rotations together, and lists the same members: counts and digest
+    are those of the unpruned search that rebuilt every slot at every
+    memo hit.  Every check_permutation call of either module counts.
+    pack still checks each of its n slots."""
     import hashlib
 
-    from treepack import _search
+    from treepack import functree
 
     calls = 0
-    real = _search.check_permutation
+    real = functree.check_permutation
 
     def counting(p, n):
         nonlocal calls
         calls += 1
         return real(p, n)
 
-    monkeypatch.setattr(_search, "check_permutation", counting)
+    for module in (_search, packing):
+        monkeypatch.setattr(module, "check_permutation", counting)
     counts, rows, distinct = [], [], 0
     for s in range(8):
         members, count = phi_enumerate(generate_family(5, "mixed", s))
