@@ -58,18 +58,13 @@ the nodes the subtree took.  Rows are only ever appended, so the range
 stays put.  A later visit with the same key, with j slots unstarted,
 re-emits ``row[:j] + placed`` for each row in the range, adds the node
 count and treats the step as exhausted, so solutions, their order and
-node counts are those of the plain search.  Full enumeration also keeps
-one sort key per row (`SearchOutcome.keys`): its slot heads, slot 0
-first, read as one base-n number.  The placed slots j..n-1 are a key's
-low digits, so a hit adds one constant to every key it copies: the
-placed part now minus that of key ``a``.  The memo holds no copy of a
-completion, and `packing.phi_enumerate` sorts the rows by comparing ints
-instead of nested tuples.  Every search also keeps a table from a
-slot's head (its step images by slot position) to its checked
-permutation, read at the solution leaf and at memo hits; a permutation
-is built and checked only on a miss, so each distinct one is checked
-once per table and rows share their slot tuples.  A lone first-only
-search keeps no memo: within one family a boundary state rarely recurs.
+node counts are those of the plain search.  The memo holds no copy of
+a completion.  Every search also keeps a table from a slot's head (its
+step images by slot position) to its checked permutation, read at the
+solution leaf and at memo hits; a permutation is built and checked only
+on a miss, so each distinct one is checked once per table and rows share
+their slot tuples.  A lone first-only search keeps no memo: within one
+family a boundary state rarely recurs.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
@@ -205,18 +200,12 @@ def _slot_permutations(
 @dataclass
 class SearchOutcome:
     """Raw engine result.  Each solution is a labeling's slot permutations,
-    slot 0 first, every one checked by `_slot_permutations`.
-
-    Full enumeration also reports ``keys``, one int per solution: its
-    slot heads, slot 0 first, read as one base-n number.  A slot's
-    permutation is its head followed by the ascending fill, so sorting by
-    key sorts the solutions as tuples.  First-only search reports None."""
+    slot 0 first, every one checked by `_slot_permutations`."""
 
     solutions: list[tuple[Mapping, ...]]
     nodes: int
     timed_out: bool
     symmetry_factor: int
-    keys: list[int] | None = None
 
 
 def _boundary_feasible(
@@ -499,17 +488,10 @@ def search(
     # its own, whose row ranges index this search's solutions
     frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
     close_at = -1  # step of the innermost open boundary
-    keys: list[int] | None = None  # full enumeration: one per solution
     if first_only:
         memos = None if lone else tables.levels
     else:
         memos = [None] + [{} for _ in range(1, n)]
-        keys = []
-        # per count j of unstarted slots: the steps of slots j..n-1 by
-        # slot position, whose images are a key's low digits, and the
-        # power of n above them
-        key_steps = [tuple([s for steps in slot_steps[j:] for s in steps]) for j in range(n)]
-        key_mod = [n ** len(steps) for steps in key_steps]
 
     shift = [0] * (total + 1)  # scan offset per step of work: all 0 in attempt 0
     grant = RESTART_BASE_BUDGET if first_only else UNBOUNDED
@@ -530,10 +512,6 @@ def search(
                     solutions.append(_slot_permutations(images, slot_steps, n, known))
                     if first_only:
                         break  # the open boundaries store it after the loop
-                    k = 0
-                    for s in key_steps[0]:
-                        k = k * n + images[s]
-                    keys.append(k)
                 else:
                     ppos = step_parent[i]
                     if ppos >= 0:
@@ -556,9 +534,6 @@ def search(
                             # order and its node count (up to the first
                             # completion, first-only) are therefore the same
                             # at every visit; only the placed slots differ.
-                            # In enumeration they are the digits of the keys
-                            # below the unstarted slots' digits, so every key
-                            # of the subtree moves by one constant.
                             j = step_slot[i] + 1
                             key = (i, tuple(pairfree), loops_used)
                             hit = memos[j].get(key)
@@ -587,11 +562,6 @@ def search(
                             elif b > a:
                                 placed = _slot_permutations(images, slot_steps[j:], n, known)
                                 solutions += [row[:j] + placed for row in solutions[a:b]]
-                                k = 0
-                                for s in key_steps[j]:
-                                    k = k * n + images[s]
-                                k -= keys[a] % key_mod[j]  # the placed part of row a's key
-                                keys += [x + k for x in keys[a:b]]
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees
                             if (
@@ -679,9 +649,5 @@ def search(
             (solutions[0][:-1], tuple(images[:n]), nodes) if solutions else (None, None, nodes)
         )
     return SearchOutcome(
-        solutions=solutions,
-        nodes=nodes,
-        timed_out=timed_out,
-        symmetry_factor=factor,
-        keys=keys,
+        solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
     )

@@ -397,7 +397,7 @@ def edge_poly_eval(family: AugTreeFamily, point) -> YPoly:
     """
     rows = _check_point(point, family.n)
     n = family.n
-    arcs = [t.compiled().slot_arcs() for t in family.trees]
+    arcs = [t.compiled().arcs for t in family.trees]
     acc = [1]
     for i in range(n):
         for j in range(i + 1, n):

@@ -432,32 +432,29 @@ def _build_parser() -> argparse.ArgumentParser:
     outish.add_argument(
         "-o", "--output", metavar="PATH", help="write the result here instead of stdout"
     )
-    famsrc = argparse.ArgumentParser(add_help=False)
-    famsrc.add_argument("-f", "--family", metavar="PATH", help="family document")
-    famsrc.add_argument("--n", type=int, help="generate a family of this size")
-    famsrc.add_argument(
+    generator = argparse.ArgumentParser(add_help=False)
+    generator.add_argument(
         "--kind",
         choices=GENERATOR_KINDS + ("mixed",),
         default="random-uniform",
         help="generator for --n (default random-uniform)",
     )
-    famsrc.add_argument(
+    generator.add_argument(
         "--seed", type=int, help=f"generator seed (default {DEFAULT_SEED}, printed)"
     )
+    famsrc = argparse.ArgumentParser(add_help=False)
+    famsrc.add_argument("-f", "--family", metavar="PATH", help="family document")
+    famsrc.add_argument("--n", type=int, help="generate a family of this size")
 
     p = sub.add_parser(
-        "gen", parents=[jsonish, outish], help="emit a seeded family document"
+        "gen", parents=[jsonish, outish, generator], help="emit a seeded family document"
     )
     p.add_argument("--n", type=int, required=True)
-    p.add_argument(
-        "--kind", choices=GENERATOR_KINDS + ("mixed",), default="random-uniform"
-    )
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=_cmd_gen)
 
     p = sub.add_parser(
         "pack",
-        parents=[jsonish, outish, famsrc],
+        parents=[jsonish, outish, famsrc, generator],
         help="find a complete labeling",
     )
     p.add_argument("--time-limit-ms", type=int)
@@ -480,7 +477,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "enumerate",
-        parents=[jsonish, outish, famsrc],
+        parents=[jsonish, outish, famsrc, generator],
         help="list the essential complete labelings",
     )
     p.set_defaults(func=_cmd_enumerate)
@@ -496,7 +493,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "certify",
-        parents=[jsonish, outish, famsrc],
+        parents=[jsonish, outish, famsrc, generator],
         help="evaluate or canonicalize the certificate",
     )
     p.add_argument("--labeling", metavar="PATH", help="evaluate at this labeling")

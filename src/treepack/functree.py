@@ -121,10 +121,10 @@ class CompiledTree(NamedTuple):
     ``arcs`` gives, per component vertex in ascending order, the pair
     (vertex, parent) in the tree conjugated by the transposition (0 m-1).
     A semigroup-form tree of size m sits at slot m-1 of its family, and
-    this moves its root from 0 to the slot: :meth:`slot_arcs` returns
-    these pairs, the arcs a labeling relabels, built once for every
-    completeness check.  For such a tree the vertex of arc v is vertex
-    v's slot position, and arc 0 is the root's loop.
+    this moves its root from 0 to the slot: these are the arcs a labeling
+    relabels, built once for every completeness check.  For such a tree
+    the vertex of arc v is vertex v's slot position, and arc 0 is the
+    root's loop.
 
     The last five fields place the tree at slot m-1 of a family on Z_n,
     the only slot a family accepts it in; nothing reads them for other
@@ -148,10 +148,6 @@ class CompiledTree(NamedTuple):
     prev_leaf_step: tuple[int, ...]
     leaf_swaps: int
     semigroup_break: int
-
-    def slot_arcs(self) -> tuple[tuple[int, int], ...]:
-        """The arcs (vertex, parent) read at the slot."""
-        return self.arcs
 
 
 def _compile(g: Mapping, root: int, m: int) -> CompiledTree:
@@ -485,7 +481,7 @@ class AugTreeFamily:
         if not is_int(k) or not 0 <= k < self.n:
             raise OutOfRangeError(f"slot {k!r} outside Z_{self.n}")
         g = list(range(self.n))
-        for v, p in self.trees[k].compiled().slot_arcs():
+        for v, p in self.trees[k].compiled().arcs:
             g[v] = p
         return AugFuncTree(n=self.n, m=k + 1, map=tuple(g), root=k)
 

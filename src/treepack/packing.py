@@ -38,12 +38,12 @@ from .functree import (
 # essential cap one call takes several seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members, 202 560 orbits
 # of 6 rotations (no slot has a leaf group).  The pruned search lists one
-# row per orbit in 0.7-1.1 s of CPU time at a 50 MB peak (2.0 M nodes,
+# row per orbit in 0.75-0.8 s of CPU time at a 39 MB peak (2.0 M nodes,
 # 1 150 distinct slot permutations checked).  phi_enumerate, which
 # expands the orbits (1 956 distinct slot permutations checked in all),
 # sorts the members by their integer keys and holds each as a Labeling,
-# takes 5.4-7.7 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
-# machine, three runs of the search and five of phi_enumerate).
+# takes 6.6-8.5 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
+# machine, three runs each).
 PHI_ESSENTIAL_MAX_N = 6
 
 
@@ -185,7 +185,7 @@ def _slot_mask(tree: AugFuncTree, sig: Mapping, n: int) -> int:
     diagonal bit.  -1 if two of the arcs cover the same edge.  The arcs
     are the tuple the tree compiled once."""
     mask = 0
-    for a, b in tree.compiled().slot_arcs():
+    for a, b in tree.compiled().arcs:
         a, b = sig[a], sig[b]
         bit = 1 << (a * n + b if a <= b else b * n + a)
         if mask & bit:
@@ -204,7 +204,7 @@ def orientation(family: AugTreeFamily, labeling: Labeling) -> EdgeOrientation:
     arcs = frozenset(
         (sig[u], sig[w])
         for tree, sig in zip(family.trees, labeling.sigmas)
-        for u, w in tree.compiled().slot_arcs()
+        for u, w in tree.compiled().arcs
     )
     return EdgeOrientation(n=family.n, arcs=arcs)
 
@@ -246,9 +246,9 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     leaf group, the pruned order included.  The images of a group are a
     set within the head, so the fill after the head stays."""
     k = tree.m - 1
-    # the (0 k) swap puts vertex v at slot position v, but vertex k at 0;
-    # the root 0 is no leaf
-    groups = [[0 if v == k else v for v in grp] for grp in tree.compiled().leaf_groups]
+    c = tree.compiled()
+    # arc v's vertex is vertex v's slot position
+    groups = [[c.arcs[v][0] for v in grp] for grp in c.leaf_groups]
     table = {}
     for sig in dict.fromkeys(column):
         head = list(sig[: k + 1])
@@ -383,13 +383,13 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
         raise OutOfRangeError(f"slot {slot!r} outside Z_{n}")
     c = family.trees[slot].compiled()
     g = list(range(n))  # the root-at-slot map
-    for v, p in c.slot_arcs():
+    for v, p in c.arcs:
         g[v] = p
     if any(g[tau[v]] != tau[g[v]] for v in range(n)):
         raise NotAutomorphismError(
             f"permutation does not commute with the slot-{slot} map"
         )
-    comp = {v for v, _ in c.slot_arcs()}
+    comp = {v for v, _ in c.arcs}
     if {tau[v] for v in comp} != comp:
         raise NotAutomorphismError(
             f"permutation does not preserve the slot-{slot} component"

@@ -147,6 +147,17 @@ def test_gen_json_payload_and_output_file(capsys, tmp_path):
     assert payload["family"] == json.loads(emit_family(generate_family(3, seed=5)))
 
 
+def test_gen_shares_the_generator_options_and_needs_a_size(capsys):
+    """gen reads --kind and --seed as pack, enumerate and certify do; it
+    requires --n and takes no family document."""
+    assert run(["gen", "--n", "4", "--kind", "mixed", "--seed", "2"]) == 0
+    assert parse_family(capsys.readouterr().out) == generate_family(4, "mixed", 2)
+    assert run(["gen", "--kind", "mixed"]) == 2
+    assert run(["gen", "--n", "3", "--family", "fam.json"]) == 2
+    assert run(["gen", "--n", "3", "--kind", "tree"]) == 2
+    capsys.readouterr()
+
+
 # --- pack / verify -------------------------------------------------------
 
 

@@ -476,7 +476,7 @@ def test_compiled_form_is_cached_and_invisible_to_equality():
     assert c.parent_step == (-1, 6, 6, 7, 7)
     assert c.prev_leaf_step == (-1, -1, -1, -1, 9)
     # read at slot 4: the root moves to 4 and vertex 4 to 0
-    assert tuple(c.slot_arcs()) == ((4, 4), (1, 4), (2, 1), (3, 1), (0, 4))
+    assert c.arcs == ((4, 4), (1, 4), (2, 1), (3, 1), (0, 4))
     assert t.children(0) == (1, 4) and t.children(1) == (2, 3)
     assert t.children(2) == t.children(5) == ()
 

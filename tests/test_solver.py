@@ -500,7 +500,7 @@ def assert_edge_disjoint(fam, solutions, blocked):
         edges = [
             (min(sig[a], sig[b]), max(sig[a], sig[b]))
             for tree, sig in zip(fam.trees, row)
-            for a, b in tree.compiled().slot_arcs()
+            for a, b in tree.compiled().arcs
         ]
         assert len(edges) == n * (n + 1) // 2
         assert len(set(edges) | set(blocked)) == len(edges) + len(blocked)
@@ -852,7 +852,7 @@ def fresh_mask(tree, sig, n):
     """A slot's edge mask rebuilt from its arcs, root loop included, as
     `is_complete` numbers edges: bit a * n + b for the edge {a, b} with
     a <= b."""
-    edges = {tuple(sorted((sig[a], sig[b]))) for a, b in tree.compiled().slot_arcs()}
+    edges = {tuple(sorted((sig[a], sig[b]))) for a, b in tree.compiled().arcs}
     return sum(1 << a * n + b for a, b in edges)
 
 
@@ -913,9 +913,7 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
         assert not is_complete(fam, lab, classical, _tables=tables)
         # no tree repeats an edge, so only a stand-in stores the sentinel
         repeated = types.SimpleNamespace(
-            compiled=lambda: types.SimpleNamespace(
-                slot_arcs=lambda: iter([(1, 1), (0, 1), (2, 1), (1, 0)])
-            )
+            compiled=lambda: types.SimpleNamespace(arcs=((1, 1), (0, 1), (2, 1), (1, 0)))
         )
         assert packing._slot_mask(repeated, (2, 0, 1), 3) == -1
         verdicts = set()
