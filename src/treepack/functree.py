@@ -431,6 +431,16 @@ def _check_slot(k: int, t, n: int) -> None:
         raise InvalidFamilyError(f"slot {k} is not in semigroup form at vertex {u}")
 
 
+def _root_at_slot(family: AugTreeFamily, k) -> Mapping:
+    """The map of slot k conjugated by (0 k), its root moved to k."""
+    if not is_int(k) or not 0 <= k < family.n:
+        raise OutOfRangeError(f"slot {k!r} outside Z_{family.n}")
+    g = list(range(family.n))
+    for v, p in family.trees[k].compiled().arcs:
+        g[v] = p
+    return tuple(g)
+
+
 @dataclass(frozen=True)
 class AugTreeFamily:
     """One augmented tree per component size 1..n, all in semigroup form.
@@ -478,12 +488,7 @@ class AugTreeFamily:
         This is the form the packing semantics reads arcs from; the
         component is still Z_(k+1).
         """
-        if not is_int(k) or not 0 <= k < self.n:
-            raise OutOfRangeError(f"slot {k!r} outside Z_{self.n}")
-        g = list(range(self.n))
-        for v, p in self.trees[k].compiled().arcs:
-            g[v] = p
-        return AugFuncTree(n=self.n, m=k + 1, map=tuple(g), root=k)
+        return AugFuncTree(n=self.n, m=k + 1, map=_root_at_slot(self, k), root=k)
 
     def with_tree(self, k: int, tree: AugFuncTree) -> AugTreeFamily:
         """Copy of the family with slot k replaced (revalidated)."""

@@ -24,12 +24,12 @@ from .errors import (
     DimensionMismatchError,
     NotAutomorphismError,
     NotCompleteError,
-    OutOfRangeError,
 )
 from .functree import (
     AugFuncTree,
     AugTreeFamily,
     Mapping,
+    _root_at_slot,
     check_permutation,
     is_int,
 )
@@ -79,9 +79,8 @@ class Labeling:
         `_labeling_from_injections`), whose row the engine checked slot by
         slot as it built it (`phi_enumerate` builds its members the same
         way, inline, from slots checked through the engine's head table),
-        `certificate._phi_full`, whose slots are checked heads followed by
-        the values they leave out, and `diagonal_relabel`, whose new slots
-        are compositions of checked permutations and so permutations too.
+        and `diagonal_relabel`, whose new slots are compositions of
+        checked permutations and so permutations too.
         """
         _check_slot_count(n, sigmas)
         lab = object.__new__(cls)
@@ -379,12 +378,8 @@ def closure_check(family: AugTreeFamily, labeling: Labeling, tau, slot: int) -> 
     """
     n = family.n
     tau = check_permutation(tau, n)
-    if not is_int(slot) or not 0 <= slot < n:
-        raise OutOfRangeError(f"slot {slot!r} outside Z_{n}")
+    g = _root_at_slot(family, slot)
     c = family.trees[slot].compiled()
-    g = list(range(n))  # the root-at-slot map
-    for v, p in c.arcs:
-        g[v] = p
     if any(g[tau[v]] != tau[g[v]] for v in range(n)):
         raise NotAutomorphismError(
             f"permutation does not commute with the slot-{slot} map"

@@ -203,7 +203,8 @@ def test_criterion_08_complete_labelings_closed_under_symmetries():
                         t = list(range(n))
                         t[u], t[v] = t[v], t[u]
                         taus.append((k, tuple(t)))
-            for lab in _phi_full(fam):
+            for row in _phi_full(fam):
+                lab = Labeling(n=n, sigmas=row)
                 for k, tau in taus:
                     assert closure_check(fam, lab, tau, k)
                     taus_checked += 1
@@ -230,7 +231,7 @@ def test_criterion_09_squared_packable_implies_packable():
         steps += report.steps_checked
     assert steps > 0  # flattening steps actually happened
     elapsed = time.perf_counter() - t0
-    assert elapsed < 1.0
+    assert elapsed < 0.25
     print(f"criterion 09: {steps} local flattening steps, no violations ({elapsed:.1f}s)")
 
 

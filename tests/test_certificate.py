@@ -1,5 +1,6 @@
 """Exact certificate arithmetic against hand and brute-force oracles."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -10,6 +11,8 @@ from fractions import Fraction
 import pytest
 
 from treepack import (
+    EXHAUSTED,
+    PACKED,
     BoundExceededError,
     DimensionMismatchError,
     Labeling,
@@ -25,11 +28,13 @@ from treepack import (
     lagrange_basis,
     monomial_support_check,
     nonvanishing_equivalence_check,
+    pack,
     poly_reduce,
     star_family,
     variable_dependency_check,
     vertex_poly_eval,
 )
+from treepack import certificate
 from treepack.certificate import _basis_numerator, _phi_full
 from treepack.packing import full_count_multiplier, phi_enumerate
 
@@ -359,7 +364,7 @@ def per_point_canonical_rep(fam, mode):
     n = fam.n
     y_id = n * n
     if mode == "phi-sum":
-        points = (lab.sigmas for lab in _phi_full(fam))
+        points = _phi_full(fam)
     else:
         points = itertools.product(itertools.product(range(n), repeat=n), repeat=n)
     acc = {}  # (x monomial, y power) -> integer numerator
@@ -476,12 +481,10 @@ def test_poly_reduce_leaves_y_alone():
 def test_nonvanishing_equivalence_small_n():
     """Canonical form nonzero iff Phi nonempty iff the composition audit's
     oracle, pack, packs."""
-    from treepack.certificate import _phi_nonempty
-
     for n in (1, 2, 3):
         for fam in family_enumerate(n):
             assert nonvanishing_equivalence_check(fam)
-            assert _phi_nonempty(fam) == (phi_enumerate(fam)[1] > 0)
+            assert (pack(fam).status == PACKED) == (phi_enumerate(fam)[1] > 0)
     with pytest.raises(BoundExceededError):
         nonvanishing_equivalence_check(star_family(4))
 
@@ -562,7 +565,9 @@ def test_poly_aut_identity_and_sign_flip():
 
 
 def test_composition_implication_small_n():
-    for n, families, steps in ((1, 1, 0), (2, 1, 0), (3, 2, 1), (4, 12, 16)):
+    for n, families, steps in (
+        (1, 1, 0), (2, 1, 0), (3, 2, 1), (4, 12, 16), (5, 288, 660)
+    ):
         report = composition_implication_check(n)
         assert report.ok
         assert report.n == n
@@ -572,17 +577,37 @@ def test_composition_implication_small_n():
         composition_implication_check(7)
 
 
+def test_composition_implication_reports_a_base_that_does_not_pack(monkeypatch):
+    """Every family packs, so the violation branch is reached only by a
+    sweep that claims otherwise: family 5 of Z_4 read as exhausted.  Its
+    squared family and its one stepped family (slot 3) both pack, and
+    are reported in that order; the step count does not change."""
+    real_sweep = certificate.sweep
+
+    def sweep_with_row_5_exhausted(n):
+        report = real_sweep(n)
+        rows = list(report.rows)
+        rows[5] = dataclasses.replace(rows[5], status=EXHAUSTED)
+        return dataclasses.replace(report, rows=tuple(rows))
+
+    monkeypatch.setattr(certificate, "sweep", sweep_with_row_5_exhausted)
+    report = composition_implication_check(4)
+    assert report.violations == ("family 5: full squaring", "family 5: slot 3")
+    assert not report.ok
+    assert (report.families_checked, report.steps_checked) == (12, 16)
+
+
 def test_phi_full_members_all_complete():
     """The full-Phi expansion behind phi-sum only produces certificates
     that evaluate nonzero, and exactly essential * multiplier members.
-    Its labelings skip the public constructor's check; each must still
+    Its slots skip the public constructor's check; each row must still
     be the labeling that constructor builds from the same slots."""
     for fam in family_enumerate(3):
-        labs = list(_phi_full(fam))
+        rows = list(_phi_full(fam))
         _, essential = phi_enumerate(fam, mode="essential")
         full = essential * full_count_multiplier(3)
-        assert len(labs) == full
-        assert len({lab.sigmas for lab in labs}) == full
-        for lab in labs:
-            assert lab == Labeling(n=3, sigmas=lab.sigmas)
-            assert not certificate_eval(fam, lab.sigmas).is_zero()
+        assert len(rows) == full
+        assert len(set(rows)) == full
+        for row in rows:
+            assert Labeling(n=3, sigmas=row).sigmas == row
+            assert not certificate_eval(fam, row).is_zero()
