@@ -32,6 +32,7 @@ from itertools import permutations, product
 from math import gcd, prod
 
 from .errors import (
+    BadSizeError,
     BoundExceededError,
     DimensionMismatchError,
     OutOfRangeError,
@@ -766,7 +767,10 @@ def composition_implication_check(n: int) -> CompositionReport:
     """Exhaustively confirm that squaring a family never creates
     packability out of nothing: if the fully squared family packs, so does
     the original, and likewise for each single-slot squaring step.  The base
-    verdicts are `sweep(n)`'s rows; a streamed sweep must list those not packed."""
+    verdicts are `sweep(n)`'s rows; a streamed sweep must list those not packed.
+    A non-int n is a BadSizeError, as in `sweep`."""
+    if not is_int(n):
+        raise BadSizeError(f"a composition check size must be an int, not {type(n).__name__}")
     if n > COMPOSITION_CHECK_MAX_N:
         raise BoundExceededError(
             f"composition check capped at n = {COMPOSITION_CHECK_MAX_N}"

@@ -38,13 +38,28 @@ from .functree import (
 # essential cap one call takes several seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members, 202 560 orbits
 # of 6 rotations (no slot has a leaf group).  The pruned search lists one
-# row per orbit in 0.75-0.8 s of CPU time at a 39 MB peak (2.0 M nodes,
+# row per orbit in 0.57-0.83 s of CPU time at a 40 MB peak (2.0 M nodes,
 # 1 150 distinct slot permutations checked).  phi_enumerate, which
 # expands the orbits (1 956 distinct slot permutations checked in all),
 # sorts the members by their integer keys and holds each as a Labeling,
-# takes 6.6-8.5 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
-# machine, three runs each).
+# takes 6.5-8.0 s and peaks at 267 MB (Python 3.11.7 on a shared 2-core
+# machine, three runs of the search and six of phi_enumerate).
 PHI_ESSENTIAL_MAX_N = 6
+# phi_enumerate knows its member count once the pruned search returns and
+# refuses a larger one before it builds any member.  A listing holds
+# about 210 bytes per member at its peak (RSS growth over the call, the
+# same at 0.94, 1.22 and 1.66 M members), so the cap keeps an admitted
+# listing under about 0.45 GB of RSS.  It admits the mixed family above
+# and refuses star_family(6), whose 120 orbits hold 24 883 200 members.
+PHI_MEMBER_CAP = 2_000_000
+# Leaf orders per pinned row (symmetry_factor // n) from which the sorted
+# listing merges orbit blocks instead of sorting every member by key.
+# On the 40 relabeled n = 5 mixed families of the exhaustive benchmark
+# (seeds 1 and 7, each family's best of 5 calls per path), the merge took
+# 0.54-0.86 of the key sort's time at 24 to 288 orders, 0.76-0.99 at 12,
+# and 1.1-2.1 times as long at 1 to 6, where a block holds at most 6
+# members and blocks often share their first slots.
+_MERGE_MIN_ORDERS = 12
 
 
 def _check_slot_count(n: int, sigmas: tuple) -> None:
@@ -261,6 +276,106 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     return table
 
 
+def _turned_slot(sig: Mapping, r: int, k: int, n: int, known: dict) -> Mapping:
+    """Slot k's permutation left-composed with the rotation x -> x + r,
+    checked through the engine's head table ``known``."""
+    return _checked_slot(tuple([(x + r) % n for x in sig[: k + 1]]), n, known)
+
+
+def _key_sorted_rows(family: AugTreeFamily, columns, variants, orders: int, known: dict) -> list:
+    """Every member's slots, expanded column by column and sorted once by
+    an integer key per member."""
+    n = family.n
+    # Leaf swaps, column by column.  Each pruned row stands for `orders`
+    # pinned rows, one per choice of a leaf order in every slot, in mixed
+    # radix with slot 0 the top digit: in a row's block of `orders`, slot
+    # k repeats each of its variants `after` times (the orders of slots
+    # k + 1..n - 1) and the run `before` times (those of slots 0..k - 1).
+    # A pinned column holds indices into its slot's permutations.
+    before = 1
+    perms, expanded = [], []
+    for tree, column, table in zip(family.trees, columns, variants):
+        sigs = list(dict.fromkeys(chain.from_iterable(table.values())))
+        index = {sig: i for i, sig in enumerate(sigs)}
+        swaps = tree.compiled().leaf_swaps
+        after = orders // (before * swaps)
+        block = {
+            sig: tuple([index[v] for v in vs for _ in range(after)]) * before
+            for sig, vs in table.items()
+        }
+        perms.append(sigs)
+        expanded.append(list(chain.from_iterable(map(block.__getitem__, column))))
+        before *= swaps
+    # the heads of slots k + 1..n - 1 are the digits below slot k's head
+    low = [n ** sum(range(k + 2, n + 1)) for k in range(n)]
+    rows: list[tuple[Mapping, ...]] = []
+    keys: list[int] = []
+    for r in range(n):  # rotations, column by column
+        turns, digits = [], []
+        for k, sigs in enumerate(perms):
+            turned = [_turned_slot(sig, r, k, n, known) for sig in sigs]
+            turns.append(turned.__getitem__)
+            digits.append([_head_value(sig, k, n) * low[k] for sig in turned].__getitem__)
+        rows += zip(*map(map, turns, expanded))
+        keys += map(sum, zip(*map(map, digits, expanded)))
+    del expanded, perms
+    # a permutation is its head followed by the ascending fill, so the keys
+    # sort the rows as tuples would, with int comparisons; they and the
+    # order are freed before the rows are reordered
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    del keys
+    return [rows[i] for i in order]
+
+
+def _merged_rows(family: AugTreeFamily, columns, variants, known: dict) -> list:
+    """Every member's slots, listed in order one orbit block at a time.
+
+    A block is one (pinned row, rotation) pair.  Its members are the
+    product, slot by slot, of that slot's rotated leaf orders, so with
+    each slot's list sorted `itertools.product` yields them in order.
+    The blocks are merged walking the slots in order: a group of blocks
+    shares the slots before k, and is split by its blocks' one
+    permutation over each run of slots without a leaf group, or by each
+    variant at a slot with one, the parts taken in order.  Blocks share
+    no member (the bijection in `phi_enumerate`), so every group is down
+    to one block before the slots run out, and that block's product
+    under the group's prefix, one 1-tuple per slot, is its listing."""
+    n = family.n
+    # per slot and rotation, per pinned permutation its sorted rotated variants
+    turned = [
+        [
+            {sig: sorted([_turned_slot(v, r, k, n, known) for v in vs]) for sig, vs in table.items()}
+            for r in range(n)
+        ]
+        for k, table in enumerate(variants)
+    ]
+    blocks = [
+        [turned[k][r][sig] for k, sig in enumerate(row)]
+        for row in zip(*columns)
+        for r in range(n)
+    ]
+    # a grouping step from slot k covers k alone if its tree has a leaf
+    # group, else the run of slots up to the next tree that has one
+    leafy = [tree.compiled().leaf_swaps > 1 for tree in family.trees]
+    stop = [k + 1 if leafy[k] else (leafy + [True]).index(True, k) for k in range(n)]
+    rows: list[tuple[Mapping, ...]] = []
+
+    def merge(group: list, k: int, prefix: list) -> None:
+        if len(group) == 1:
+            rows.extend(product(*prefix, *group[0][k:]))
+            return
+        end = stop[k]
+        parts: dict = {}
+        for b in group:  # over a run, the product is the block's one key
+            for key in product(*b[k:end]):
+                parts.setdefault(key, []).append(b)
+        for key in sorted(parts):
+            merge(parts[key], end, prefix + [(sig,) for sig in key])
+
+    merge(blocks, 0, [])
+    return rows
+
+
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
     """All essential members of Phi, sorted, plus their count.
 
@@ -288,10 +403,19 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     group the images are distinct, so sorting them recovers the pinned
     row and the order they stood in.  So every member appears exactly
     once and the count is the pruned count times the search's
-    ``symmetry_factor``, n times the leaf-swap orders.  The members are
-    sorted by their integer keys, slot heads read in base n, so their
-    order is that of the unpruned search's rows sorted as tuples; only
-    the pruned search's nodes are spent.
+    ``symmetry_factor``, n times the leaf-swap orders.  The count is
+    known before any member is built: above PHI_MEMBER_CAP members the
+    call is refused (BoundExceededError).
+
+    The members are in the order of the unpruned search's rows sorted as
+    tuples; only the pruned search's nodes are spent.  A permutation is
+    its head followed by the ascending fill, so slot heads decide that
+    order.  Where each pinned row has at least _MERGE_MIN_ORDERS leaf
+    orders, the (pinned row, rotation) blocks are merged in order, each
+    block's members coming from `itertools.product` already sorted
+    (`_merged_rows`).  Below it, where blocks are small, every member
+    gets an integer key, its slot heads read in base n, and one sort
+    orders them (`_key_sorted_rows`).
     """
     n = family.n
     if mode != "essential":
@@ -305,53 +429,23 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     # the expansion, so each distinct slot permutation is checked once
     tables = ChunkTables()
     out = search(family, first_only=False, tables=tables)
+    count = len(out.solutions) * out.symmetry_factor
+    if count > PHI_MEMBER_CAP:
+        raise BoundExceededError(
+            f"phi_enumerate would list {count} members; the cap is {PHI_MEMBER_CAP}"
+        )
     known = tables.known
-    # Leaf swaps, column by column.  Each pruned row stands for `orders`
-    # pinned rows, one per choice of a leaf order in every slot, in mixed
-    # radix with slot 0 the top digit: in a row's block of `orders`, slot
-    # k repeats each of its variants `after` times (the orders of slots
-    # k + 1..n - 1) and the run `before` times (those of slots 0..k - 1).
-    # A pinned column holds indices into its slot's permutations.
     orders = out.symmetry_factor // n
-    before = 1
-    perms, columns = [], []
-    for tree, column in zip(family.trees, zip(*out.solutions)):
-        variants = _leaf_variants(tree, column, n, known)
-        sigs = list(dict.fromkeys(chain.from_iterable(variants.values())))
-        index = {sig: i for i, sig in enumerate(sigs)}
-        swaps = tree.compiled().leaf_swaps
-        after = orders // (before * swaps)
-        block = {
-            sig: tuple([index[v] for v in vs for _ in range(after)]) * before
-            for sig, vs in variants.items()
-        }
-        perms.append(sigs)
-        columns.append(list(chain.from_iterable(map(block.__getitem__, column))))
-        before *= swaps
+    columns = list(zip(*out.solutions))
     del out
-    # the heads of slots k + 1..n - 1 are the digits below slot k's head
-    low = [n ** sum(range(k + 2, n + 1)) for k in range(n)]
-    rows: list[tuple[Mapping, ...]] = []
-    keys: list[int] = []
-    for r in range(n):  # rotations, column by column
-        turns, digits = [], []
-        for k, sigs in enumerate(perms):
-            turned = [
-                _checked_slot(tuple([(x + r) % n for x in sig[: k + 1]]), n, known)
-                for sig in sigs
-            ]
-            turns.append(turned.__getitem__)
-            digits.append([_head_value(sig, k, n) * low[k] for sig in turned].__getitem__)
-        rows += zip(*map(map, turns, columns))
-        keys += map(sum, zip(*map(map, digits, columns)))
-    del columns, perms
-    # a permutation is its head followed by the ascending fill, so the keys
-    # sort the rows as tuples would, with int comparisons; they and the
-    # order are freed before the members are built
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    del keys
-    rows = [rows[i] for i in order]
-    del order
+    variants = [
+        _leaf_variants(tree, column, n, known) for tree, column in zip(family.trees, columns)
+    ]
+    if orders >= _MERGE_MIN_ORDERS:
+        rows = _merged_rows(family, columns, variants, known)
+    else:
+        rows = _key_sorted_rows(family, columns, variants, orders, known)
+    del columns, variants
     # Labeling._checked inlined: each row holds n slots checked through known
     new, put = object.__new__, object.__setattr__
     members = []

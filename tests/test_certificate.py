@@ -13,6 +13,7 @@ import pytest
 from treepack import (
     EXHAUSTED,
     PACKED,
+    BadSizeError,
     BoundExceededError,
     DimensionMismatchError,
     Labeling,
@@ -575,6 +576,14 @@ def test_composition_implication_small_n():
         assert (report.families_checked, report.steps_checked) == (families, steps)
     with pytest.raises(BoundExceededError):
         composition_implication_check(7)
+
+
+@pytest.mark.parametrize("n", ["3", 2.0, True])
+def test_composition_implication_refuses_a_non_int_size(n):
+    """A size that is not an int is refused as sweep refuses it, before
+    the cap comparison can raise a bare TypeError on a str."""
+    with pytest.raises(BadSizeError, match="must be an int"):
+        composition_implication_check(n)
 
 
 def test_composition_implication_reports_a_base_that_does_not_pack(monkeypatch):

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import time
 
 import pytest
 
@@ -327,16 +328,26 @@ def relabel_increasing(tree, rng):
 
 
 def test_phi_members_are_the_engine_rows_sorted():
-    """phi_enumerate expands the pruned search's rows and orders them by
-    their integer keys; the members must be the unpruned search's rows
-    sorted as tuples, on every family with n <= 4 and on eight n = 5
-    families relabeled by random increasing labelings, so that the key
-    digits are not only the semigroup labels.  The star family on Z_5
-    expands each pinned row by 288 leaf orders and generate_family(5,
-    "mixed", 0) by none; on every family the count is the pruned search's
-    count times its symmetry factor."""
+    """phi_enumerate lists the pruned search's orbits in sorted order, by
+    merging orbit blocks where each pinned row has many leaf orders and
+    by integer keys where it has few; either way the members must be the
+    unpruned search's rows sorted as tuples.  The inputs are every family
+    with n <= 4 and n = 5 families on both sides of the switch: the star
+    family (288 leaf orders per pinned row), two caterpillar families
+    (144 and 4), another (2) and a mixed one (1).  Twelve n = 5 families
+    relabeled by random increasing labelings follow, four of them with
+    12 to 48 leaf orders, so that the key digits and the merge's slot
+    permutations are not only those of the semigroup labels.  On every
+    family the count is the pruned search's count times its symmetry
+    factor."""
     families = [fam for n in range(1, 5) for fam in family_enumerate(n)]
-    families += [star_family(5), generate_family(5, "mixed", 0)]
+    named = [
+        generate_family(5, "star", 0),
+        generate_family(5, "caterpillar", 1),
+        generate_family(5, "caterpillar", 0),
+        generate_family(5, "caterpillar", 2),
+        generate_family(5, "mixed", 0),
+    ]
     rng = random.Random(2024)
     relabeled = []
     for s in itertools.count():
@@ -346,8 +357,14 @@ def test_phi_members_are_the_engine_rows_sorted():
             relabeled.append(fam)
             if len(relabeled) == 8:
                 break
+    # 48, 24, 12 and 24 leaf orders, and more than one increasing labeling
+    for s in (7, 12, 14, 26):
+        base = fam = generate_family(5, "mixed", s)
+        while fam == base:
+            fam = AugTreeFamily(n=5, trees=tuple(relabel_increasing(t, rng) for t in base.trees))
+        relabeled.append(fam)
     factors = []
-    for fam in families + relabeled:
+    for fam in families + named + relabeled:
         out = search(fam, symmetry_pruning=False, first_only=False)
         members, count = phi_enumerate(fam)
         assert [m.sigmas for m in members] == sorted(out.solutions)
@@ -355,8 +372,9 @@ def test_phi_members_are_the_engine_rows_sorted():
         pruned = search(fam, first_only=False)
         assert count == len(pruned.solutions) * pruned.symmetry_factor
         factors.append(pruned.symmetry_factor)
-    # the star family and the mixed one, each times the 5 rotations
-    assert factors[len(families) - 2 : len(families)] == [5 * 288, 5]
+    # the named families, each times the 5 rotations, then the high-order copies
+    assert factors[len(families) : len(families) + 5] == [5 * 288, 5 * 144, 5 * 4, 5 * 2, 5]
+    assert factors[-4:] == [5 * 48, 5 * 24, 5 * 12, 5 * 24]
 
 
 def test_phi_members_equal_publicly_built_labelings():
@@ -465,10 +483,21 @@ def test_engine_rows_are_checked_slot_permutations(pruning, classical):
 
 
 def test_phi_enumerate_bounds():
+    """Past n = 6, and past PHI_MEMBER_CAP members, the listing is refused.
+    The member count is known once the pruned search returns, so
+    star_family(6), whose 120 orbits hold 24 883 200 members, is refused
+    at once with its count; the cap still admits the mixed n = 6 family
+    the docs measure."""
     from treepack import BoundExceededError
 
     with pytest.raises(BoundExceededError):
         phi_enumerate(star_family(7), mode="essential")
+    t0 = time.process_time()
+    with pytest.raises(BoundExceededError, match="would list 24883200 members"):
+        phi_enumerate(star_family(6), mode="essential")
+    assert time.process_time() - t0 < 1.0
+    pruned = search(generate_family(6, "mixed", 3), first_only=False)
+    assert len(pruned.solutions) * pruned.symmetry_factor == 1_215_360 <= packing.PHI_MEMBER_CAP
     with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
         phi_enumerate(star_family(3), mode="full-count")
     with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
