@@ -61,6 +61,15 @@ def is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def check_size(n, what: str) -> None:
+    """BadSizeError unless ``n`` is an `is_int` of at least 1: a bool
+    passes for a size and a float fails later with a bare TypeError."""
+    if not is_int(n):
+        raise BadSizeError(f"{what} size must be an int, not {type(n).__name__}")
+    if n < 1:
+        raise BadSizeError(f"{what} needs at least one vertex")
+
+
 _all_exact_int = frozenset({int}).issuperset
 
 
@@ -220,9 +229,8 @@ class AugFuncTree:
     root: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise BadSizeError("ambient vertex count must be positive")
-        if not 1 <= self.m <= self.n:
+        check_size(self.n, "a tree")
+        if not is_int(self.m) or not 1 <= self.m <= self.n:
             raise BadSizeError(f"component size {self.m} not within 1..{self.n}")
         g = _check_self_map(self.map)
         if len(g) != self.n:
@@ -271,8 +279,8 @@ def build_tree(parents, n: int | None = None) -> AugFuncTree:
     m = len(parents)
     if n is None:
         n = m
-    if m < 1 or m > n:
-        raise BadSizeError(f"parent array of length {m} does not fit in Z_{n}")
+    if not is_int(n) or m < 1 or m > n:
+        raise BadSizeError(f"parent array of length {m} does not fit in Z_{n!r}")
     v = _bad_entry(parents, m)
     if v is not None:
         raise OutOfRangeError(f"parent {parents[v]!r} of vertex {v} is outside Z_{m}")
@@ -331,8 +339,8 @@ def generate(kind: str, m: int, n: int | None = None, seed: int = 0) -> AugFuncT
     """
     if n is None:
         n = m
-    if m < 1 or m > n:
-        raise BadSizeError(f"component size {m} not within 1..{n}")
+    if not (is_int(m) and is_int(n)) or m < 1 or m > n:
+        raise BadSizeError(f"component size {m!r} not within 1..{n!r}")
     rng = random.Random(seed)
     if kind == "star":
         parents = [0] * m
@@ -392,6 +400,7 @@ def _uniform_rooted_tree(m: int, rng: random.Random) -> list[int]:
 
 def star_family(n: int) -> AugTreeFamily:
     """The family whose size-(k+1) slot is a star: identity labels pack it."""
+    check_size(n, "a family")
     return AugTreeFamily(
         n=n, trees=tuple(generate("star", k + 1, n) for k in range(n))
     )
@@ -404,8 +413,7 @@ def generate_family(n: int, kind: str = "random-uniform", seed: int = 0) -> AugT
     kind per slot.  Per-slot sub-seeds are drawn from one stream, so the
     family is a pure function of (n, kind, seed).
     """
-    if n < 1:
-        raise BadSizeError("a family needs at least one vertex")
+    check_size(n, "a family")
     rng = random.Random(seed)
     trees = []
     for k in range(n):
@@ -460,8 +468,7 @@ class AugTreeFamily:
     def __post_init__(self) -> None:
         trees = tuple(self.trees)
         object.__setattr__(self, "trees", trees)
-        if self.n < 1:
-            raise BadSizeError("a family needs at least one vertex")
+        check_size(self.n, "a family")
         if len(trees) != self.n:
             raise InvalidFamilyError(
                 f"family on Z_{self.n} needs {self.n} trees, got {len(trees)}"
@@ -527,10 +534,7 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     (BoundExceededError) before building any tree: n = 9 alone would mean
     46 234 of them, and a non-int n (BadSizeError).
     """
-    if not is_int(n):
-        raise BadSizeError(f"a family size must be an int, not {type(n).__name__}")
-    if n < 1:
-        raise BadSizeError("a family needs at least one vertex")
+    check_size(n, "a family")
     if n > SWEEP_MAX_N:
         raise BoundExceededError(
             f"enumerating the families at n={n} exceeds the cap n <= {SWEEP_MAX_N}"

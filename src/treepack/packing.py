@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, permutations, product
-from operator import itemgetter
+from itertools import chain, permutations, product, repeat
+from operator import itemgetter, mul
+from typing import NamedTuple
 
 from ._search import ChunkTables, _slot_permutations, search
 from .errors import (
-    BadSizeError,
     BoundExceededError,
     DimensionMismatchError,
     NotAutomorphismError,
@@ -31,6 +31,7 @@ from .functree import (
     Mapping,
     _root_at_slot,
     check_permutation,
+    check_size,
     is_int,
 )
 
@@ -38,11 +39,11 @@ from .functree import (
 # essential cap one call takes several seconds: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members, 202 560 orbits
 # of 6 rotations (no slot has a leaf group).  The pruned search lists one
-# row per orbit in 0.57-0.83 s of CPU time at a 40 MB peak (2.0 M nodes,
+# row per orbit in 0.48-0.77 s of CPU time at a 40 MB peak (2.0 M nodes,
 # 1 150 distinct slot permutations checked).  phi_enumerate, which
 # expands the orbits (1 956 distinct slot permutations checked in all),
 # sorts the members by their integer keys and holds each as a Labeling,
-# takes 6.5-8.0 s and peaks at 267 MB (Python 3.11.7 on a shared 2-core
+# takes 4.5-5.1 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
 # machine, three runs of the search and six of phi_enumerate).
 PHI_ESSENTIAL_MAX_N = 6
 # phi_enumerate knows its member count once the pruned search returns and
@@ -56,33 +57,33 @@ PHI_MEMBER_CAP = 2_000_000
 # listing merges orbit blocks instead of sorting every member by key.
 # On the 40 relabeled n = 5 mixed families of the exhaustive benchmark
 # (seeds 1 and 7, each family's best of 5 calls per path), the merge took
-# 0.54-0.86 of the key sort's time at 24 to 288 orders, 0.76-0.99 at 12,
-# and 1.1-2.1 times as long at 1 to 6, where a block holds at most 6
+# 0.38-0.88 of the key sort's time at 24 to 288 orders, 0.77-1.02 at 12,
+# and 1.3-2.4 times as long at 1 to 6, where a block holds at most 6
 # members and blocks often share their first slots.
 _MERGE_MIN_ORDERS = 12
 
 
-def _check_slot_count(n: int, sigmas: tuple) -> None:
-    if len(sigmas) != n:
-        raise DimensionMismatchError(
-            f"labeling on Z_{n} needs {n} permutations, got {len(sigmas)}"
-        )
-
-
-@dataclass(frozen=True)
-class Labeling:
-    """One permutation of Z_n per slot, slot k relabeling tree k."""
-
+class _LabelingFields(NamedTuple):
     n: int
     sigmas: tuple[Mapping, ...]
 
-    def __post_init__(self) -> None:
-        n = self.n
-        if n < 1:
-            raise BadSizeError("a labeling needs at least one vertex")
-        sigmas = tuple([check_permutation(s, n) for s in self.sigmas])
-        _check_slot_count(n, sigmas)
-        object.__setattr__(self, "sigmas", sigmas)
+
+class Labeling(_LabelingFields):
+    """One permutation of Z_n per slot, slot k relabeling tree k.
+
+    A NamedTuple: it unpacks as (n, sigmas) and equals that plain tuple.
+    Every way to build one from outside data checks it: the constructor,
+    and `_make` and `_replace`, which go through the constructor."""
+
+    __slots__ = ()
+
+    def __new__(cls, n: int, sigmas) -> "Labeling":
+        check_size(n, "a labeling")
+        return cls._checked(n, tuple([check_permutation(s, n) for s in sigmas]))
+
+    @classmethod
+    def _make(cls, iterable) -> "Labeling":
+        return cls(*iterable)
 
     @classmethod
     def _checked(cls, n: int, sigmas: tuple[Mapping, ...]) -> "Labeling":
@@ -93,15 +94,15 @@ class Labeling:
         count is checked here.  The callers are `pack` (through
         `_labeling_from_injections`), whose row the engine checked slot by
         slot as it built it (`phi_enumerate` builds its members the same
-        way, inline, from slots checked through the engine's head table),
-        and `diagonal_relabel`, whose new slots are compositions of
-        checked permutations and so permutations too.
+        way, with `tuple.__new__`, from slots checked through the engine's
+        head table), and `diagonal_relabel`, whose new slots are
+        compositions of checked permutations and so permutations too.
         """
-        _check_slot_count(n, sigmas)
-        lab = object.__new__(cls)
-        object.__setattr__(lab, "n", n)
-        object.__setattr__(lab, "sigmas", sigmas)
-        return lab
+        if len(sigmas) != n:
+            raise DimensionMismatchError(
+                f"labeling on Z_{n} needs {n} permutations, got {len(sigmas)}"
+            )
+        return tuple.__new__(cls, (n, sigmas))
 
 
 @dataclass(frozen=True)
@@ -246,14 +247,6 @@ def _checked_slot(head: tuple[int, ...], n: int, known: dict) -> Mapping:
     return _slot_permutations(head, (range(len(head)),), n, known)[0]
 
 
-def _head_value(sig: Mapping, k: int, n: int) -> int:
-    """Slot k's head, its first k + 1 entries, read as a base-n number."""
-    value = 0
-    for x in sig[: k + 1]:
-        value = value * n + x
-    return value
-
-
 def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     """Per distinct permutation in ``column``, the slot of ``tree``, the
     permutations its leaf swaps give: every order of the images of each
@@ -276,13 +269,25 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     return table
 
 
-def _turned_slot(sig: Mapping, r: int, k: int, n: int, known: dict) -> Mapping:
-    """Slot k's permutation left-composed with the rotation x -> x + r,
-    checked through the engine's head table ``known``."""
-    return _checked_slot(tuple([(x + r) % n for x in sig[: k + 1]]), n, known)
+def _rotations(table: dict, k: int, n: int, known: dict) -> list[dict]:
+    """Per rotation x -> x + r, each distinct permutation in the slot-k
+    ``table`` of `_leaf_variants` mapped to its left-composition with
+    the rotation, in first-seen order (r = 0 maps each to itself).  A
+    permutation is its head, its first k + 1 entries, followed by the
+    ascending fill, so only the head turns, through one tuple per
+    rotation.  A turned head is looked up in the engine's head table
+    ``known``, and built and checked only on a miss."""
+    sigs = list(dict.fromkeys(chain.from_iterable(table.values())))
+    heads = [sig[: k + 1] for sig in sigs]
+    out = []
+    for r in range(n):
+        turn = tuple([(x + r) % n for x in range(n)]).__getitem__
+        turned = [tuple(map(turn, head)) for head in heads]
+        out.append(dict(zip(sigs, [known.get(h) or _checked_slot(h, n, known) for h in turned])))
+    return out
 
 
-def _key_sorted_rows(family: AugTreeFamily, columns, variants, orders: int, known: dict) -> list:
+def _key_sorted_rows(family: AugTreeFamily, columns, variants, rotations, orders: int) -> list:
     """Every member's slots, expanded column by column and sorted once by
     an integer key per member."""
     n = family.n
@@ -293,41 +298,40 @@ def _key_sorted_rows(family: AugTreeFamily, columns, variants, orders: int, know
     # k + 1..n - 1) and the run `before` times (those of slots 0..k - 1).
     # A pinned column holds indices into its slot's permutations.
     before = 1
-    perms, expanded = [], []
-    for tree, column, table in zip(family.trees, columns, variants):
-        sigs = list(dict.fromkeys(chain.from_iterable(table.values())))
-        index = {sig: i for i, sig in enumerate(sigs)}
+    expanded = []
+    for tree, column, table, turned in zip(family.trees, columns, variants, rotations):
+        index = {sig: i for i, sig in enumerate(turned[0])}
         swaps = tree.compiled().leaf_swaps
         after = orders // (before * swaps)
         block = {
             sig: tuple([index[v] for v in vs for _ in range(after)]) * before
             for sig, vs in table.items()
         }
-        perms.append(sigs)
         expanded.append(list(chain.from_iterable(map(block.__getitem__, column))))
         before *= swaps
-    # the heads of slots k + 1..n - 1 are the digits below slot k's head
-    low = [n ** sum(range(k + 2, n + 1)) for k in range(n)]
+    # slot k's head read in base n, above the heads of slots k + 1..n - 1
+    weights = [[n ** (sum(range(k + 2, n + 1)) + k - i) for i in range(k + 1)] for k in range(n)]
     rows: list[tuple[Mapping, ...]] = []
     keys: list[int] = []
     for r in range(n):  # rotations, column by column
         turns, digits = [], []
-        for k, sigs in enumerate(perms):
-            turned = [_turned_slot(sig, r, k, n, known) for sig in sigs]
-            turns.append(turned.__getitem__)
-            digits.append([_head_value(sig, k, n) * low[k] for sig in turned].__getitem__)
+        for turned, weight in zip(rotations, weights):
+            sigs = list(turned[r].values())
+            turns.append(sigs.__getitem__)
+            # map stops at the shorter: the weights cover the head alone
+            digits.append([sum(map(mul, sig, weight)) for sig in sigs].__getitem__)
         rows += zip(*map(map, turns, expanded))
         keys += map(sum, zip(*map(map, digits, expanded)))
-    del expanded, perms
+    del expanded
     # a permutation is its head followed by the ascending fill, so the keys
     # sort the rows as tuples would, with int comparisons; they and the
     # order are freed before the rows are reordered
     order = sorted(range(len(rows)), key=keys.__getitem__)
     del keys
-    return [rows[i] for i in order]
+    return list(map(rows.__getitem__, order))
 
 
-def _merged_rows(family: AugTreeFamily, columns, variants, known: dict) -> list:
+def _merged_rows(family: AugTreeFamily, columns, variants, rotations) -> list:
     """Every member's slots, listed in order one orbit block at a time.
 
     A block is one (pinned row, rotation) pair.  Its members are the
@@ -343,11 +347,8 @@ def _merged_rows(family: AugTreeFamily, columns, variants, known: dict) -> list:
     n = family.n
     # per slot and rotation, per pinned permutation its sorted rotated variants
     turned = [
-        [
-            {sig: sorted([_turned_slot(v, r, k, n, known) for v in vs]) for sig, vs in table.items()}
-            for r in range(n)
-        ]
-        for k, table in enumerate(variants)
+        [{sig: sorted(map(turn.__getitem__, vs)) for sig, vs in table.items()} for turn in by_r]
+        for table, by_r in zip(variants, rotations)
     ]
     blocks = [
         [turned[k][r][sig] for k, sig in enumerate(row)]
@@ -441,20 +442,14 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     variants = [
         _leaf_variants(tree, column, n, known) for tree, column in zip(family.trees, columns)
     ]
+    rotations = [_rotations(table, k, n, known) for k, table in enumerate(variants)]
     if orders >= _MERGE_MIN_ORDERS:
-        rows = _merged_rows(family, columns, variants, known)
+        rows = _merged_rows(family, columns, variants, rotations)
     else:
-        rows = _key_sorted_rows(family, columns, variants, orders, known)
-    del columns, variants
+        rows = _key_sorted_rows(family, columns, variants, rotations, orders)
+    del columns, variants, rotations
     # Labeling._checked inlined: each row holds n slots checked through known
-    new, put = object.__new__, object.__setattr__
-    members = []
-    append = members.append
-    for row in rows:
-        lab = new(Labeling)
-        put(lab, "n", n)
-        put(lab, "sigmas", row)
-        append(lab)
+    members = list(map(tuple.__new__, repeat(Labeling), zip(repeat(n), rows)))
     return members, len(members)
 
 

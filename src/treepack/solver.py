@@ -13,6 +13,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ._search import ChunkTables, search
 from .errors import BadSizeError, BoundExceededError, TreePackError
@@ -41,8 +42,7 @@ class SolveConfig:
             raise ValueError(f"classical_mode must be a bool, got {self.classical_mode!r}")
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     """Outcome of one pack() call: the first labeling found, or none.
 
     Packed results always carry a verified labeling.
@@ -54,8 +54,7 @@ class SolveResult:
     elapsed_ms: float
 
 
-@dataclass(frozen=True)
-class FamilyOutcome:
+class FamilyOutcome(NamedTuple):
     index: int
     status: str
     nodes: int
@@ -142,12 +141,7 @@ def _sweep_chunk(args) -> list[FamilyOutcome]:
     tables = ChunkTables()
     for index, family in enumerate(family_enumerate(n, start, stop), start=start):
         res = pack(family, cfg, _tables=tables)
-        rows.append(
-            FamilyOutcome(
-                index=index, status=res.status, nodes=res.nodes_expanded,
-                millis=res.elapsed_ms,
-            )
-        )
+        rows.append(FamilyOutcome(index, res.status, res.nodes_expanded, res.elapsed_ms))
     return rows
 
 

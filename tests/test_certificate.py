@@ -596,7 +596,7 @@ def test_composition_implication_reports_a_base_that_does_not_pack(monkeypatch):
     def sweep_with_row_5_exhausted(n):
         report = real_sweep(n)
         rows = list(report.rows)
-        rows[5] = dataclasses.replace(rows[5], status=EXHAUSTED)
+        rows[5] = rows[5]._replace(status=EXHAUSTED)
         return dataclasses.replace(report, rows=tuple(rows))
 
     monkeypatch.setattr(certificate, "sweep", sweep_with_row_5_exhausted)

@@ -14,6 +14,7 @@ from treepack import (
     BadSizeError,
     BoundExceededError,
     InvalidFamilyError,
+    Labeling,
     NotAPermutationError,
     NotATreeError,
     OutOfRangeError,
@@ -422,6 +423,27 @@ def test_star_family_and_generate_family():
     b = generate_family(7, "mixed", seed=4)
     assert a == b
     assert a != generate_family(7, "mixed", seed=5)
+
+
+@pytest.mark.parametrize("n", [True, 2.0])
+def test_a_size_that_is_no_int_is_refused(n):
+    """A bool size passed for an int and a float one raised a bare
+    TypeError; every constructor, builder and generator refuses both, as
+    `sweep` does."""
+    cases = [
+        lambda: Labeling(n=n, sigmas=((0,),) * int(n)),
+        lambda: AugFuncTree(n=n, m=1, map=(0,) * int(n), root=0),
+        lambda: AugFuncTree(n=2, m=n, map=(0, 1), root=0),
+        lambda: AugTreeFamily(n=n, trees=(build_tree([0], 1),)),
+        lambda: star_family(n),
+        lambda: generate_family(n),
+        lambda: generate("star", n),
+        lambda: generate("star", 1, n),
+        lambda: build_tree([0], n),
+    ]
+    for build in cases:
+        with pytest.raises(BadSizeError):
+            build()
 
 
 def test_family_validation():

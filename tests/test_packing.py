@@ -616,3 +616,29 @@ def test_labeling_validation():
     # a labeling on Z_0 is refused, as a family on Z_0 is
     with pytest.raises(BadSizeError):
         Labeling(n=0, sigmas=())
+
+
+def test_labeling_escape_hatches_still_check():
+    """Labeling is a NamedTuple, so `_make` and `_replace` could build one
+    without the constructor; both go through its checks.  Keyword
+    construction, repr and equality are those of the frozen record it
+    replaces, and it equals the plain tuple of its fields."""
+    with pytest.raises(NotAPermutationError):
+        Labeling._make((2, ((0, 0), (1, 0))))
+    with pytest.raises(DimensionMismatchError):
+        Labeling._make((3, ((0, 1, 2),)))
+    lab = Labeling(n=2, sigmas=([0, 1], (1, 0)))
+    with pytest.raises(NotAPermutationError):
+        lab._replace(sigmas=((0, 1), (1, 1)))
+    with pytest.raises(BadSizeError):
+        lab._replace(n=True)
+    assert lab._replace(sigmas=((1, 0), (0, 1))) == Labeling(2, ((1, 0), (0, 1)))
+    assert repr(lab) == "Labeling(n=2, sigmas=((0, 1), (1, 0)))"
+    assert lab == Labeling(n=2, sigmas=((0, 1), (1, 0))) == (2, ((0, 1), (1, 0)))
+    assert lab != Labeling(n=2, sigmas=((1, 0), (0, 1)))
+    assert hash(lab) == hash(Labeling(n=2, sigmas=((0, 1), (1, 0))))
+    n, sigmas = lab
+    assert (n, sigmas) == (lab.n, lab.sigmas)
+    for fam in (generate_family(5, "mixed", 0), star_family(4)):  # key sort, merge
+        members, _ = phi_enumerate(fam)
+        assert all(type(m) is Labeling for m in members)
