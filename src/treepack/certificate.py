@@ -41,6 +41,7 @@ from .errors import (
 from .functree import (
     AugTreeFamily,
     check_permutation,
+    check_size,
     compose_square,
     family_enumerate,
     is_int,
@@ -101,12 +102,12 @@ class YPoly:
         return acc
 
 
-def _ymul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, z in enumerate(b):
-                out[i + j] += x * z
+def _linear_product(factors) -> list[int]:
+    """Dense product of the linear factors c0 + c1*x, given as (c0, c1)
+    pairs, low degree first."""
+    out = [1]
+    for c0, c1 in factors:
+        out = [c0 * a + c1 * b for a, b in zip(out + [0], [0] + out)]
     return out
 
 
@@ -123,8 +124,7 @@ class SparsePoly:
     terms: dict[Monomial, Fraction] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValidationError(f"lattice size must be positive, got {self.n}")
+        check_size(self.n, "a lattice")
         clean: dict[Monomial, Fraction] = {}
         y_id = self.n * self.n
         # exact-type tests first: the ring operations build their terms
@@ -227,8 +227,8 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, power: int):
-        if power < 0:
-            raise ValidationError("negative polynomial powers are undefined here")
+        if not is_int(power) or power < 0:
+            raise ValidationError(f"polynomial power {power!r} is not a nonnegative int")
         out = SparsePoly.const(self.n, 1)
         for _ in range(power):
             out = out * self
@@ -380,14 +380,11 @@ def vertex_poly_eval(point) -> int:
     per slot the magnitude is the superfactorial power (prod j!)^n, a fact
     the test suite leans on as an independent cross-check.
     """
-    rows = _check_point(point)
-    n = len(rows)
-    out = 1
-    for row in rows:
-        for u in range(n):
-            for v in range(u + 1, n):
-                out *= row[v] - row[u]
-    return out
+    return _vandermonde(_check_point(point))
+
+
+def _vandermonde(rows) -> int:
+    return prod([b - a for row in rows for u, a in enumerate(row) for b in row[u + 1:]])
 
 
 def edge_poly_eval(family: AugTreeFamily, point) -> YPoly:
@@ -399,29 +396,31 @@ def edge_poly_eval(family: AugTreeFamily, point) -> YPoly:
     vanishes identically exactly when the two arcs collide as unordered
     pairs.  The empty product (n = 1) is the constant 1.
     """
-    rows = _check_point(point, family.n)
-    n = family.n
+    return YPoly(tuple(_edge_product(family, _check_point(point, family.n))))
+
+
+def _edge_product(family: AugTreeFamily, rows) -> list[int]:
     arcs = [t.compiled().arcs for t in family.trees]
-    acc = [1]
-    for i in range(n):
-        for j in range(i + 1, n):
+    factors = []
+    for i in range(family.n):
+        for j in range(i + 1, family.n):
             for (cu, pu) in arcs[i]:
                 c, d = rows[i][pu], rows[i][cu]
                 for (cv, pv) in arcs[j]:
                     a, b = rows[j][pv], rows[j][cv]
                     if a * b == c * d and a + b == c + d:
-                        return YPoly((0,))  # identical unordered arc pair
-                    acc = _ymul(acc, [a * b - c * d, c + d - a - b])
-    return YPoly(tuple(acc))
+                        return [0]  # identical unordered arc pair
+                    factors.append((a * b - c * d, c + d - a - b))
+    return _linear_product(factors)
 
 
 def certificate_eval(family: AugTreeFamily, point) -> YPoly:
     """Vandermonde times edge product: nonzero iff the point is in Phi."""
-    v = vertex_poly_eval(_check_point(point, family.n))
+    rows = _check_point(point, family.n)  # read once: `point` may be an iterator
+    v = _vandermonde(rows)
     if v == 0:
         return YPoly((0,))
-    e = edge_poly_eval(family, point)
-    return YPoly(tuple(v * c for c in e.coeffs))
+    return YPoly(tuple([v * c for c in _edge_product(family, rows)]))
 
 
 # === Lagrange bases =====================================================
@@ -433,16 +432,13 @@ def _basis_variables(f):
     if not seq:
         raise ValidationError("empty basis index")
     if isinstance(seq[0], (tuple, list)):
-        rows = _check_point(seq)
-        n = len(rows)
-        vals = [(k * n + v, rows[k][v]) for k in range(n) for v in range(n)]
-    else:
-        n = len(seq)
-        vals = list(enumerate(seq))
-    for vid, value in vals:
+        rows = _check_point(seq)  # x[k][v] is variable k*n + v
+        return len(rows), list(enumerate([v for row in rows for v in row]))
+    n = len(seq)
+    for value in seq:
         if not is_int(value) or not 0 <= value < n:
             raise OutOfRangeError(f"basis value {value!r} outside Z_{n}")
-    return n, vals
+    return n, list(enumerate(seq))
 
 
 def lagrange_basis(f, point=None, expand: bool = False):
@@ -450,7 +446,8 @@ def lagrange_basis(f, point=None, expand: bool = False):
 
     `f` is either a full lattice point (one mapping per slot) or a single
     mapping over Z_n.  Exactly one mode must be requested: `point=` gives
-    the exact rational value (1 at f, 0 at every other lattice point), and
+    the exact rational value (1 at f, 0 at every other lattice point; a
+    point of another shape or on another Z_n is refused), and
     `expand=True` gives the SparsePoly, capped at LAGRANGE_EXPAND_MAX_TERMS
     monomials: a variable at 0 expands to n of them, any other to n - 1.
     """
@@ -459,19 +456,13 @@ def lagrange_basis(f, point=None, expand: bool = False):
         raise ValidationError("choose exactly one of point= or expand=True")
 
     if point is not None:
-        _, pvals = _basis_variables(point)
-        if len(pvals) != len(vals):
-            raise DimensionMismatchError("point shape differs from basis index")
-        at = dict(pvals)
-        out = Fraction(1)
-        for vid, fv in vals:
-            xv = at[vid]
-            for j in range(n):
-                if j != fv:
-                    out *= Fraction(xv - j, fv - j)
-                    if not out:
-                        return out
-        return out
+        pn, pvals = _basis_variables(point)
+        if pn != n or len(pvals) != len(vals):
+            raise DimensionMismatchError(
+                f"point of {len(pvals)} values on Z_{pn}, basis index of {len(vals)} on Z_{n}"
+            )
+        # both lie on Z_n, where the basis through f is 1 at f and 0 elsewhere
+        return Fraction(int(pvals == vals))
 
     terms = 1
     for _, fv in vals:  # stops as soon as the count passes the cap
@@ -490,34 +481,33 @@ def _uni_numerator(fv: int, n: int) -> tuple[list[int], int]:
     """prod over j != fv in Z_n of (x - j), low degree first, and the
     product of the (fv - j): the univariate Lagrange basis through fv
     is their quotient."""
-    uni = [1]
-    denom = 1
-    for j in range(n):
-        if j == fv:
-            continue
-        denom *= fv - j
-        uni = [0] + uni  # times x, then subtract j times the old poly
-        for e in range(len(uni) - 1):
-            uni[e] -= j * uni[e + 1]
-    return uni, denom
+    others = [j for j in range(n) if j != fv]
+    return _linear_product([(-j, 1) for j in others]), prod([fv - j for j in others])
+
+
+def _expand(factors) -> dict[Monomial, int]:
+    """Sparse product of one univariate per variable.
+
+    ``factors`` lists (variable id, coefficients low degree first) pairs
+    with ids ascending, so appending each variable keeps a monomial
+    sorted, and each product term lands on a monomial of its own.
+    """
+    acc: dict[Monomial, int] = {(): 1}
+    for vid, uni in factors:
+        acc = {
+            mono + ((vid, e),) if e else mono: c * u
+            for mono, c in acc.items()
+            for e, u in enumerate(uni)
+            if u
+        }
+    return acc
 
 
 def _basis_numerator(vals, n: int) -> tuple[dict[Monomial, int], int]:
     """Integer expansion of prod (x - j) plus the common denominator."""
-    acc: dict[Monomial, int] = {(): 1}
-    denom = 1
-    for vid, fv in vals:
-        uni, d = _uni_numerator(fv, n)
-        denom *= d
-        nxt: dict[Monomial, int] = {}
-        for mono, c in acc.items():
-            for e, u in enumerate(uni):
-                if not u:
-                    continue
-                key = mono + ((vid, e),) if e else mono
-                nxt[key] = nxt.get(key, 0) + c * u
-        acc = nxt
-    return acc, denom
+    unis = [_uni_numerator(fv, n) for _, fv in vals]
+    numer = _expand([(vid, uni) for (vid, _), (uni, _) in zip(vals, unis)])
+    return numer, prod([d for _, d in unis])
 
 
 # === canonical representative ===========================================
@@ -646,12 +636,12 @@ def canonical_rep(family: AugTreeFamily, mode: str = "phi-sum") -> SparsePoly:
 def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
     """Canonical representative of `p` modulo the falling factorials.
 
-    Every occurrence of x^n (x in the listed variables, n the lattice
-    size) is rewritten to x^n minus the falling factorial x(x-1)...(x-n+1),
-    which has degree n-1 and the same values on Z_n; repeating this leaves
-    degree < n in each listed variable and never changes any lattice
-    evaluation.  Defaults to the x variables of `p`; y is left alone
-    unless listed explicitly, since y is not a lattice coordinate.
+    Every power x^e with e >= n (x in the listed variables, n the lattice
+    size) becomes its remainder modulo the falling factorial
+    x(x-1)...(x-n+1), which vanishes on Z_n: that leaves degree < n in
+    each listed variable and never changes any lattice evaluation.
+    Defaults to the x variables of `p`; y is left alone unless listed
+    explicitly, since y is not a lattice coordinate.
     """
     n = p.n
     if variables is None:
@@ -661,37 +651,24 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
         if not all(map(is_int, variables)):
             raise OutOfRangeError(f"variable ids {variables} must be integers")
         vset = frozenset(variables)
-    r = None  # x^n = fall(x) + r(x), deg r < n: built at the first x^n
-    work = dict(p.terms)
+    rems: list[list[int]] = []  # rems[i] is x^(n+i) mod the falling factorial
     out: dict[Monomial, Fraction] = {}
-    while work:
-        mono, coef = work.popitem()
-        if not coef:
-            continue
-        hit = None
+    for mono, coef in p.terms.items():
+        factors = []
         for vid, e in mono:
-            if e >= n and vid in vset:
-                hit = (vid, e)
-                break
-        if hit is None:
-            out[mono] = out.get(mono, Fraction(0)) + coef
-            continue
-        if r is None:
-            fall = [1]  # falling factorial, low degree first
-            for t in range(n):
-                fall = [0] + fall
-                for e in range(len(fall) - 1):
-                    fall[e] -= t * fall[e + 1]
-            r = [-c for c in fall[:n]]
-        vid, e = hit
-        rest = tuple(pair for pair in mono if pair[0] != vid)
-        for t, rc in enumerate(r):
-            if not rc:
+            if e < n or vid not in vset:
+                factors.append((vid, [0] * e + [1]))
                 continue
-            ne = e - n + t
-            nm = tuple(sorted(rest + ((vid, ne),))) if ne else rest
-            work[nm] = work.get(nm, Fraction(0)) + coef * rc
-    return SparsePoly(n=n, terms={m: c for m, c in out.items() if c})
+            if not rems:
+                # the falling factorial is x times the basis numerator through 0
+                rems.append([0] + [-c for c in _uni_numerator(0, n)[0][:-1]])
+            while len(rems) <= e - n:  # times x, folding its x^n back in
+                low, top = [0] + rems[-1][:-1], rems[-1][-1]
+                rems.append([a + top * r for a, r in zip(low, rems[0])])
+            factors.append((vid, rems[e - n]))
+        for m, c in _expand(factors).items():
+            out[m] = out.get(m, 0) + coef * c
+    return SparsePoly(n=n, terms=out)
 
 
 def nonvanishing_equivalence_check(family: AugTreeFamily) -> bool:
@@ -739,8 +716,6 @@ def monomial_support_check(sigma) -> bool:
 
 def variable_dependency_check(p: SparsePoly, power: int) -> bool:
     """Reducing a power of `p` must not drag in outside variables."""
-    if power < 0:
-        raise ValidationError("power must be nonnegative")
     support = set(p.variables())
     reduced = poly_reduce(p**power, support)
     return set(reduced.variables()) <= support

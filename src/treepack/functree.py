@@ -236,8 +236,8 @@ class AugFuncTree:
         if len(g) != self.n:
             raise BadSizeError(f"map has {len(g)} entries, expected {self.n}")
         object.__setattr__(self, "map", g)
-        if not 0 <= self.root < self.n:
-            raise OutOfRangeError(f"root {self.root} outside Z_{self.n}")
+        if not is_int(self.root) or not 0 <= self.root < self.n:
+            raise OutOfRangeError(f"root {self.root!r} outside Z_{self.n}")
         if g[self.root] != self.root:
             raise NotATreeError(f"root {self.root} is not a fixed point")
         # not a dataclass field, so equality, hashing and repr ignore it
@@ -251,14 +251,6 @@ class AugFuncTree:
 
     def component(self) -> tuple[int, ...]:
         return self.compiled().component
-
-    def depth_map(self) -> dict[int, int]:
-        """Component vertex -> distance to the root."""
-        order, g = self.compiled().order, self.map
-        depth = {order[0]: 0}
-        for u in order[1:]:  # a parent precedes its children
-            depth[u] = depth[g[u]] + 1
-        return depth
 
     def children(self, v: int) -> tuple[int, ...]:
         """Component vertices pointing at v, the root's self-edge excluded."""
@@ -302,14 +294,14 @@ def sibling_leaf_set(tree: AugFuncTree) -> frozenset[int]:
     """
     if tree.m == 1:
         raise SingletonTreeError("a one-vertex tree has no sibling leaves")
-    depths = tree.depth_map()
-    maxd = max(depths.values())
-    ref = max(v for v, d in depths.items() if d == maxd)
-    target = tree.map[ref]
-    leaves = frozenset(
-        v for v in depths if tree.map[v] == target and v != tree.root
-    )
-    assert all(not tree.children(v) for v in leaves), "non-leaf sibling"
+    order, g = tree.compiled().order, tree.map
+    depth = {order[0]: 0}
+    for u in order[1:]:  # a parent precedes its children
+        depth[u] = depth[g[u]] + 1
+    # breadth-first, so the last vertex in order is a deepest one
+    target = g[max(v for v in order if depth[v] == depth[order[-1]])]
+    leaves = frozenset(v for v in order[1:] if g[v] == target)
+    assert not any(g[u] in leaves for u in order[1:]), "non-leaf sibling"
     return leaves
 
 
@@ -439,10 +431,14 @@ def _check_slot(k: int, t, n: int) -> None:
         raise InvalidFamilyError(f"slot {k} is not in semigroup form at vertex {u}")
 
 
-def _root_at_slot(family: AugTreeFamily, k) -> Mapping:
-    """The map of slot k conjugated by (0 k), its root moved to k."""
+def _check_slot_index(family: AugTreeFamily, k) -> None:
     if not is_int(k) or not 0 <= k < family.n:
         raise OutOfRangeError(f"slot {k!r} outside Z_{family.n}")
+
+
+def _root_at_slot(family: AugTreeFamily, k) -> Mapping:
+    """The map of slot k conjugated by (0 k), its root moved to k."""
+    _check_slot_index(family, k)
     g = list(range(family.n))
     for v, p in family.trees[k].compiled().arcs:
         g[v] = p
@@ -499,6 +495,7 @@ class AugTreeFamily:
 
     def with_tree(self, k: int, tree: AugFuncTree) -> AugTreeFamily:
         """Copy of the family with slot k replaced (revalidated)."""
+        _check_slot_index(self, k)
         trees = list(self.trees)
         trees[k] = tree
         return AugTreeFamily(n=self.n, trees=tuple(trees))

@@ -191,8 +191,36 @@ def test_certificate_nonzero_iff_complete_n2():
 def test_point_validation():
     with pytest.raises(DimensionMismatchError):
         certificate_eval(FAM2, ((0, 1),))
+    with pytest.raises(DimensionMismatchError, match="row 1 has 1 entries, expected 2"):
+        certificate_eval(FAM2, ((0, 1), (0,)))
     with pytest.raises(OutOfRangeError):
         certificate_eval(FAM2, ((0, 2), (0, 1)))
+
+
+def test_certificate_eval_reads_its_point_once():
+    """A point given as an iterator is read once and checked once; it was
+    read again for the edge product, found empty and refused."""
+    rows = (r for r in [[0, 1], [0, 1]])
+    assert certificate_eval(FAM2, rows) == certificate_eval(FAM2, ID2)
+
+
+@pytest.mark.parametrize("n", [0, True, 2.0, "3"])
+def test_sparsepoly_refuses_a_size_that_is_no_positive_int(n):
+    """True and 2.0 built a polynomial (printing x[0.0][0.0]) and "3"
+    raised a bare TypeError; 0 was a ValidationError."""
+    with pytest.raises(BadSizeError):
+        SparsePoly(n=n, terms={((0, 1),): 1})
+
+
+def test_powers_must_be_nonnegative_ints():
+    """p ** True was p ** 1, and p ** 2.0 and a power of 2.5 in the
+    dependency check raised a bare TypeError."""
+    p = SparsePoly.x(2, 0, 1) + 1
+    for power in (True, 2.0, -1):
+        with pytest.raises(ValidationError):
+            p**power
+    with pytest.raises(ValidationError):
+        variable_dependency_check(p, 2.5)
 
 
 def test_non_integer_inputs_are_rejected_not_truncated():
@@ -279,6 +307,17 @@ def test_lagrange_expand_bound():
         lagrange_basis((0, 1), point=(0, 1), expand=True)
     with pytest.raises(ValidationError):
         lagrange_basis((0, 1))
+
+
+def test_lagrange_point_on_another_lattice_is_refused():
+    """A mapping on Z_4 has as many values as a point on Z_2, and its
+    basis evaluated at one returned 1."""
+    with pytest.raises(DimensionMismatchError):
+        lagrange_basis((0, 1, 1, 0), point=((0, 1), (1, 0)))
+    with pytest.raises(DimensionMismatchError):
+        lagrange_basis(((0, 1), (1, 0)), point=(0, 1, 1, 0))
+    with pytest.raises(DimensionMismatchError):
+        lagrange_basis((0, 1), point=ID2)
 
 
 def test_lagrange_constant_term_vanishes():

@@ -43,6 +43,16 @@ def brute_is_tree(g):
     return len(image) == 1
 
 
+def depth_map(t):
+    """Component vertex -> distance to the root, along the tree's
+    breadth-first order, in which a parent precedes its children."""
+    order = t.compiled().order
+    depth = {order[0]: 0}
+    for u in order[1:]:
+        depth[u] = depth[t.map[u]] + 1
+    return depth
+
+
 def conjugate(g, gamma):
     """Relabel a self-map by a permutation: gamma(v) points to gamma(g(v))."""
     out = [0] * len(g)
@@ -67,10 +77,10 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
 
     The augmented constructor is held to the same oracle: AugFuncTree(n,
     m, g, r) builds iff r is fixed, the non-fixed vertices plus r number
-    m, and each of them reaches r under iteration of g; its depth_map is
-    the iterate count, and children(v) lists the members u != r with
-    g[u] == v, ascending.  The maps include cycles that miss the root,
-    which build_tree never passes on."""
+    m, and each of them reaches r under iteration of g; the depths along
+    its breadth-first order are the iterate counts, and children(v) lists
+    the members u != r with g[u] == v, ascending.  The maps include
+    cycles that miss the root, which build_tree never passes on."""
     for m in range(1, 5):
         trees = 0
         for g in itertools.product(range(m), repeat=m):
@@ -96,7 +106,7 @@ def test_is_functional_tree_agrees_with_brute_force_exhaustively():
                     continue
                 t = AugFuncTree(n=n, m=size, map=g, root=r)
                 assert t.component() == tuple(sorted(members))
-                assert t.depth_map() == {
+                assert depth_map(t) == {
                     v: min(j for j in range(n) if powers[j][v] == r)
                     for v in members
                 }
@@ -128,7 +138,7 @@ def test_build_tree_example():
     assert t.m == 4 and t.n == 6 and t.root == 0
     assert t.map == (0, 0, 1, 1, 4, 5)
     assert t.component() == (0, 1, 2, 3)
-    assert t.depth_map() == {0: 0, 1: 1, 2: 2, 3: 2}
+    assert depth_map(t) == {0: 0, 1: 1, 2: 2, 3: 2}
     assert t.children(1) == (2, 3)
     assert build_tree([0]).map == (0,)
 
@@ -162,6 +172,16 @@ def test_augfunctree_rejects_moved_outside_vertices():
         AugFuncTree(n=3, m=2, map=(0, 0, 0), root=0)
 
 
+def test_augfunctree_refuses_a_bad_root_or_map_length():
+    """A root must be an int in Z_n: True built a tree rooted at 1 and
+    1.0 raised a bare TypeError.  A map must have n entries."""
+    for root in (True, 1.0, 2, -1):
+        with pytest.raises(OutOfRangeError):
+            AugFuncTree(n=2, m=1, map=(0, 1), root=root)
+    with pytest.raises(BadSizeError, match="map has 2 entries, expected 3"):
+        AugFuncTree(n=3, m=1, map=(0, 1), root=0)
+
+
 # --- generators --------------------------------------------------------
 
 
@@ -188,7 +208,7 @@ def test_generate_star_and_path_shapes():
     assert star.map == (0, 0, 0, 0, 0)
     path = generate("path", 5)
     assert path.map == (0, 0, 1, 2, 3)
-    assert max(path.depth_map().values()) == 4
+    assert max(depth_map(path).values()) == 4
 
 
 def test_generate_unknown_kind():
@@ -248,6 +268,26 @@ def test_sibling_leaf_set_and_local_compose():
         sibling_leaf_set(build_tree([0], 3))
 
 
+def test_sibling_leaf_set_matches_its_definition_on_every_tree():
+    """Every labeled rooted tree on Z_m, m = 2..5, inside Z_(m+1): the set
+    is the non-root preimages of the parent of the deepest vertex with
+    the largest label, and each of them has no children."""
+    checked = 0
+    for m in range(2, 6):
+        for g in itertools.product(range(m), repeat=m):
+            if not build_tree_accepts(g):
+                continue
+            t = build_tree(g, m + 1)
+            depth = depth_map(t)
+            deepest = max(depth.values())
+            target = t.map[max(v for v, d in depth.items() if d == deepest)]
+            want = {v for v in depth if t.map[v] == target and v != t.root}
+            assert all(t.children(v) == () for v in want)
+            assert sibling_leaf_set(t) == want
+            checked += 1
+    assert checked == sum(m ** (m - 1) for m in range(2, 6))
+
+
 def test_leaf_sibling_groups_partition_leaves():
     t = build_tree([0, 0, 1, 1, 0, 4, 4])
     groups = leaf_sibling_groups(t)
@@ -263,7 +303,7 @@ def test_compose_square_halves_depth_until_star():
     t = build_tree([0, 0, 1, 2, 3, 4, 5, 6])  # path of depth 7
     depths = []
     while True:
-        depths.append(max(t.depth_map().values()))
+        depths.append(max(depth_map(t).values()))
         nxt = compose_square_tree(t)
         if nxt == t:
             break
@@ -607,6 +647,12 @@ def test_with_tree_replaces_one_slot():
     assert out.trees[3] == fam.trees[3]
     with pytest.raises(InvalidFamilyError):
         fam.with_tree(1, path3)  # wrong component size for the slot
+    # a slot outside Z_4 or no int is refused, also with a tree that fits
+    # the slot it would land in: -1 replaced the last slot, True slot 1
+    path4 = build_tree([0, 0, 1, 2], 4)
+    for k, t in ((-1, path4), (True, fam.trees[1]), (4, path4), (1.0, fam.trees[1])):
+        with pytest.raises(OutOfRangeError):
+            fam.with_tree(k, t)
 
 
 def test_check_permutation_errors():
