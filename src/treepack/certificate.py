@@ -96,10 +96,18 @@ class YPoly:
         return -1 if self.is_zero() else len(self.coeffs) - 1
 
     def evaluate(self, y):
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * y + c
-        return acc
+        return _horner(self.coeffs, y)
+
+
+def _horner(coeffs, y):
+    """The polynomial in y with ``coeffs``, low power first, at an exact
+    ``y``: an `is_int` or a Fraction (ValidationError otherwise)."""
+    if not (is_int(y) or isinstance(y, Fraction)):
+        raise ValidationError(f"y must be an int or a Fraction, got {y!r}")
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * y + c
+    return acc
 
 
 def _linear_product(factors) -> list[int]:
@@ -253,10 +261,7 @@ class SparsePoly:
 
     def evaluate(self, point, y=0) -> Fraction:
         """Exact value at a lattice point, with y given separately."""
-        acc = Fraction(0)
-        for c in reversed(self.eval_x(point)):
-            acc = acc * y + c
-        return acc
+        return _horner(self.eval_x(point), y)
 
     def _compiled(self):
         # terms flattened for the evaluation hot path: one common
@@ -648,8 +653,8 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
         vset = frozenset(v for v in p.variables() if v != n * n)
     else:
         variables = tuple(variables)
-        if not all(map(is_int, variables)):
-            raise OutOfRangeError(f"variable ids {variables} must be integers")
+        if not all(is_int(v) and 0 <= v <= n * n for v in variables):
+            raise OutOfRangeError(f"variable ids {variables} must be ints in 0..{n * n}")
         vset = frozenset(variables)
     rems: list[list[int]] = []  # rems[i] is x^(n+i) mod the falling factorial
     out: dict[Monomial, Fraction] = {}

@@ -35,6 +35,7 @@ import io
 import json
 import sys
 from dataclasses import asdict
+from itertools import chain
 from pathlib import Path
 
 from .certificate import (
@@ -77,6 +78,9 @@ from .solver import PACKED, SolveConfig, pack, star_identity_labeling, sweep
 DEFAULT_SEED = 1729
 
 ORIENTATION_FORMATS = ("dot", "json")
+
+# members per json.dumps call: `enumerate --json` is written a batch at a time
+_ENUMERATE_BATCH = 4096
 
 
 # === documents ==========================================================
@@ -176,10 +180,16 @@ def _int_field(doc: dict, name: str) -> int:
 
 
 def _write_out(text: str, path: str | None) -> None:
+    _write_pieces([text if text.endswith("\n") else text + "\n"], path)
+
+
+def _write_pieces(pieces, path: str | None) -> None:
+    """Write the strings of ``pieces`` in turn, to stdout or to ``path``."""
     if path is None:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.writelines(pieces)
     else:
-        Path(path).write_text(text if text.endswith("\n") else text + "\n")
+        with open(path, "w") as f:
+            f.writelines(pieces)
 
 
 def _family_from_args(
@@ -275,27 +285,28 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family, _ = _family_from_args(args, PHI_ESSENTIAL_MAX_N)
     members, essential = phi_enumerate(family, mode="essential")
+    members.sort()  # listed orbit by orbit; printed as the sorted rows
     n = family.n
     full = essential * full_count_multiplier(n)
     if args.json:
-        payload = {
-            "essential": essential,
-            "full": full,
-            "members": [_labeling_doc(m) for m in members],
-            "n": n,
-        }
-        _write_out(json.dumps(payload, sort_keys=True), args.output)
+        # the bytes of json.dumps(payload, sort_keys=True): the keys below,
+        # and a member's n and sigma, are in sorted order
+        step = _ENUMERATE_BATCH
+        body = (
+            (", " if i else "")
+            + json.dumps([{"n": n, "sigma": m.sigmas} for m in members[i : i + step]])[1:-1]
+            for i in range(0, len(members), step)
+        )
+        head = f'{{"essential": {essential}, "full": {full}, "members": ['
+        pieces = chain([head], body, [f'], "n": {n}}}\n'])
     else:
-        lines = [json.dumps([list(s) for s in m.sigmas]) for m in members]
-        lines.append(f"essential: {essential}")
-        lines.append(f"full: {full}")
-        _write_out("\n".join(lines), args.output)
+        lines = (json.dumps(m.sigmas) + "\n" for m in members)
+        pieces = chain(lines, [f"essential: {essential}\nfull: {full}\n"])
+    _write_pieces(pieces, args.output)
     return 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    if args.parallel < 1:
-        raise ValidationError(f"--parallel must be at least 1, got {args.parallel}")
     report = sweep(args.n, _solve_config(args), workers=args.parallel)
     if args.output is not None:
         buf = io.StringIO()

@@ -529,7 +529,8 @@ def family_enumerate(n: int, start: int = 0, stop: int | None = None):
     the walk begins at ``start`` without stepping through the families
     before it (`_product_slice`).  Refuses n beyond ``SWEEP_MAX_N``
     (BoundExceededError) before building any tree: n = 9 alone would mean
-    46 234 of them, and a non-int n (BadSizeError).
+    46 234 of them, a non-int n (BadSizeError), and a ``start`` or
+    ``stop`` that is no int of at least 0 (ValueError).
     """
     check_size(n, "a family")
     if n > SWEEP_MAX_N:
@@ -557,8 +558,8 @@ def _product_slice(pools: list[list], start: int, stop: int | None):
     then each earlier pool k in turn from its next digit, with the pools
     before k held at their digits and those after k running in full.
     """
-    if start < 0 or (stop is not None and stop < 0):
-        raise ValueError("a family index range cannot be negative")
+    if not all(is_int(i) and i >= 0 for i in (start, 0 if stop is None else stop)):
+        raise ValueError(f"a family index range needs ints of at least 0, got {start!r}, {stop!r}")
     digits = []
     rest = start
     for pool in reversed(pools):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, permutations, product, repeat
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import NamedTuple
 
 from ._search import ChunkTables, _slot_permutations, search
@@ -41,26 +41,19 @@ from .functree import (
 # of 6 rotations (no slot has a leaf group).  The pruned search lists one
 # row per orbit in 0.48-0.77 s of CPU time at a 40 MB peak (2.0 M nodes,
 # 1 150 distinct slot permutations checked).  phi_enumerate, which
-# expands the orbits (1 956 distinct slot permutations checked in all),
-# sorts the members by their integer keys and holds each as a Labeling,
-# takes 4.5-5.1 s and peaks at 262 MB (Python 3.11.7 on a shared 2-core
-# machine, three runs of the search and six of phi_enumerate).
+# expands the orbits (1 956 distinct slot permutations checked in all)
+# and holds each member as a Labeling, takes 2.3-2.7 s and peaks at
+# 229 MB (Python 3.11.7 on a shared 2-core machine, three runs).
 PHI_ESSENTIAL_MAX_N = 6
 # phi_enumerate knows its member count once the pruned search returns and
 # refuses a larger one before it builds any member.  A listing holds
-# about 210 bytes per member at its peak (RSS growth over the call, the
-# same at 0.94, 1.22 and 1.66 M members), so the cap keeps an admitted
-# listing under about 0.45 GB of RSS.  It admits the mixed family above
-# and refuses star_family(6), whose 120 orbits hold 24 883 200 members.
+# about 185 bytes per member at its peak (RSS growth over the call, 177
+# to 183 bytes at 0.28, 0.62, 0.72 and 1.22 M members), so the cap keeps
+# an admitted listing under about 0.4 GB of RSS; `treepack enumerate`
+# sorts it in place and writes it in batches, for a few MB more.  It
+# admits the mixed family above and refuses star_family(6), whose 120
+# orbits hold 24 883 200 members.
 PHI_MEMBER_CAP = 2_000_000
-# Leaf orders per pinned row (symmetry_factor // n) from which the sorted
-# listing merges orbit blocks instead of sorting every member by key.
-# On the 40 relabeled n = 5 mixed families of the exhaustive benchmark
-# (seeds 1 and 7, each family's best of 5 calls per path), the merge took
-# 0.38-0.88 of the key sort's time at 24 to 288 orders, 0.77-1.02 at 12,
-# and 1.3-2.4 times as long at 1 to 6, where a block holds at most 6
-# members and blocks often share their first slots.
-_MERGE_MIN_ORDERS = 12
 
 
 class _LabelingFields(NamedTuple):
@@ -174,6 +167,8 @@ def is_complete(
         raise DimensionMismatchError(
             f"labeling on Z_{labeling.n} against family on Z_{family.n}"
         )
+    if type(classical) is not bool:  # "no" is truthy
+        raise ValueError(f"classical must be a bool, got {classical!r}")
     n = family.n
     trees = family.trees
     cached = _tables.masks if _tables is not None and _tables.tail == trees[:-1] else ()
@@ -269,116 +264,25 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     return table
 
 
-def _rotations(table: dict, k: int, n: int, known: dict) -> list[dict]:
-    """Per rotation x -> x + r, each distinct permutation in the slot-k
-    ``table`` of `_leaf_variants` mapped to its left-composition with
-    the rotation, in first-seen order (r = 0 maps each to itself).  A
+def _rotations(table: dict, k: int, n: int, known: dict) -> list[list]:
+    """Per rotation x -> x + r, the left-composition with the rotation of
+    each distinct permutation in the slot-k ``table`` of `_leaf_variants`,
+    in first-seen order (r = 0 gives the permutations themselves).  A
     permutation is its head, its first k + 1 entries, followed by the
     ascending fill, so only the head turns, through one tuple per
     rotation.  A turned head is looked up in the engine's head table
     ``known``, and built and checked only on a miss."""
-    sigs = list(dict.fromkeys(chain.from_iterable(table.values())))
-    heads = [sig[: k + 1] for sig in sigs]
+    heads = [sig[: k + 1] for sig in dict.fromkeys(chain.from_iterable(table.values()))]
     out = []
     for r in range(n):
         turn = tuple([(x + r) % n for x in range(n)]).__getitem__
         turned = [tuple(map(turn, head)) for head in heads]
-        out.append(dict(zip(sigs, [known.get(h) or _checked_slot(h, n, known) for h in turned])))
+        out.append([known.get(h) or _checked_slot(h, n, known) for h in turned])
     return out
 
 
-def _key_sorted_rows(family: AugTreeFamily, columns, variants, rotations, orders: int) -> list:
-    """Every member's slots, expanded column by column and sorted once by
-    an integer key per member."""
-    n = family.n
-    # Leaf swaps, column by column.  Each pruned row stands for `orders`
-    # pinned rows, one per choice of a leaf order in every slot, in mixed
-    # radix with slot 0 the top digit: in a row's block of `orders`, slot
-    # k repeats each of its variants `after` times (the orders of slots
-    # k + 1..n - 1) and the run `before` times (those of slots 0..k - 1).
-    # A pinned column holds indices into its slot's permutations.
-    before = 1
-    expanded = []
-    for tree, column, table, turned in zip(family.trees, columns, variants, rotations):
-        index = {sig: i for i, sig in enumerate(turned[0])}
-        swaps = tree.compiled().leaf_swaps
-        after = orders // (before * swaps)
-        block = {
-            sig: tuple([index[v] for v in vs for _ in range(after)]) * before
-            for sig, vs in table.items()
-        }
-        expanded.append(list(chain.from_iterable(map(block.__getitem__, column))))
-        before *= swaps
-    # slot k's head read in base n, above the heads of slots k + 1..n - 1
-    weights = [[n ** (sum(range(k + 2, n + 1)) + k - i) for i in range(k + 1)] for k in range(n)]
-    rows: list[tuple[Mapping, ...]] = []
-    keys: list[int] = []
-    for r in range(n):  # rotations, column by column
-        turns, digits = [], []
-        for turned, weight in zip(rotations, weights):
-            sigs = list(turned[r].values())
-            turns.append(sigs.__getitem__)
-            # map stops at the shorter: the weights cover the head alone
-            digits.append([sum(map(mul, sig, weight)) for sig in sigs].__getitem__)
-        rows += zip(*map(map, turns, expanded))
-        keys += map(sum, zip(*map(map, digits, expanded)))
-    del expanded
-    # a permutation is its head followed by the ascending fill, so the keys
-    # sort the rows as tuples would, with int comparisons; they and the
-    # order are freed before the rows are reordered
-    order = sorted(range(len(rows)), key=keys.__getitem__)
-    del keys
-    return list(map(rows.__getitem__, order))
-
-
-def _merged_rows(family: AugTreeFamily, columns, variants, rotations) -> list:
-    """Every member's slots, listed in order one orbit block at a time.
-
-    A block is one (pinned row, rotation) pair.  Its members are the
-    product, slot by slot, of that slot's rotated leaf orders, so with
-    each slot's list sorted `itertools.product` yields them in order.
-    The blocks are merged walking the slots in order: a group of blocks
-    shares the slots before k, and is split by its blocks' one
-    permutation over each run of slots without a leaf group, or by each
-    variant at a slot with one, the parts taken in order.  Blocks share
-    no member (the bijection in `phi_enumerate`), so every group is down
-    to one block before the slots run out, and that block's product
-    under the group's prefix, one 1-tuple per slot, is its listing."""
-    n = family.n
-    # per slot and rotation, per pinned permutation its sorted rotated variants
-    turned = [
-        [{sig: sorted(map(turn.__getitem__, vs)) for sig, vs in table.items()} for turn in by_r]
-        for table, by_r in zip(variants, rotations)
-    ]
-    blocks = [
-        [turned[k][r][sig] for k, sig in enumerate(row)]
-        for row in zip(*columns)
-        for r in range(n)
-    ]
-    # a grouping step from slot k covers k alone if its tree has a leaf
-    # group, else the run of slots up to the next tree that has one
-    leafy = [tree.compiled().leaf_swaps > 1 for tree in family.trees]
-    stop = [k + 1 if leafy[k] else (leafy + [True]).index(True, k) for k in range(n)]
-    rows: list[tuple[Mapping, ...]] = []
-
-    def merge(group: list, k: int, prefix: list) -> None:
-        if len(group) == 1:
-            rows.extend(product(*prefix, *group[0][k:]))
-            return
-        end = stop[k]
-        parts: dict = {}
-        for b in group:  # over a run, the product is the block's one key
-            for key in product(*b[k:end]):
-                parts.setdefault(key, []).append(b)
-        for key in sorted(parts):
-            merge(parts[key], end, prefix + [(sig,) for sig in key])
-
-    merge(blocks, 0, [])
-    return rows
-
-
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
-    """All essential members of Phi, sorted, plus their count.
+    """All essential members of Phi, one rotation at a time, plus their count.
 
     ``essential``, the only mode, lists labelings up to the free values
     outside each component (each member extends its injections by the
@@ -408,15 +312,10 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     known before any member is built: above PHI_MEMBER_CAP members the
     call is refused (BoundExceededError).
 
-    The members are in the order of the unpruned search's rows sorted as
-    tuples; only the pruned search's nodes are spent.  A permutation is
-    its head followed by the ascending fill, so slot heads decide that
-    order.  Where each pinned row has at least _MERGE_MIN_ORDERS leaf
-    orders, the (pinned row, rotation) blocks are merged in order, each
-    block's members coming from `itertools.product` already sorted
-    (`_merged_rows`).  Below it, where blocks are small, every member
-    gets an integer key, its slot heads read in base n, and one sort
-    orders them (`_key_sorted_rows`).
+    The members come in the order of that map, and unsorted: rotation
+    by rotation, r = 0 first, the pinned rows in the search's order, each
+    followed by its leaf orders.  ``sorted(members)`` is the unpruned
+    search's rows sorted as tuples, the order `treepack enumerate` prints.
     """
     n = family.n
     if mode != "essential":
@@ -443,13 +342,32 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
         _leaf_variants(tree, column, n, known) for tree, column in zip(family.trees, columns)
     ]
     rotations = [_rotations(table, k, n, known) for k, table in enumerate(variants)]
-    if orders >= _MERGE_MIN_ORDERS:
-        rows = _merged_rows(family, columns, variants, rotations)
-    else:
-        rows = _key_sorted_rows(family, columns, variants, rotations, orders)
-    del columns, variants, rotations
-    # Labeling._checked inlined: each row holds n slots checked through known
-    members = list(map(tuple.__new__, repeat(Labeling), zip(repeat(n), rows)))
+    # Leaf orders, column by column: per slot, the index into its rotation
+    # lists of each pinned member's permutation.  Each pruned row stands
+    # for `orders` pinned rows, one per choice of a leaf order in every
+    # slot, in mixed radix with slot 0 the top digit: in a row's block of
+    # `orders`, slot k repeats each of its variants `after` times (the
+    # orders of slots k + 1..n - 1) and the run `before` times (those of
+    # slots 0..k - 1).
+    before = 1
+    expanded = []
+    for tree, column, table, turned in zip(family.trees, columns, variants, rotations):
+        index = {sig: i for i, sig in enumerate(turned[0])}
+        swaps = tree.compiled().leaf_swaps
+        after = orders // (before * swaps)
+        block = {
+            sig: tuple([index[v] for v in vs for _ in range(after)]) * before
+            for sig, vs in table.items()
+        }
+        expanded.append(list(chain.from_iterable(map(block.__getitem__, column))))
+        before *= swaps
+    del columns, variants
+    members: list[Labeling] = []
+    for r in range(n):
+        slots = [turned[r].__getitem__ for turned in rotations]
+        rows = zip(*map(map, slots, expanded))
+        # Labeling._checked inlined: each row holds n slots checked through known
+        members += map(tuple.__new__, repeat(Labeling), zip(repeat(n), rows))
     return members, len(members)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._search import ChunkTables, search
-from .errors import BadSizeError, BoundExceededError, TreePackError
+from .errors import BadSizeError, BoundExceededError, TreePackError, ValidationError
 from .functree import SWEEP_MAX_N, AugTreeFamily, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
 
@@ -161,16 +161,19 @@ def sweep(
     processes than there are chunks or usable CPUs, however large
     ``workers`` is, and the jobs built before any work stay as few.  The
     report does not depend on the chunking.  A non-int n is a
-    BadSizeError.
+    BadSizeError, and ``workers`` that is no int of at least 1 a
+    ValidationError, both before any family is built.
     """
     if not is_int(n):
         raise BadSizeError(f"a sweep size must be an int, not {type(n).__name__}")
     if n > SWEEP_MAX_N:
         raise BoundExceededError(f"sweep at n={n} exceeds the cap n <= {SWEEP_MAX_N}")
+    if not is_int(workers) or workers < 1:
+        raise ValidationError(f"workers must be an int of at least 1, got {workers!r}")
     cfg = config or SolveConfig()
     total = family_count(n)
     t0 = time.perf_counter()
-    if workers <= 1:
+    if workers == 1:
         rows = _sweep_chunk((n, 0, total, cfg))
     else:
         # every chunk starts with cold search tables, and every job is

@@ -247,6 +247,41 @@ def test_non_integer_inputs_are_rejected_not_truncated():
         SparsePoly.x(2, 0, 1).evaluate(((0, 1.5), (0, 1)))
 
 
+def test_evaluation_at_an_inexact_y_is_refused():
+    """A float y returned a float (0.5 and 2.0), where every value the
+    package computes is exact; an int or a Fraction is evaluated."""
+    point = ((0, 1), (0, 1))
+    for y in (0.5, 1.0, True, "1"):
+        with pytest.raises(ValidationError, match="int or a Fraction"):
+            SparsePoly.y(2).evaluate(point, y)
+        with pytest.raises(ValidationError, match="int or a Fraction"):
+            YPoly((1, 2)).evaluate(y)
+    assert SparsePoly.y(2).evaluate(point, Fraction(1, 2)) == Fraction(1, 2)
+    assert YPoly((1, 2)).evaluate(Fraction(1, 2)) == 2
+    assert YPoly((1, 2)).evaluate(3) == 7
+
+
+def test_poly_reduce_refuses_variable_ids_outside_the_universe():
+    """Ids past y or below 0 were accepted; SparsePoly refuses them, and
+    so does poly_reduce.  y itself, id n * n, may be listed."""
+    p = SparsePoly.x(2, 0, 1) ** 3 + SparsePoly.y(2) ** 2
+    for bad in ([999], [-1], [0, 5]):
+        with pytest.raises(OutOfRangeError):
+            poly_reduce(p, bad)
+    # y^2 is y modulo y(y - 1); x[0][1], not listed, keeps its cube
+    assert poly_reduce(p, [4]) == SparsePoly.x(2, 0, 1) ** 3 + SparsePoly.y(2)
+
+
+def test_subtracting_a_constant_and_an_empty_basis_index():
+    """p - 1 lifts the constant into p's universe, and an empty basis
+    index is refused in either mode."""
+    p = SparsePoly.x(2, 0, 0) - 1
+    assert p.terms == {((0, 1),): 1, (): -1}
+    assert p == SparsePoly.x(2, 0, 0) + SparsePoly.const(2, -1)
+    with pytest.raises(ValidationError, match="empty basis index"):
+        lagrange_basis((), expand=True)
+
+
 def test_ypoly_and_support_check_reject_non_integers():
     # int() would read (1.5, 2.7) as (1, 2) and (1.5, 0) as the
     # permutation (1, 0)

@@ -206,11 +206,25 @@ def test_pack_refuses_classical_mode_with_an_orientation_file(capsys, tmp_path, 
     assert "--classical-mode" in captured.err and "-o" in captured.err
 
 
+def test_pack_json_names_the_seed_of_a_generated_family(capsys):
+    assert run(["pack", "--n", "4", "--kind", "mixed", "--seed", "3", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["seed"] == 3
+    assert run(["pack", "--n", "4", "--json"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["seed"] == DEFAULT_SEED
+    assert captured.err == f"seed: {DEFAULT_SEED}\n"
+
+
 def test_verify_incomplete_is_exit_one(capsys, tmp_path):
     fam_path = write(tmp_path, "fam.json", emit_family(FAM2))
     lab_path = write(tmp_path, "lab.json", emit_labeling(MIXED2))
     assert run(["verify", "-f", fam_path, "--labeling", lab_path]) == 1
     assert capsys.readouterr().out == "incomplete\n"
+    assert run(["verify", "-f", fam_path, "--labeling", lab_path, "--json"]) == 1
+    assert capsys.readouterr().out == '{"complete": false}\n'
+    good_path = write(tmp_path, "good.json", emit_labeling(ID2))
+    assert run(["verify", "-f", fam_path, "--labeling", good_path, "--json"]) == 0
+    assert capsys.readouterr().out == '{"complete": true}\n'
     # the same labeling is fine once loops stop counting
     assert run(["verify", "-f", fam_path, "--labeling", lab_path, "--classical-mode"]) == 0
 
@@ -235,6 +249,47 @@ def test_enumerate_text_tail(capsys, tmp_path):
     lines = capsys.readouterr().out.splitlines()
     assert lines[-2:] == ["essential: 2", "full: 2"]
     assert len(lines) == 4  # one row per member, then the two counts
+
+
+@pytest.mark.parametrize("as_json", [False, True])
+def test_enumerate_streams_the_bytes_of_one_dumps(capsys, tmp_path, monkeypatch, as_json):
+    """The output, written a batch of members at a time, is byte for byte
+    json.dumps of the whole payload with sorted keys, or the text rows and
+    counts joined by newlines.  Batches of 7
+    split the 144 members of caterpillar n = 4 seed 1 unevenly; a listing
+    of one batch and an empty one are written too, on stdout and with
+    -o."""
+    from treepack.packing import full_count_multiplier, phi_enumerate
+
+    monkeypatch.setattr(cli, "_ENUMERATE_BATCH", 7)
+    cases = [(fam, *phi_enumerate(fam)) for fam in (generate_family(4, "caterpillar", 1), FAM2)]
+    cases.append((FAM2, [], 0))
+    for fam, members, count in cases:
+        listing = sorted(members)
+        # the command sorts what it is given
+        given = (members[::-1], count)
+        monkeypatch.setattr(cli, "phi_enumerate", lambda f, mode, given=given: given)
+        n = fam.n
+        if as_json:
+            payload = {
+                "essential": count,
+                "full": count * full_count_multiplier(n),
+                "members": [json.loads(emit_labeling(m)) for m in listing],
+                "n": n,
+            }
+            want = json.dumps(payload, sort_keys=True) + "\n"
+        else:
+            rows = [json.dumps([list(s) for s in m.sigmas]) for m in listing]
+            rows += [f"essential: {count}", f"full: {count * full_count_multiplier(n)}"]
+            want = "\n".join(rows) + "\n"
+        argv = ["enumerate", "-f", write(tmp_path, "fam.json", emit_family(fam))]
+        argv += ["--json"] if as_json else []
+        assert run(argv) == 0
+        assert capsys.readouterr().out == want
+        out = tmp_path / "out.txt"
+        assert run(argv + ["-o", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == want
 
 
 def test_enumerate_json_output_is_frozen(capsys):
@@ -318,11 +373,39 @@ def test_compose_audit(capsys):
     assert payload["violations"] == []
 
 
+def test_compose_prints_each_violation_and_exits_one(capsys, monkeypatch):
+    from treepack.certificate import CompositionReport
+
+    report = CompositionReport(n=3, families_checked=2, steps_checked=4, violations=("a", "b"))
+    monkeypatch.setattr(cli, "composition_implication_check", lambda n: report)
+    assert run(["compose", "--n", "3"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "n=3 families=2 steps=4 ok=no",
+        "violation: a",
+        "violation: b",
+    ]
+
+
 def test_selftest_passes(capsys):
     assert run(["selftest"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 5
     assert all(ln.startswith("pass ") for ln in lines)
+    assert run(["selftest", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["ok"] is True
+    assert [c["check"] for c in payload["checks"]] == [ln.split()[1] for ln in lines]
+
+
+def test_a_failing_selftest_check_exits_one(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_selftest_checks", lambda: iter([("good", True), ("bad", False)]))
+    assert run(["selftest"]) == 1
+    assert capsys.readouterr().out == "pass good\nFAIL bad\n"
+    assert run(["selftest", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "checks": [{"check": "good", "ok": True}, {"check": "bad", "ok": False}],
+        "ok": False,
+    }
 
 
 # --- exit code 2: usage, parse, validation --------------------------------
@@ -450,14 +533,18 @@ def test_size_caps_refuse_before_the_family_is_generated(monkeypatch, capsys):
 
 
 def test_sweep_refuses_fewer_than_one_process(monkeypatch, capsys):
-    def refuse(*args, **kwargs):
-        raise AssertionError("sweep ran with --parallel below 1")
+    """sweep itself refuses the count, before it builds any family."""
+    from treepack import solver
 
-    monkeypatch.setattr(cli, "sweep", refuse)
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep built a family with --parallel below 1")
+
+    monkeypatch.setattr(solver, "family_enumerate", refuse)
     for t in ("0", "-5"):
         assert run(["sweep", "--n", "3", "--parallel", t]) == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and f"--parallel must be at least 1, got {t}" in captured.err
+        assert captured.out == ""
+        assert f"workers must be an int of at least 1, got {t}" in captured.err
 
 
 def test_certify_refuses_a_labeling_of_another_n_before_generating(

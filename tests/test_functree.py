@@ -180,6 +180,8 @@ def test_augfunctree_refuses_a_bad_root_or_map_length():
             AugFuncTree(n=2, m=1, map=(0, 1), root=root)
     with pytest.raises(BadSizeError, match="map has 2 entries, expected 3"):
         AugFuncTree(n=3, m=1, map=(0, 1), root=0)
+    with pytest.raises(BadSizeError, match="at least one vertex"):
+        AugFuncTree(n=1, m=1, map=(), root=0)
 
 
 # --- generators --------------------------------------------------------
@@ -387,6 +389,16 @@ def test_product_slice_is_every_islice():
                 assert list(_product_slice(pools, a, b)) == walk[a:b], (n, a, b)
     with pytest.raises(ValueError):
         _product_slice([[0]], -1, None)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(2.5, None), (0, "3"), (True, None), (0, 2.0), (1, False)]
+)
+def test_family_enumerate_refuses_an_index_that_is_no_int(start, stop):
+    """A float or str start or stop raised a bare TypeError, and True
+    started the walk at index 1; they are refused as negative ones are."""
+    with pytest.raises(ValueError, match="ints of at least 0"):
+        next(family_enumerate(4, start, stop))
 
 
 def test_family_enumerate_starts_deep_in_the_range():

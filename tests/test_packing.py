@@ -242,6 +242,16 @@ def test_edge_orientation_validation():
 # --- Phi ----------------------------------------------------------------
 
 
+def test_is_complete_refuses_a_classical_that_is_no_bool():
+    """"no" and 1 ran the classical check, 0 and None the loop one."""
+    fam = star_family(3)
+    lab = star_identity_labeling(3)
+    for classical in ("no", 1, 0, None):
+        with pytest.raises(ValueError, match="classical must be a bool"):
+            is_complete(fam, lab, classical=classical)
+    assert is_complete(fam, lab, classical=False) and is_complete(fam, lab, classical=True)
+
+
 def test_phi_enumerate_against_brute_force():
     """Independent derivation: filter every labeling of Z_3 through the
     oracle, collapse to the essential injection prefixes, compare."""
@@ -283,13 +293,13 @@ def brute_essential_members(family):
 
 
 def test_phi_enumerate_matches_slot_by_slot_brute_force_n4():
-    """On every family of Z_4 the members are, in order, the rows the
+    """On every family of Z_4 the members, sorted, are the rows the
     slot-by-slot brute force keeps.  The pruned search that phi_enumerate
     expands re-emits rows at boundary memo hits on these families, and on
     no family of Z_3."""
     for fam in family_enumerate(4):
         members, count = phi_enumerate(fam)
-        assert [m.sigmas for m in members] == sorted(brute_essential_members(fam))
+        assert sorted(m.sigmas for m in members) == sorted(brute_essential_members(fam))
         assert count == len(members)
 
 
@@ -302,11 +312,12 @@ def test_phi_full_count_multiplier():
 
 
 def test_phi_members_are_complete_and_sorted():
+    """The members are complete, and distinct: sorted, each is below the next."""
     fam = next(family_enumerate(4))
     members, _ = phi_enumerate(fam, mode="essential")
     assert all(is_complete(fam, m) for m in members)
-    keys = [m.sigmas for m in members]
-    assert keys == sorted(keys)
+    keys = sorted(m.sigmas for m in members)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
 
 
 def relabel_increasing(tree, rng):
@@ -328,15 +339,13 @@ def relabel_increasing(tree, rng):
 
 
 def test_phi_members_are_the_engine_rows_sorted():
-    """phi_enumerate lists the pruned search's orbits in sorted order, by
-    merging orbit blocks where each pinned row has many leaf orders and
-    by integer keys where it has few; either way the members must be the
-    unpruned search's rows sorted as tuples.  The inputs are every family
-    with n <= 4 and n = 5 families on both sides of the switch: the star
-    family (288 leaf orders per pinned row), two caterpillar families
-    (144 and 4), another (2) and a mixed one (1).  Twelve n = 5 families
-    relabeled by random increasing labelings follow, four of them with
-    12 to 48 leaf orders, so that the key digits and the merge's slot
+    """phi_enumerate lists the pruned search's orbits, and its members,
+    sorted, must be the unpruned search's rows sorted as tuples.  The
+    inputs are every family with n <= 4 and n = 5 families with many and
+    few leaf orders per pinned row: the star family (288), two
+    caterpillar families (144 and 4), another (2) and a mixed one (1).
+    Twelve n = 5 families relabeled by random increasing labelings
+    follow, four of them with 12 to 48 leaf orders, so that the slot
     permutations are not only those of the semigroup labels.  On every
     family the count is the pruned search's count times its symmetry
     factor."""
@@ -367,7 +376,7 @@ def test_phi_members_are_the_engine_rows_sorted():
     for fam in families + named + relabeled:
         out = search(fam, symmetry_pruning=False, first_only=False)
         members, count = phi_enumerate(fam)
-        assert [m.sigmas for m in members] == sorted(out.solutions)
+        assert sorted(m.sigmas for m in members) == sorted(out.solutions)
         assert count == len(set(out.solutions))
         pruned = search(fam, first_only=False)
         assert count == len(pruned.solutions) * pruned.symmetry_factor
@@ -375,6 +384,30 @@ def test_phi_members_are_the_engine_rows_sorted():
     # the named families, each times the 5 rotations, then the high-order copies
     assert factors[len(families) : len(families) + 5] == [5 * 288, 5 * 144, 5 * 4, 5 * 2, 5]
     assert factors[-4:] == [5 * 48, 5 * 24, 5 * 12, 5 * 24]
+
+
+def test_phi_members_come_one_rotation_at_a_time():
+    """The listing is n blocks of equal length, block r being block 0
+    with every slot head turned by x -> x + r and the fill re-sorted."""
+
+    def turned(sigmas, r, n):
+        out = []
+        for k, sig in enumerate(sigmas):
+            head = tuple((x + r) % n for x in sig[: k + 1])
+            out.append(head + tuple(x for x in range(n) if x not in head))
+        return tuple(out)
+
+    families = [fam for n in (3, 4) for fam in family_enumerate(n)]
+    families += [generate_family(5, "star", 0), generate_family(5, "mixed", 1)]
+    for fam in families:
+        n = fam.n
+        members, count = phi_enumerate(fam)
+        size = count // n
+        assert size * n == count
+        first = [m.sigmas for m in members[:size]]
+        for r in range(n):
+            block = [m.sigmas for m in members[r * size : (r + 1) * size]]
+            assert block == [turned(sigmas, r, n) for sigmas in first]
 
 
 def test_phi_members_equal_publicly_built_labelings():
@@ -418,9 +451,9 @@ def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
 def test_phi_enumerate_checks_each_distinct_slot_permutation_once(monkeypatch):
     """phi_enumerate checks each distinct (slot, permutation) once per
     call, in the pruned search and in the expansion by leaf swaps and
-    rotations together, and lists the same members: counts and digest
-    are those of the unpruned search that rebuilt every slot at every
-    memo hit.  Every check_permutation call of either module counts.
+    rotations together, and lists the same members: the counts and the
+    digest of the sorted listing are those of the unpruned search that
+    rebuilt every slot at every memo hit.  Every check_permutation call of either module counts.
     pack still checks each of its n slots."""
     import hashlib
 
@@ -440,7 +473,7 @@ def test_phi_enumerate_checks_each_distinct_slot_permutation_once(monkeypatch):
     for s in range(8):
         members, count = phi_enumerate(generate_family(5, "mixed", s))
         counts.append(count)
-        rows.append([m.sigmas for m in members])
+        rows.append(sorted(m.sigmas for m in members))
         distinct += len({(k, sig) for m in members for k, sig in enumerate(m.sigmas)})
     assert counts == [4080, 5760, 9120, 1920, 7440, 4080, 17280, 17280]
     assert hashlib.sha256(repr(rows).encode()).hexdigest()[:16] == "94cb66f00340eb1e"

@@ -7,6 +7,7 @@ import itertools
 import math
 import operator
 import random
+import re
 import sys
 import time
 import types
@@ -23,6 +24,7 @@ from treepack import (
     Labeling,
     SolveConfig,
     TreePackError,
+    ValidationError,
     family_count,
     family_enumerate,
     generate,
@@ -568,6 +570,16 @@ def test_sweep_n4_all_pack():
     assert report.exhausted == 0 and report.timed_out == 0
     assert report.nodes_total == sum(r.nodes for r in report.rows)
     assert [r.index for r in report.rows] == list(range(12))
+
+
+@pytest.mark.parametrize("workers", ["2", 2.5, True, 0, -3])
+def test_sweep_refuses_workers_that_are_no_int_of_at_least_one(monkeypatch, workers):
+    """"2" raised a bare TypeError, 2.5 and True ran, and 0 and -3 ran
+    serially; each is refused, naming the value, before any family is
+    built."""
+    monkeypatch.setattr(solver, "family_enumerate", lambda *a: pytest.fail("built a family"))
+    with pytest.raises(ValidationError, match=re.escape(f"got {workers!r}")):
+        sweep(4, workers=workers)
 
 
 def test_sweep_parallel_matches_serial():
