@@ -14,8 +14,19 @@ Placement order is fixed: trees largest first, vertices of each tree
 breadth-first from the root with children ascending (the tree's compiled
 ``order``).  Each placement is one step, so a family has ``total`` =
 n(n+1)/2 steps.  Candidates are tried in ascending vertex order.
-Together these make node counts a pure function of (family, options).  A
-tree of size m takes the same steps in every family on Z_n, so its step
+Together these make node counts a pure function of (family, options).
+
+Symmetry pruning drops labelings that a relabeling or a leaf exchange
+gives from one the search keeps.  Images within each leaf-sibling group
+ascend, and the largest tree is pinned.  A first-only search (`pack`,
+`sweep`) pins only its root, to vertex 0.  Full enumeration pins the whole
+largest tree at the identity, slot position p at vertex p, and starts at
+step n, so it lists one row per class of labelings under relabeling.
+``symmetry_factor`` is the exact count each pruned row stands for: n times
+every slot's leaf orders with the root pin, n! times the tail's leaf orders
+with the identity pin.
+
+A tree of size m takes the same steps in every family on Z_n, so its step
 rows and leaf-swap factor are compiled once per tree
 (``CompiledTree.steps`` to ``leaf_swaps``).  A search reads those of
 slots n - 2..0, the tail, concatenated in its `ChunkTables`, and adds
@@ -139,6 +150,7 @@ enumeration never restarts.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -390,12 +402,15 @@ def search(
 ) -> SearchOutcome:
     """Run the embedding search over one family.
 
-    With ``symmetry_pruning`` the largest tree's root image is pinned to
-    vertex 0 and images within each leaf-sibling group must ascend; both
-    cuts preserve feasibility (diagonal relabeling, leaf exchange), and
-    the outcome reports the exact count multiplier they remove.
-    ``blocked_pairs`` pre-consumes edges; it exists so tests can force the
-    exhausted branch, which no valid family reaches on its own.
+    With ``symmetry_pruning`` images within each leaf-sibling group must
+    ascend, and the largest tree is pinned: its root to vertex 0 in
+    first-only search, the whole tree to the identity in full
+    enumeration (the argument sits at the pin).  Both cuts preserve
+    feasibility (diagonal relabeling, leaf exchange), and the outcome
+    reports the exact count multiplier they remove.  ``blocked_pairs``
+    pre-consumes edges; it exists so tests can force the exhausted
+    branch, which no valid family reaches on its own.  With a pair
+    blocked, full enumeration pins the root as first-only search does.
 
     With ``first_only`` the Luby restart schedule described in the module
     docstring is active and ``nodes`` accumulates over attempts.  Each
@@ -423,7 +438,27 @@ def search(
     if tables.tail != tail:
         _retarget(tables, n, tail)
     last = family.trees[-1].compiled()  # the largest tree: steps 0..n-1
-    factor = n * last.leaf_swaps * tables.factor if symmetry_pruning else 1
+    # Full enumeration with symmetry pruning pins the whole largest tree:
+    # slot position p at vertex p, and the loop starts at step n.  Why this
+    # loses no member: complete
+    # labelings are closed under diagonal relabeling, left-composing every
+    # slot with one permutation of Z_n.  The largest tree spans Z_n, so a
+    # member M's largest slot is a permutation gamma of all of Z_n, and
+    # P = gamma^-1 o M is complete with the identity there.  M = gamma o P,
+    # and in no other way: gamma must be M's largest slot, which fixes P.
+    # So the members are the n! relabelings of those with the identity
+    # there, each once.  The largest tree's leaf orders are among those
+    # relabelings, so only the tail keeps the leaf-ascending cut.
+    # Relabeling moves a blocked pair too, so the pin needs no pair
+    # blocked, as the root pin does; with one blocked, full enumeration
+    # pins the root as first-only search does.
+    pin_all = symmetry_pruning and not first_only and not blocked_pairs
+    if pin_all:
+        factor = math.factorial(n) * tables.factor
+    elif symmetry_pruning:
+        factor = n * last.leaf_swaps * tables.factor
+    else:
+        factor = 1
     known = tables.known  # per slot head its checked permutation
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
@@ -504,6 +539,20 @@ def search(
         budget_abs = nodes + grant
         budget_tripped = False
         i = 0
+        if pin_all:  # the identity pin above: the largest tree's pairs and root loop
+            for p, s in enumerate(last.steps):
+                images[s] = p
+            for s in range(1, n):
+                a, b = images[step_parent[s]], images[s]
+                pairfree[a] ^= 1 << b
+                pairfree[b] ^= 1 << a
+            tree_used[n - 1] = full
+            if not classical:
+                loops_used = 1 << images[0]
+            # steps 0..n-1 are never entered, so they hold no candidates:
+            # once step n is exhausted the loop backs out through them,
+            # undoing the pin, and ends at step 0
+            i = n
         enter = True
         while True:
             if enter:  # step i's candidates, or none where a prune fires
@@ -527,7 +576,7 @@ def search(
                             # tail: the free pairs (blocked pairs included),
                             # the used loops, the unstarted trees' compiled
                             # rows and empty tree_used, all-zero scan
-                            # offsets (attempt 0), no root pin past step 0,
+                            # offsets (attempt 0), no pin past the largest tree,
                             # and n, classical and symmetry pruning, which
                             # one search or one sweep chunk fixes.  Its
                             # completions of the unstarted slots, their DFS

@@ -79,7 +79,7 @@ DEFAULT_SEED = 1729
 
 ORIENTATION_FORMATS = ("dot", "json")
 
-# members per json.dumps call: `enumerate --json` is written a batch at a time
+# members per write: `enumerate` writes its output a batch at a time
 _ENUMERATE_BATCH = 4096
 
 
@@ -288,21 +288,26 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     members.sort()  # listed orbit by orbit; printed as the sorted rows
     n = family.n
     full = essential * full_count_multiplier(n)
+    # members share their slot tuples, so each distinct one is encoded
+    # once, as json.dumps encodes it, and a member joins its slots' codes
+    slots = dict.fromkeys(chain.from_iterable(m.sigmas for m in members))
+    code = {sig: json.dumps(sig) for sig in slots}.__getitem__
     if args.json:
         # the bytes of json.dumps(payload, sort_keys=True): the keys below,
         # and a member's n and sigma, are in sorted order
-        step = _ENUMERATE_BATCH
-        body = (
-            (", " if i else "")
-            + json.dumps([{"n": n, "sigma": m.sigmas} for m in members[i : i + step]])[1:-1]
-            for i in range(0, len(members), step)
-        )
+        start, end, sep = f'{{"n": {n}, "sigma": [', "]}", ", "
         head = f'{{"essential": {essential}, "full": {full}, "members": ['
-        pieces = chain([head], body, [f'], "n": {n}}}\n'])
+        tail = f'], "n": {n}}}\n'
     else:
-        lines = (json.dumps(m.sigmas) + "\n" for m in members)
-        pieces = chain(lines, [f"essential: {essential}\nfull: {full}\n"])
-    _write_pieces(pieces, args.output)
+        start, end, sep = "[", "]\n", ""
+        head, tail = "", f"essential: {essential}\nfull: {full}\n"
+    step = _ENUMERATE_BATCH
+    body = (
+        (sep if i else "")
+        + sep.join([start + ", ".join(map(code, m.sigmas)) + end for m in members[i : i + step]])
+        for i in range(0, len(members), step)
+    )
+    _write_pieces(chain([head], body, [tail]), args.output)
     return 0
 
 

@@ -36,23 +36,27 @@ from .functree import (
 )
 
 # Full enumeration of essential injections is exponential in n.  At the
-# essential cap one call takes several seconds: the mixed family
+# essential cap one call takes over a second: the mixed family
 # generate_family(6, "mixed", 3) has 1 215 360 members, 202 560 orbits
 # of 6 rotations (no slot has a leaf group).  The pruned search lists one
-# row per orbit in 0.48-0.77 s of CPU time at a 40 MB peak (2.0 M nodes,
-# 1 150 distinct slot permutations checked).  phi_enumerate, which
-# expands the orbits (1 956 distinct slot permutations checked in all)
-# and holds each member as a Labeling, takes 2.3-2.7 s and peaks at
-# 229 MB (Python 3.11.7 on a shared 2-core machine, three runs).
+# row per class under relabeling, 1 688 rows, in 0.013-0.015 s of CPU
+# time at a 17 MB peak (16 839 nodes, 244 distinct slot permutations
+# checked).  phi_enumerate, which relabels each row into the 120
+# root-pinned rows of its class, expands those orbits (1 956 distinct
+# slot permutations checked in all) and holds each member as a Labeling,
+# takes 1.53-1.57 s and peaks at 226 MB (Python 3.11.7 on a shared
+# 2-core machine, three runs).  At n = 7 the pruned search alone counts
+# |Phi| in under a second, 0.36-3.1 billion members for
+# generate_family(7, "mixed", s), s < 4, far past the member cap below.
 PHI_ESSENTIAL_MAX_N = 6
 # phi_enumerate knows its member count once the pruned search returns and
 # refuses a larger one before it builds any member.  A listing holds
-# about 185 bytes per member at its peak (RSS growth over the call, 177
-# to 183 bytes at 0.28, 0.62, 0.72 and 1.22 M members), so the cap keeps
+# about 180 bytes per member at its peak (RSS growth over the call, 177
+# to 180 bytes at 0.28, 0.62, 0.72 and 1.22 M members), so the cap keeps
 # an admitted listing under about 0.4 GB of RSS; `treepack enumerate`
 # sorts it in place and writes it in batches, for a few MB more.  It
 # admits the mixed family above and refuses star_family(6), whose 120
-# orbits hold 24 883 200 members.
+# orbits hold 24 883 200 members, after a search of about 0.001 s.
 PHI_MEMBER_CAP = 2_000_000
 
 
@@ -242,15 +246,21 @@ def _checked_slot(head: tuple[int, ...], n: int, known: dict) -> Mapping:
     return _slot_permutations(head, (range(len(head)),), n, known)[0]
 
 
+def _leaf_positions(tree: AugFuncTree) -> list[list[int]]:
+    """The slot positions of each leaf group of ``tree``, in the order
+    whose images the pruned search makes ascend (arc v's vertex is vertex
+    v's slot position)."""
+    c = tree.compiled()
+    return [[c.arcs[v][0] for v in grp] for grp in c.leaf_groups]
+
+
 def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     """Per distinct permutation in ``column``, the slot of ``tree``, the
     permutations its leaf swaps give: every order of the images of each
     leaf group, the pruned order included.  The images of a group are a
     set within the head, so the fill after the head stays."""
     k = tree.m - 1
-    c = tree.compiled()
-    # arc v's vertex is vertex v's slot position
-    groups = [[c.arcs[v][0] for v in grp] for grp in c.leaf_groups]
+    groups = _leaf_positions(tree)
     table = {}
     for sig in dict.fromkeys(column):
         head = list(sig[: k + 1])
@@ -264,21 +274,61 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
     return table
 
 
-def _rotations(table: dict, k: int, n: int, known: dict) -> list[list]:
-    """Per rotation x -> x + r, the left-composition with the rotation of
-    each distinct permutation in the slot-k ``table`` of `_leaf_variants`,
-    in first-seen order (r = 0 gives the permutations themselves).  A
-    permutation is its head, its first k + 1 entries, followed by the
-    ascending fill, so only the head turns, through one tuple per
-    rotation.  A turned head is looked up in the engine's head table
-    ``known``, and built and checked only on a miss."""
-    heads = [sig[: k + 1] for sig in dict.fromkeys(chain.from_iterable(table.values()))]
+def _composed(heads: list, perms, groups: list[list[int]], n: int, known: dict) -> list[list]:
+    """Per permutation g in ``perms``, the left-composition with g of each
+    slot head in ``heads``, with the images of each leaf group in
+    ``groups`` re-sorted ascending.  A permutation is its head followed
+    by the ascending fill, so only the head turns.  A turned head is
+    looked up in the engine's head table ``known``, and built and checked
+    only on a miss."""
     out = []
-    for r in range(n):
-        turn = tuple([(x + r) % n for x in range(n)]).__getitem__
-        turned = [tuple(map(turn, head)) for head in heads]
+    for g in perms:
+        turned = [list(map(g.__getitem__, head)) for head in heads]
+        for head in turned:
+            for grp in groups:
+                for p, x in zip(grp, sorted([head[p] for p in grp])):
+                    head[p] = x
+        turned = [tuple(head) for head in turned]
         out.append([known.get(h) or _checked_slot(h, n, known) for h in turned])
     return out
+
+
+def _root_pinned_columns(family: AugTreeFamily, rows: list, known: dict) -> list[list]:
+    """The pruned search's rows, which hold the identity in the largest
+    slot, rebuilt as the rows the root pin lists, column by column.
+
+    Delta is the set of permutations delta of Z_n that map the largest
+    root's slot position to 0 and make each leaf group of the largest
+    tree ascend: (n - 1)! / leaf_swaps of them, in lexicographic order.
+    Row i of block d is ``delta_d o rows[i]`` with each tail leaf group's
+    images re-sorted.  The map (delta, row) -> rebuilt row is a bijection
+    onto the root-pinned rows: complete labelings with the largest root
+    at vertex 0 and every leaf group ascending.  Left composition keeps a
+    labeling complete, and re-sorting a group's images is a leaf swap, so
+    each rebuilt row is one; delta is the rebuilt row's largest slot, and
+    delta^-1 composed with the rebuilt row, its tail groups re-sorted, is
+    the row again.  Onto: a root-pinned row R has some such largest slot
+    delta, and delta^-1 o R with its tail groups sorted is a pruned row.
+    Each distinct slot head goes through ``known`` once per delta."""
+    n = family.n
+    last = family.trees[-1].compiled()
+    root = last.steps.index(0)  # step 0 places the root
+    groups = _leaf_positions(family.trees[-1])
+    deltas = []
+    for values in permutations(range(1, n)):
+        d = list(values)
+        d.insert(root, 0)
+        if all(d[a] < d[b] for grp in groups for a, b in zip(grp, grp[1:])):
+            deltas.append(tuple(d))
+    columns = []
+    for tree, column in zip(family.trees, zip(*rows)):
+        k = tree.m - 1
+        index = {sig: i for i, sig in enumerate(dict.fromkeys(column))}
+        heads = [sig[: k + 1] for sig in index]
+        at = list(map(index.__getitem__, column))
+        images = _composed(heads, deltas, _leaf_positions(tree), n, known)
+        columns.append(list(chain.from_iterable(map(block.__getitem__, at) for block in images)))
+    return columns
 
 
 def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[Labeling], int]:
@@ -289,33 +339,36 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     ascending fill).  Phi itself has count * `full_count_multiplier(n)`
     members.  Bound: n <= PHI_ESSENTIAL_MAX_N (BoundExceededError).
 
-    The members are listed one symmetry orbit at a time.  The search with
-    symmetry pruning lists the pinned rows: the largest tree's root at
-    vertex 0 and the images of each leaf group ascending.  Each is then
+    The search with symmetry pruning lists one row per relabeling class:
+    the identity in the largest slot and the images of each tail leaf
+    group ascending.  `_root_pinned_columns` rebuilds from them the
+    root-pinned rows: the largest tree's root at vertex 0 and every leaf
+    group ascending, one per symmetry orbit.  Each of those is then
     expanded by every order of every leaf group (right-composing a slot
     with a swap of sibling leaves) and every rotation x -> x + r of Z_n
     (left-composing every slot with it).  Both keep a labeling complete,
     and both act on the essential injections alone; a member is its slot
     heads followed by the ascending fill, rebuilt after each move.
 
-    The map (r, leaf orders, pinned row) -> member is a bijection onto
-    the essential members.  Onto: a member's largest root has some image
-    r; rotating by -r moves it to 0, and sorting each leaf group then
-    gives a pinned row, which the pruned search lists, since its pruning
-    cuts no complete labeling with the pinned form.  One-to-one: leaf
-    swaps never move the largest root, so r is the root's image in the
-    member; rotating by -r recovers the swapped row, and within each
-    group the images are distinct, so sorting them recovers the pinned
-    row and the order they stood in.  So every member appears exactly
-    once and the count is the pruned count times the search's
-    ``symmetry_factor``, n times the leaf-swap orders.  The count is
-    known before any member is built: above PHI_MEMBER_CAP members the
-    call is refused (BoundExceededError).
+    The map (r, leaf orders, root-pinned row) -> member is a bijection
+    onto the essential members.  Onto: a member's largest root has some
+    image r; rotating by -r moves it to 0, and sorting each leaf group
+    then gives a root-pinned row, which the rebuild lists.  One-to-one:
+    leaf swaps never move the largest root, so r is the root's image in
+    the member; rotating by -r recovers the swapped row, and within each
+    group the images are distinct, so sorting them recovers the
+    root-pinned row and the order they stood in.  So every member appears
+    exactly once and the count is the pruned count times the search's
+    ``symmetry_factor``, n! times the tail's leaf-swap orders.  The count
+    is known before any member is built: above PHI_MEMBER_CAP members
+    the call is refused (BoundExceededError).
 
     The members come in the order of that map, and unsorted: rotation
-    by rotation, r = 0 first, the pinned rows in the search's order, each
-    followed by its leaf orders.  ``sorted(members)`` is the unpruned
-    search's rows sorted as tuples, the order `treepack enumerate` prints.
+    by rotation, r = 0 first; within a rotation, the root-pinned rows
+    block by block of `_root_pinned_columns`, each block the pruned rows
+    in the search's order, and each row followed by its leaf orders.
+    ``sorted(members)`` is the unpruned search's rows sorted as tuples,
+    the order `treepack enumerate` prints.
     """
     n = family.n
     if mode != "essential":
@@ -335,17 +388,28 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             f"phi_enumerate would list {count} members; the cap is {PHI_MEMBER_CAP}"
         )
     known = tables.known
-    orders = out.symmetry_factor // n
-    columns = list(zip(*out.solutions))
+    orders = math.prod([tree.compiled().leaf_swaps for tree in family.trees])
+    columns = _root_pinned_columns(family, out.solutions, known)
     del out
     variants = [
         _leaf_variants(tree, column, n, known) for tree, column in zip(family.trees, columns)
     ]
-    rotations = [_rotations(table, k, n, known) for k, table in enumerate(variants)]
+    # per slot and rotation x -> x + r, each distinct variant left-composed with it
+    turns = [tuple([(x + r) % n for x in range(n)]) for r in range(n)]
+    rotations = [
+        _composed(
+            [sig[: k + 1] for sig in dict.fromkeys(chain.from_iterable(table.values()))],
+            turns,
+            (),
+            n,
+            known,
+        )
+        for k, table in enumerate(variants)
+    ]
     # Leaf orders, column by column: per slot, the index into its rotation
-    # lists of each pinned member's permutation.  Each pruned row stands
-    # for `orders` pinned rows, one per choice of a leaf order in every
-    # slot, in mixed radix with slot 0 the top digit: in a row's block of
+    # lists of each pinned member's permutation.  Each root-pinned row
+    # stands for `orders` pinned members, one per choice of a leaf order in
+    # every slot, in mixed radix with slot 0 the top digit: in a row's block of
     # `orders`, slot k repeats each of its variants `after` times (the
     # orders of slots k + 1..n - 1) and the run `before` times (those of
     # slots 0..k - 1).

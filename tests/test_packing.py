@@ -342,13 +342,14 @@ def test_phi_members_are_the_engine_rows_sorted():
     """phi_enumerate lists the pruned search's orbits, and its members,
     sorted, must be the unpruned search's rows sorted as tuples.  The
     inputs are every family with n <= 4 and n = 5 families with many and
-    few leaf orders per pinned row: the star family (288), two
+    few leaf orders per root-pinned row: the star family (288), two
     caterpillar families (144 and 4), another (2) and a mixed one (1).
     Twelve n = 5 families relabeled by random increasing labelings
     follow, four of them with 12 to 48 leaf orders, so that the slot
     permutations are not only those of the semigroup labels.  On every
     family the count is the pruned search's count times its symmetry
-    factor."""
+    factor: 5! relabelings of the identity-pinned largest tree times the
+    tail's leaf orders."""
     families = [fam for n in range(1, 5) for fam in family_enumerate(n)]
     named = [
         generate_family(5, "star", 0),
@@ -381,9 +382,10 @@ def test_phi_members_are_the_engine_rows_sorted():
         pruned = search(fam, first_only=False)
         assert count == len(pruned.solutions) * pruned.symmetry_factor
         factors.append(pruned.symmetry_factor)
-    # the named families, each times the 5 rotations, then the high-order copies
-    assert factors[len(families) : len(families) + 5] == [5 * 288, 5 * 144, 5 * 4, 5 * 2, 5]
-    assert factors[-4:] == [5 * 48, 5 * 24, 5 * 12, 5 * 24]
+    # the named families, each times the 5! relabelings, then the
+    # high-order copies, whose tails hold 2, 12, 6 and 12 leaf orders
+    assert factors[len(families) : len(families) + 5] == [120 * 12, 120 * 6, 120 * 2, 120, 120]
+    assert factors[-4:] == [120 * 2, 120 * 12, 120 * 6, 120 * 12]
 
 
 def test_phi_members_come_one_rotation_at_a_time():
@@ -491,8 +493,27 @@ def test_engine_rows_are_checked_slot_permutations(pruning, classical):
     ascending, and which the oracle, reading the root-at-k trees without
     the compiled slot arcs, finds complete: each head holds the images by
     slot position.  Rows are distinct, the pruned ones account for the
-    unpruned through the symmetry factor, and pack returns the first row."""
+    unpruned through the symmetry factor and hold the identity in the
+    largest slot, and pack's labeling relabels to one of them: composed
+    on the left with the inverse of its largest slot, each tail leaf
+    group's images sorted, it is a pruned row."""
     from treepack._search import search
+
+    def identity_pinned(fam, sigmas):
+        n = fam.n
+        inverse = [0] * n
+        for p, x in enumerate(sigmas[-1]):
+            inverse[x] = p
+        out = []
+        for k, (tree, sig) in enumerate(zip(fam.trees, sigmas)):
+            head = [inverse[x] for x in sig[: k + 1]]
+            c = tree.compiled()
+            for grp in c.leaf_groups if k < n - 1 else ():  # the tail's groups
+                at = [c.arcs[v][0] for v in grp]  # the leaves' slot positions
+                for p, x in zip(at, sorted(head[p] for p in at)):
+                    head[p] = x
+            out.append(tuple(head) + tuple(x for x in range(n) if x not in head))
+        return tuple(out)
 
     rows = 0
     for n in range(1, 5):
@@ -510,8 +531,9 @@ def test_engine_rows_are_checked_slot_permutations(pruning, classical):
             if pruning:
                 full = search(fam, symmetry_pruning=False, classical=classical, first_only=False)
                 assert len(out.solutions) * out.symmetry_factor == len(full.solutions)
+                assert {row[-1] for row in out.solutions} == {tuple(range(n))}
                 first = pack(fam, SolveConfig(classical_mode=classical))
-                assert first.labeling.sigmas == out.solutions[0]
+                assert identity_pinned(fam, first.labeling.sigmas) in set(out.solutions)
     assert rows > 12
 
 
@@ -520,7 +542,8 @@ def test_phi_enumerate_bounds():
     The member count is known once the pruned search returns, so
     star_family(6), whose 120 orbits hold 24 883 200 members, is refused
     at once with its count; the cap still admits the mixed n = 6 family
-    the docs measure."""
+    the docs measure, whose pruned search lists 1 688 rows, one per
+    relabeling class, in 16 839 nodes."""
     from treepack import BoundExceededError
 
     with pytest.raises(BoundExceededError):
@@ -530,6 +553,7 @@ def test_phi_enumerate_bounds():
         phi_enumerate(star_family(6), mode="essential")
     assert time.process_time() - t0 < 1.0
     pruned = search(generate_family(6, "mixed", 3), first_only=False)
+    assert (len(pruned.solutions), pruned.nodes) == (1688, 16839)
     assert len(pruned.solutions) * pruned.symmetry_factor == 1_215_360 <= packing.PHI_MEMBER_CAP
     with pytest.raises(ValueError, match="unknown phi_enumerate mode"):
         phi_enumerate(star_family(3), mode="full-count")

@@ -421,12 +421,14 @@ def test_node_counts_are_frozen():
     # full enumeration, which memoizes tree boundaries: node count, member
     # count and a digest of the solutions in order.  The digests predate
     # permutation rows: they hash each slot's head mapped back through the
-    # (0 k) swap, the images of stored vertices 0..k
+    # (0 k) swap, the images of stored vertices 0..k.  With pruning the
+    # largest tree is pinned to the identity, so those counts start at
+    # step n
     for s, pruning, frozen in (
         (0, False, (36685, 4080, "e7a978b49e430f2e")),
-        (0, True, (7337, 816, "230089b34f8d77c4")),
+        (0, True, (303, 34, "70093dada65367ab")),
         (1, False, (39565, 5760, "0b7c6b6fc26a78a2")),
-        (1, True, (893, 96, "e311e5ada192a9e5")),
+        (1, True, (70, 8, "d78e1050e87c1477")),
     ):
         full = search(generate_family(5, "mixed", s), symmetry_pruning=pruning, first_only=False)
         injections = [
@@ -438,6 +440,18 @@ def test_node_counts_are_frozen():
         ]
         digest = hashlib.sha256(repr(injections).encode()).hexdigest()[:16]
         assert (full.nodes, len(full.solutions), digest) == frozen
+
+
+def test_pruned_count_n7_is_frozen():
+    """|Phi| at n = 7, where no listing reaches: the pruned search lists
+    51 840 identity-pinned rows of generate_family(7, "mixed", 1) in
+    1 213 716 nodes, and times its symmetry factor, 7! relabelings times
+    the tail's 12 leaf orders, they count 3 135 283 200 essential members,
+    the count the search gave when it pinned only the largest root."""
+    pruned = search(generate_family(7, "mixed", 1), first_only=False)
+    assert (len(pruned.solutions), pruned.nodes) == (51840, 1213716)
+    assert pruned.symmetry_factor == 5040 * 12
+    assert len(pruned.solutions) * pruned.symmetry_factor == 3_135_283_200
 
 
 def test_frontier_node_counts_are_frozen():
