@@ -59,23 +59,23 @@ refutations first: more orphan loops (a free loop on a vertex with no
 free pair) than one-vertex trees left, before any list is built, then a
 component with no free loop as soon as the walk closes it.
 
-Full enumeration also memoizes tree boundaries.  Below the root step of
-a tree, the search reads nothing but the step, the free pairs and the
-used loops (the soundness note sits at the lookup), and in enumeration
-most boundary states recur.  So the engine keys each boundary it leaves
-by ``(step, free-pair masks, used loops)`` and stores the range
-``[a, b)`` of the solution rows first found below it, in DFS order, with
-the nodes the subtree took.  Rows are only ever appended, so the range
-stays put.  A later visit with the same key, with j slots unstarted,
-re-emits ``row[:j] + placed`` for each row in the range, adds the node
-count and treats the step as exhausted, so solutions, their order and
-node counts are those of the plain search.  The memo holds no copy of
-a completion.  Every search also keeps a table from a slot's head (its
-step images by slot position) to its checked permutation, read at the
-solution leaf and at memo hits; a permutation is built and checked only
-on a miss, so each distinct one is checked once per table and rows share
-their slot tuples.  A lone first-only search keeps no memo: within one
-family a boundary state rarely recurs.
+Both modes memoize tree boundaries.  Below the root step of a tree, the
+search reads nothing but the step, the free pairs and the used loops
+(the soundness note sits at the lookup), and in enumeration most
+boundary states recur.  So the engine keys each boundary it leaves by
+``(step, free-pair masks, used loops)`` and stores one entry
+``(rows, nodes)``: the solution rows first found below it, in DFS order,
+and the nodes the subtree took.  The rows are the very tuples of the
+search's solutions, held by reference, so the memo holds no copy of a
+completion.  A later visit with the same key, with j slots unstarted,
+re-emits ``row[:j] + placed`` for each stored row, adds the node count
+and treats the step as exhausted, so solutions, their order and node
+counts are those of the plain search.  Every search also keeps a table
+from a slot's head (its step images by slot position) to its checked
+permutation, read at the solution leaf and at memo hits; a permutation
+is built and checked only on a miss, so each distinct one is checked
+once per table and rows share their slot tuples.  A lone first-only
+search keeps no memo: within one family a boundary state rarely recurs.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
@@ -98,19 +98,19 @@ otherwise.  Product order changes a suffix of the tail slots, so a mask
 dict is kept exactly while its own tree stays, and it never brings an
 old tail back, so the memo stays bounded and hits as often as an
 unbounded table would.  The memo is used only in attempt 0, where every
-scan offset is zero.  A miss opens a frame as in enumeration; exhaustion
-stores no completion, a solution stores its unstarted slots'
-permutations in every open frame, each with the nodes its subtree took
-up to it, and a budget trip or the deadline stores nothing.  A hit adds
-the stored count, trips the budget on the node past it where that count
-passes the budget, as the search it stands for would, and otherwise
-emits the stored completion after the placed slots or treats the step as
-exhausted.  So statuses, labelings, node counts and restarts are those
-of a lone search (the soundness note sits at the lookup).  Across tails
-the chunk keeps only the head table above; within a tail the memo is its
-one boundary cache, which stores a refuted boundary as an exhausted
-subtree.  With no pair blocked the exact cover is not asked at steps 0
-and n, where it cannot fail (the proof sits in `search`).
+scan offset is zero.  Its entries are enumeration's, with at most one
+row: exhaustion stores none, a solution is stored in every open frame,
+each with the nodes its subtree took up to it, and a budget trip or the
+deadline stores nothing.  A hit adds the stored count, trips the budget
+on the node past it where that count passes the budget, as the search it
+stands for would, and otherwise re-emits its row, which ends the search,
+or treats the step as exhausted.  So statuses, labelings, node counts
+and restarts are those of a lone search (the soundness note sits at the
+lookup).  Across tails the chunk keeps only the head table above; within
+a tail the memo is its one boundary cache, which stores a refuted
+boundary as an exhausted subtree.  With no pair blocked the exact cover
+is not asked at steps 0 and n, where it cannot fail (the proof sits in
+`search`).
 
 The memo has one more level, n, for the boundary before step 0, where
 no slot has started.  A search reads its largest tree only through the
@@ -340,10 +340,11 @@ class ChunkTables:
     tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
     which depends on n alone; ``levels[j]``, the first-solution subtree
-    memo of the boundaries with j unstarted slots (``levels[0]`` is None:
-    no boundary leaves every slot placed), up to ``levels[n]``, the
-    finished search per largest-tree shape, which every tail change
-    empties, so it holds at most Catalan(n - 1) per mode; and
+    memo of the boundaries with j unstarted slots, each entry the packed
+    row found below, by reference, or none, and the nodes it took
+    (``levels[0]`` is None: no boundary leaves every slot placed), up to
+    ``levels[n]``, the finished search per largest-tree shape, which every
+    tail change empties, so it holds at most Catalan(n - 1) per mode; and
     ``masks[k]``, from slot k's permutation to the edge mask of
     ``tail[k]`` under it, root loop included, which `packing.is_complete`
     fills and reads in both modes."""
@@ -423,10 +424,12 @@ def search(
 
     ``tables`` are a sweep chunk's `ChunkTables`; the search retargets
     them when the family's tail is not theirs.  Without tables it makes
-    its own, and first-only keeps no memo.  A memo hit returns what its
-    subtree would, so results and node counts are those without tables;
-    a hit on level n returns at entry what an earlier search of the same
-    tail and largest-tree shape found.
+    its own, and first-only keeps no memo.  Below level n a memo entry
+    holds the rows found below its boundary, by reference, and the nodes
+    it took, so a hit returns what its subtree would, and results and
+    node counts are those without tables; a hit on level n returns at
+    entry what an earlier search of the same tail and largest-tree shape
+    found.
     """
     n = family.n
     full = (1 << n) - 1
@@ -520,8 +523,10 @@ def search(
     # the tree-boundary memo by count j of unstarted slots: a sweep
     # chunk's attempt 0 reads the tables', a lone first-only search has
     # none (close_at then stays -1), and full enumeration keeps levels of
-    # its own, whose row ranges index this search's solutions
-    frames: list[tuple] = []  # open boundaries: (outer close_at, key, solutions, nodes)
+    # its own.  An entry is (rows, nodes): the rows found below the
+    # boundary, the very tuples in solutions (none where the subtree ran
+    # out, at most one in first-only search), and the nodes it took.
+    frames: list[tuple] = []  # open boundaries: (outer close_at, key, first row index, nodes)
     close_at = -1  # step of the innermost open boundary
     if first_only:
         memos = None if lone else tables.levels
@@ -590,10 +595,7 @@ def search(
                                 frames.append((close_at, key, len(solutions), nodes))
                                 close_at = i
                         if hit is not None:
-                            if first_only:
-                                done, took = hit
-                            else:
-                                a, b, took = hit
+                            rows, took = hit
                             before = nodes
                             nodes += took
                             if nodes > budget_abs:
@@ -602,15 +604,9 @@ def search(
                                 nodes = budget_abs + 1
                                 budget_tripped = True
                                 break
-                            if first_only:
-                                if done:
-                                    solutions.append(
-                                        done[0]
-                                        + _slot_permutations(images, slot_steps[j:], n, known)
-                                    )
-                            elif b > a:
+                            if rows:
                                 placed = _slot_permutations(images, slot_steps[j:], n, known)
-                                solutions += [row[:j] + placed for row in solutions[a:b]]
+                                solutions += [row[:j] + placed for row in rows]
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees
                             if (
@@ -620,7 +616,7 @@ def search(
                             ):
                                 timed_out = True
                                 break
-                            if first_only and done:
+                            if first_only and rows:
                                 break
                         elif i in skip or _boundary_feasible(
                             step_slot[i] + 1, pairfree, loops_used, classical
@@ -649,13 +645,9 @@ def search(
                 images[i] = v
                 enter = True
             elif i:  # step i is exhausted: undo the image of step i - 1
-                if i == close_at:  # store what the subtree below its boundary found
+                if i == close_at:  # store the rows found below its boundary
                     close_at, key, start, before = frames.pop()
-                    j = step_slot[i] + 1  # the unstarted slots
-                    if first_only:  # it ran out: no completion
-                        memos[j][key] = ((), nodes - before)
-                    else:  # the range of its rows
-                        memos[j][key] = (start, len(solutions), nodes - before)
+                    memos[step_slot[i] + 1][key] = (tuple(solutions[start:]), nodes - before)
                 i -= 1
                 v = images[i]
                 enter = False
@@ -676,10 +668,8 @@ def search(
             if enter:
                 i += 1
         if first_only and solutions:  # every open boundary led to it
-            row = solutions[0]
-            for _, key, _, before in frames:
-                j = step_slot[key[0]] + 1
-                memos[j][key] = ((row[:j],), nodes - before)
+            for _, key, start, before in frames:
+                memos[step_slot[key[0]] + 1][key] = (tuple(solutions[start:]), nodes - before)
         if timed_out or solutions or not budget_tripped:
             break
         # later attempts scan from random offsets: the memo holds only for

@@ -36,6 +36,7 @@ import json
 import sys
 from dataclasses import asdict
 from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 from .certificate import (
@@ -285,7 +286,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     family, _ = _family_from_args(args, PHI_ESSENTIAL_MAX_N)
     members, essential = phi_enumerate(family, mode="essential")
-    members.sort()  # listed orbit by orbit; printed as the sorted rows
+    members.sort(key=itemgetter(1))  # listed by orbit, printed sorted; n ties
     n = family.n
     full = essential * full_count_multiplier(n)
     # members share their slot tuples, so each distinct one is encoded

@@ -111,6 +111,7 @@ class EdgeOrientation:
 
     def __post_init__(self) -> None:
         n = self.n
+        check_size(n, "an orientation")
         arcs = set()
         edges = set()
         for a, b in self.arcs:

@@ -237,6 +237,15 @@ def test_edge_orientation_validation():
     for bad in ((1.0, 0), (1, False), (True, 0)):
         with pytest.raises(NotCompleteError):
             EdgeOrientation(n=2, arcs=frozenset({(0, 0), bad, (1, 1)}))
+    # the size is checked first, through the check every public type shares
+    for n, arcs in (
+        (True, {(0, 0)}),
+        (0, set()),
+        (2.0, {(0, 0), (1, 0), (1, 1)}),
+        ("3", set()),
+    ):
+        with pytest.raises(BadSizeError):
+            EdgeOrientation(n=n, arcs=frozenset(arcs))
 
 
 # --- Phi ----------------------------------------------------------------

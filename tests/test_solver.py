@@ -713,6 +713,29 @@ def test_subtree_memo_hit_past_the_budget_trips_it():
     )
 
 
+def test_subtree_memo_holds_packed_rows_by_reference():
+    """A first-only memo entry holds the row found below its boundary as
+    the very tuple its search returned, not a copy of the unstarted
+    slots.  Packed through one set of tables, every family of
+    `family_enumerate(5)` keeps a lone `pack`'s node count; after each
+    pack every row on levels 1..4 is, by identity, the slot tuple of a
+    labeling packed so far, and no entry holds more than one."""
+    tables = _search.ChunkTables()
+    packed = {}  # id to slot tuple: every tuple is kept, so no id is reused
+    held = 0
+    for family in family_enumerate(5):
+        got = pack(family, _tables=tables)
+        assert got.nodes_expanded == pack(family).nodes_expanded
+        sigmas = got.labeling.sigmas
+        packed[id(sigmas)] = sigmas
+        for memo in tables.levels[1:5]:
+            for rows, _ in memo.values():
+                assert len(rows) <= 1
+                assert all(packed.get(id(row)) is row for row in rows)
+                held += len(rows)
+    assert held  # the memo stored solutions, not only exhausted subtrees
+
+
 def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
     """Through `sweep(6)` each level j of the chunk's subtree memo holds
     the stored subtrees of one tail, the trees of slots 0..j-1: a level
