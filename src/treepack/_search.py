@@ -4,8 +4,8 @@ The search space is the set of "essential" labelings: one injection per
 slot from the stored component Z_(k+1) into Z_n.  Values outside the
 component never touch an edge, so feasibility and enumeration both live
 entirely in this space; a solution is reported as the labeling that
-fills them ascending, one checked permutation per slot
-(`_slot_permutations`).  State is held in integer bitmasks — one free-
+fills them ascending, one checked permutation per slot, built through
+the head table `_HeadTable`.  State is held in integer bitmasks — one free-
 partner mask per vertex, one mask of consumed loop vertices, one
 used-vertex mask per tree — which makes candidate generation a couple of
 machine-word operations per node.
@@ -70,12 +70,12 @@ search's solutions, held by reference, so the memo holds no copy of a
 completion.  A later visit with the same key, with j slots unstarted,
 re-emits ``row[:j] + placed`` for each stored row, adds the node count
 and treats the step as exhausted, so solutions, their order and node
-counts are those of the plain search.  Every search also keeps a table
-from a slot's head (its step images by slot position) to its checked
-permutation, read at the solution leaf and at memo hits; a permutation
-is built and checked only on a miss, so each distinct one is checked
-once per table and rows share their slot tuples.  A lone first-only
-search keeps no memo: within one family a boundary state rarely recurs.
+counts are those of the plain search.  Rows are written at the solution
+leaf and at memo hits through a `_HeadTable`, which checks each distinct
+slot permutation once, on the table's n, and which the Phi expansion
+reads too.  A lone first-only search keeps no memo for its cost: on the
+benchmark's frontier set 2 145 of 10 927 attempt-0 boundary lookups
+would hit, but the bookkeeping made the median pack about 9 % slower.
 
 A sweep is different: its families are small, share n and come in
 product order, the largest tree changing fastest, so runs of (n - 1)!
@@ -97,20 +97,20 @@ mask dict k are kept while the trees of slots 0..k stay, and start empty
 otherwise.  Product order changes a suffix of the tail slots, so a mask
 dict is kept exactly while its own tree stays, and it never brings an
 old tail back, so the memo stays bounded and hits as often as an
-unbounded table would.  The memo is used only in attempt 0, where every
-scan offset is zero.  Its entries are enumeration's, with at most one
-row: exhaustion stores none, a solution is stored in every open frame,
-each with the nodes its subtree took up to it, and a budget trip or the
-deadline stores nothing.  A hit adds the stored count, trips the budget
-on the node past it where that count passes the budget, as the search it
-stands for would, and otherwise re-emits its row, which ends the search,
-or treats the step as exhausted.  So statuses, labelings, node counts
-and restarts are those of a lone search (the soundness note sits at the
-lookup).  Across tails the chunk keeps only the head table above; within
-a tail the memo is its one boundary cache, which stores a refuted
-boundary as an exhausted subtree.  With no pair blocked the exact cover
-is not asked at steps 0 and n, where it cannot fail (the proof sits in
-`search`).
+unbounded table would.  Only the head table outlives a tail: `_retarget`
+replaces it when n changes.  The memo is used only in attempt 0, where
+every scan offset is zero.  Its entries are enumeration's, with at most
+one row: exhaustion stores none, a solution is stored in every open
+frame, each with the nodes its subtree took up to it, and a budget trip
+or the deadline stores nothing.  A hit adds the stored count, trips the
+budget on the node past it where that count passes the budget, as the
+search it stands for would, and otherwise re-emits its row, which ends
+the search, or treats the step as exhausted.  So statuses, labelings,
+node counts and restarts are those of a lone search (the soundness note
+sits at the lookup).  Within a tail the memo is the chunk's one boundary
+cache, which stores a refuted boundary as an exhausted subtree.  With no
+pair blocked the exact cover is not asked at steps 0 and n, where it
+cannot fail (the proof sits in `search`).
 
 The memo has one more level, n, for the boundary before step 0, where
 no slot has started.  A search reads its largest tree only through the
@@ -180,39 +180,39 @@ def luby(i: int) -> int:
         i -= (1 << (k - 1)) - 1
 
 
-def _slot_permutations(
-    images: list[int], slot_steps, n: int, known: dict
-) -> tuple[Mapping, ...]:
-    """The permutation of each slot in ``slot_steps``, read off ``images``.
+class _HeadTable(dict):
+    """Slot head to checked permutation on Z_n, the one builder of the
+    slot format: a head (a slot's images by slot position) not yet in the
+    table is followed by the values it leaves free, ascending, checked
+    once and stored, and every later lookup hands back that same tuple.
+    One table serves every slot on its n: a permutation is a function of
+    its head and n, and slot k's head has k + 1 entries, so it also names
+    its slot.  `_retarget` makes a fresh table whenever n changes."""
 
-    A slot's steps list its vertices by slot position, so their images
-    head its permutation; the values it leaves free fill the positions
-    above its component, ascending.  Every tuple is checked here, where
-    it is built, and nowhere again.
+    __slots__ = ("n",)
 
-    ``known`` maps a head to its checked permutation.  A lone search
-    keeps one for itself and a sweep chunk shares one across all its
-    searches.  It is sound to share one table across all slots of every
-    search on one n: a slot's permutation is a pure function of its head
-    and n; slot k's head has k + 1 entries, so a head also names its
-    slot; and every tuple in the table was checked once, where it was
-    built, on the miss that stored it.  A hit hands back that same tuple,
-    so rows, and a chunk's labelings, share their slots."""
-    out = []
-    for steps in slot_steps:
-        head = tuple([images[s] for s in steps])
-        sig = known.get(head)
-        if sig is None:
-            fill = tuple([x for x in range(n) if x not in head])
-            sig = known[head] = check_permutation(head + fill, n)
-        out.append(sig)
-    return tuple(out)
+    def __init__(self, n: int) -> None:
+        super().__init__()
+        self.n = n
+
+    def __missing__(self, head: tuple[int, ...]) -> Mapping:
+        n = self.n
+        fill = tuple([x for x in range(n) if x not in head])
+        sig = self[head] = check_permutation(head + fill, n)
+        return sig
+
+
+def _slot_permutations(images: list[int], slot_steps, known: _HeadTable) -> tuple[Mapping, ...]:
+    """The permutation of each slot in ``slot_steps`` through ``known``:
+    a slot's steps list its vertices by slot position, so their images in
+    ``images`` are its head."""
+    return tuple([known[tuple([images[s] for s in steps])] for steps in slot_steps])
 
 
 @dataclass
 class SearchOutcome:
     """Raw engine result.  Each solution is a labeling's slot permutations,
-    slot 0 first, every one checked by `_slot_permutations`."""
+    slot 0 first, every one checked by the search's `_HeadTable`."""
 
     solutions: list[tuple[Mapping, ...]]
     nodes: int
@@ -333,10 +333,11 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
 @dataclass(eq=False)
 class ChunkTables:
     """What every search of one sweep chunk shares (module docstring):
-    one n, one ``classical``, first-only with symmetry pruning; a lone
-    search makes its own.  ``known`` (slot head to checked permutation,
-    `_slot_permutations`) holds across tails.  The rest belongs to
-    ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
+    one ``classical``, first-only with symmetry pruning; a lone search
+    makes its own.  ``known``, the `_HeadTable` of the tables' n, holds
+    across tails, and `_retarget` makes a fresh one when n changes, so
+    one set of tables may serve families of any sizes.  The rest belongs
+    to ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
     tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
     which depends on n alone; ``levels[j]``, the first-solution subtree
@@ -349,7 +350,7 @@ class ChunkTables:
     ``tail[k]`` under it, root loop included, which `packing.is_complete`
     fills and reads in both modes."""
 
-    known: dict = field(default_factory=dict)
+    known: _HeadTable | None = None
     tail: tuple[AugFuncTree, ...] | None = None
     step_slot: tuple[int, ...] = ()
     step_parent: tuple[int, ...] = ()
@@ -361,10 +362,11 @@ class ChunkTables:
 
 
 def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> None:
-    """Rebind the per-tail fields of ``tables`` to ``tail`` on Z_n.  The
-    one carry rule: while the trees of slots 0..k stay, compared by value,
-    memo level k + 1 and mask dict k are kept; every other level and dict
-    starts empty, so each only ever holds what its own trees give."""
+    """Rebind the per-tail fields of ``tables`` to ``tail`` on Z_n, with a
+    fresh head table if n changed.  The one carry rule: while the trees of
+    slots 0..k stay, compared by value, memo level k + 1 and mask dict k
+    are kept; every other level and dict starts empty, so each only ever
+    holds what its own trees give."""
     compiled = [t.compiled() for t in tail]
     step_slot = [n - 1] * n
     step_parent: list[int] = []  # step of the parent, -1 at roots
@@ -381,6 +383,8 @@ def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> Non
         if old != new:
             break
         kept += 1
+    if tables.known is None or tables.known.n != n:  # a head table serves one n
+        tables.known = _HeadTable(n)
     tables.tail = tail
     tables.step_slot = tuple(step_slot)
     tables.step_parent = tuple(step_parent)
@@ -486,7 +490,7 @@ def search(
             # the memo's deadline rule: a bulk add past a multiple of 4096
             timed_out = deadline is not None and nodes >> 12 > 0 and monotonic() > deadline
             if row is not None and not timed_out:
-                solutions.append(row + _slot_permutations(head, (last.steps,), n, known))
+                solutions.append(row + _slot_permutations(head, (last.steps,), known))
             return SearchOutcome(
                 solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
             )
@@ -563,7 +567,7 @@ def search(
             if enter:  # step i's candidates, or none where a prune fires
                 cand = 0
                 if i == total:
-                    solutions.append(_slot_permutations(images, slot_steps, n, known))
+                    solutions.append(_slot_permutations(images, slot_steps, known))
                     if first_only:
                         break  # the open boundaries store it after the loop
                 else:
@@ -605,7 +609,7 @@ def search(
                                 budget_tripped = True
                                 break
                             if rows:
-                                placed = _slot_permutations(images, slot_steps[j:], n, known)
+                                placed = _slot_permutations(images, slot_steps[j:], known)
                                 solutions += [row[:j] + placed for row in rows]
                             # a bulk add may pass a multiple of 4096
                             # that the placement check never sees

@@ -124,8 +124,10 @@ class SparsePoly:
     """Sparse polynomial over x[k][v] (k, v in Z_n) and y, exact rational.
 
     ``n`` fixes the variable universe and the lattice the canonical forms
-    live on; terms map monomials to nonzero Fractions.  Instances are
-    value-like: construction normalizes, equality is term-for-term.
+    live on; terms map monomials to nonzero Fractions, and a coefficient
+    given, a scalar operand included, must be an `is_int` or a Fraction
+    (ValidationError).  Instances are value-like: construction
+    normalizes, equality is term-for-term.
     """
 
     n: int
@@ -138,7 +140,9 @@ class SparsePoly:
         # exact-type tests first: the ring operations build their terms
         # from Fractions and ints
         for mono, coef in self.terms.items():
-            if type(coef) is not Fraction:
+            if type(coef) is not Fraction:  # Fraction() would read 0.1, "1/3" and True
+                if not (is_int(coef) or isinstance(coef, Fraction)):
+                    raise ValidationError(f"coefficient {coef!r} is not an int or a Fraction")
                 coef = Fraction(coef)
             if not coef:
                 continue
@@ -177,7 +181,7 @@ class SparsePoly:
 
     @classmethod
     def const(cls, n: int, value) -> "SparsePoly":
-        return cls(n=n, terms={(): Fraction(value)})
+        return cls(n=n, terms={(): value})
 
     @classmethod
     def variable(cls, n: int, vid: int) -> "SparsePoly":
@@ -220,10 +224,7 @@ class SparsePoly:
 
     def __mul__(self, other):
         if not isinstance(other, SparsePoly):
-            return SparsePoly(
-                n=self.n,
-                terms={m: c * Fraction(other) for m, c in self.terms.items()},
-            )
+            other = SparsePoly.const(self.n, other)
         self._require_same_universe(other)
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
@@ -677,19 +678,19 @@ def poly_reduce(p: SparsePoly, variables=None) -> SparsePoly:
 
 
 def nonvanishing_equivalence_check(family: AugTreeFamily) -> bool:
-    """Does `canonical form is nonzero` agree with `Phi is nonempty`?
+    """Does `canonical form is nonzero` agree with `the family packs`?
 
     Expected true for every family; a false return means one of the two
-    pipelines (polynomial or combinatorial) has a bug, which is the whole
-    reason this function exists.
+    pipelines has a bug, which is the whole reason this function exists.
+    They are independent: the form sums over the Phi listing, and `pack`
+    runs its own search and verifies its labeling edge by edge.
     """
     if family.n > CANONICAL_PHI_MAX_N:
         raise BoundExceededError(
             f"equivalence check capped at n = {CANONICAL_PHI_MAX_N}"
         )
     rep = canonical_rep(family, mode="phi-sum")
-    _, count = phi_enumerate(family, mode="essential")
-    return (not rep.is_zero()) == (count > 0)
+    return (not rep.is_zero()) == (pack(family).status == PACKED)
 
 
 def monomial_support_check(sigma) -> bool:

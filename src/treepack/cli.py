@@ -180,6 +180,11 @@ def _int_field(doc: dict, name: str) -> int:
 # === shared plumbing ====================================================
 
 
+def _report(args: argparse.Namespace, payload: dict, text: str) -> None:
+    """Print ``payload`` as sorted JSON with --json, ``text`` otherwise."""
+    print(json.dumps(payload, sort_keys=True) if args.json else text)
+
+
 def _write_out(text: str, path: str | None) -> None:
     _write_pieces([text if text.endswith("\n") else text + "\n"], path)
 
@@ -249,23 +254,20 @@ def _cmd_pack(args: argparse.Namespace) -> int:
     family, seed = _family_from_args(args)
     result = pack(family, _solve_config(args))
     packed = result.status == PACKED
-    if args.json:
-        payload = {
-            "status": result.status,
-            "nodes": result.nodes_expanded,
-            "millis": round(result.elapsed_ms, 3),
-            "labeling": _labeling_doc(result.labeling) if packed else None,
-        }
-        if seed is not None:
-            payload["seed"] = seed
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(f"status: {result.status}")
-        print(f"nodes: {result.nodes_expanded}")
-        print(f"millis: {result.elapsed_ms:.3f}")
-        if packed:
-            for k, sig in enumerate(result.labeling.sigmas):
-                print(f"sigma {k}: {' '.join(map(str, sig))}")
+    payload = {
+        "status": result.status,
+        "nodes": result.nodes_expanded,
+        "millis": round(result.elapsed_ms, 3),
+        "labeling": _labeling_doc(result.labeling) if packed else None,
+    }
+    if seed is not None:
+        payload["seed"] = seed
+    text = f"status: {result.status}\nnodes: {result.nodes_expanded}\n"
+    text += f"millis: {result.elapsed_ms:.3f}"
+    if packed:
+        for k, sig in enumerate(result.labeling.sigmas):
+            text += f"\nsigma {k}: {' '.join(map(str, sig))}"
+    _report(args, payload, text)
     if packed and args.output is not None:
         orient = orientation(family, result.labeling)
         _write_out(emit_orientation(orient, args.format), args.output)
@@ -276,10 +278,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     family = parse_family(Path(args.family).read_text())
     labeling = parse_labeling(Path(args.labeling).read_text())
     ok = is_complete(family, labeling, classical=args.classical_mode)
-    if args.json:
-        print(json.dumps({"complete": ok}))
-    else:
-        print("complete" if ok else "incomplete")
+    _report(args, {"complete": ok}, "complete" if ok else "incomplete")
     return 0 if ok else 1
 
 
@@ -321,23 +320,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for row in report.rows:
             writer.writerow([row.index, row.status, row.nodes, f"{row.millis:.3f}"])
         _write_out(buf.getvalue(), args.output)
-    if args.json:
-        payload = {
-            "exhausted": report.exhausted,
-            "millis": round(report.elapsed_ms, 3),
-            "n": report.n,
-            "nodes": report.nodes_total,
-            "packed": report.packed,
-            "timed_out": report.timed_out,
-            "total": report.total,
-        }
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        print(
-            f"n={report.n} families={report.total} packed={report.packed} "
-            f"exhausted={report.exhausted} timed-out={report.timed_out} "
-            f"nodes={report.nodes_total} millis={report.elapsed_ms:.1f}"
-        )
+    payload = {
+        "exhausted": report.exhausted,
+        "millis": round(report.elapsed_ms, 3),
+        "n": report.n,
+        "nodes": report.nodes_total,
+        "packed": report.packed,
+        "timed_out": report.timed_out,
+        "total": report.total,
+    }
+    text = (
+        f"n={report.n} families={report.total} packed={report.packed} "
+        f"exhausted={report.exhausted} timed-out={report.timed_out} "
+        f"nodes={report.nodes_total} millis={report.elapsed_ms:.1f}"
+    )
+    _report(args, payload, text)
     return 0 if report.packed == report.total else 1
 
 
@@ -354,11 +351,8 @@ def _cmd_certify(args: argparse.Namespace) -> int:
         family, _ = _family_from_args(args)
         value = certificate_eval(family, labeling.sigmas)
         nonzero = not value.is_zero()
-        if args.json:
-            print(json.dumps({"coeffs": list(value.coeffs), "nonzero": nonzero}))
-        else:
-            print(f"coeffs: {' '.join(map(str, value.coeffs))}")
-            print(f"nonzero: {'yes' if nonzero else 'no'}")
+        text = f"coeffs: {' '.join(map(str, value.coeffs))}\nnonzero: {'yes' if nonzero else 'no'}"
+        _report(args, {"coeffs": list(value.coeffs), "nonzero": nonzero}, text)
         return 0 if nonzero else 1
     caps = {"phi-sum": CANONICAL_PHI_MAX_N, "lattice": CANONICAL_LATTICE_MAX_N}
     family, _ = _family_from_args(args, caps[args.mode])
@@ -381,15 +375,13 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 
 def _cmd_compose(args: argparse.Namespace) -> int:
     report = composition_implication_check(args.n)
-    if args.json:
-        print(json.dumps(asdict(report) | {"ok": report.ok}, sort_keys=True))
-    else:
-        print(
-            f"n={report.n} families={report.families_checked} "
-            f"steps={report.steps_checked} ok={'yes' if report.ok else 'no'}"
-        )
-        for v in report.violations:
-            print(f"violation: {v}")
+    text = (
+        f"n={report.n} families={report.families_checked} "
+        f"steps={report.steps_checked} ok={'yes' if report.ok else 'no'}"
+    )
+    for v in report.violations:
+        text += f"\nviolation: {v}"
+    _report(args, asdict(report) | {"ok": report.ok}, text)
     return 0 if report.ok else 1
 
 

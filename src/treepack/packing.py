@@ -18,7 +18,7 @@ from itertools import chain, permutations, product, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
-from ._search import ChunkTables, _slot_permutations, search
+from ._search import ChunkTables, _HeadTable, search
 from .errors import (
     BoundExceededError,
     DimensionMismatchError,
@@ -89,11 +89,12 @@ class Labeling(_LabelingFields):
         Precondition: every slot in ``sigmas`` is a tuple that
         ``check_permutation(·, n)`` would return unchanged.  Only the slot
         count is checked here.  The callers are `pack` (through
-        `_labeling_from_injections`), whose row the engine checked slot by
-        slot as it built it (`phi_enumerate` builds its members the same
-        way, with `tuple.__new__`, from slots checked through the engine's
-        head table), and `diagonal_relabel`, whose new slots are
+        `_labeling_from_injections`), whose row holds the engine's slots
+        (`phi_enumerate` builds its members the same way, with
+        `tuple.__new__`), and `diagonal_relabel`, whose new slots are
         compositions of checked permutations and so permutations too.
+        Every engine and Phi slot comes out of a `_search._HeadTable` on
+        this n, which checked it once as it built it.
         """
         if len(sigmas) != n:
             raise DimensionMismatchError(
@@ -241,12 +242,6 @@ def full_count_multiplier(n: int) -> int:
     return math.prod(math.factorial(n - k - 1) for k in range(n))
 
 
-def _checked_slot(head: tuple[int, ...], n: int, known: dict) -> Mapping:
-    """The checked permutation of one slot head, through the engine's
-    head table ``known``: built and checked only on a miss."""
-    return _slot_permutations(head, (range(len(head)),), n, known)[0]
-
-
 def _leaf_positions(tree: AugFuncTree) -> list[list[int]]:
     """The slot positions of each leaf group of ``tree``, in the order
     whose images the pruned search makes ascend (arc v's vertex is vertex
@@ -255,7 +250,7 @@ def _leaf_positions(tree: AugFuncTree) -> list[list[int]]:
     return [[c.arcs[v][0] for v in grp] for grp in c.leaf_groups]
 
 
-def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
+def _leaf_variants(tree: AugFuncTree, column, known: _HeadTable) -> dict:
     """Per distinct permutation in ``column``, the slot of ``tree``, the
     permutations its leaf swaps give: every order of the images of each
     leaf group, the pruned order included.  The images of a group are a
@@ -270,18 +265,17 @@ def _leaf_variants(tree: AugFuncTree, column, n: int, known: dict) -> dict:
             for grp, values in zip(groups, choice):
                 for p, x in zip(grp, values):
                     head[p] = x
-            variants.append(_checked_slot(tuple(head), n, known))
+            variants.append(known[tuple(head)])
         table[sig] = variants
     return table
 
 
-def _composed(heads: list, perms, groups: list[list[int]], n: int, known: dict) -> list[list]:
+def _composed(heads: list, perms, groups: list[list[int]], known: _HeadTable) -> list[list]:
     """Per permutation g in ``perms``, the left-composition with g of each
     slot head in ``heads``, with the images of each leaf group in
     ``groups`` re-sorted ascending.  A permutation is its head followed
-    by the ascending fill, so only the head turns.  A turned head is
-    looked up in the engine's head table ``known``, and built and checked
-    only on a miss."""
+    by the ascending fill, so only the head turns, and the engine's head
+    table ``known`` gives each turned head's permutation."""
     out = []
     for g in perms:
         turned = [list(map(g.__getitem__, head)) for head in heads]
@@ -290,11 +284,11 @@ def _composed(heads: list, perms, groups: list[list[int]], n: int, known: dict) 
                 for p, x in zip(grp, sorted([head[p] for p in grp])):
                     head[p] = x
         turned = [tuple(head) for head in turned]
-        out.append([known.get(h) or _checked_slot(h, n, known) for h in turned])
+        out.append([known[h] for h in turned])
     return out
 
 
-def _root_pinned_columns(family: AugTreeFamily, rows: list, known: dict) -> list[list]:
+def _root_pinned_columns(family: AugTreeFamily, rows: list, known: _HeadTable) -> list[list]:
     """The pruned search's rows, which hold the identity in the largest
     slot, rebuilt as the rows the root pin lists, column by column.
 
@@ -327,7 +321,7 @@ def _root_pinned_columns(family: AugTreeFamily, rows: list, known: dict) -> list
         index = {sig: i for i, sig in enumerate(dict.fromkeys(column))}
         heads = [sig[: k + 1] for sig in index]
         at = list(map(index.__getitem__, column))
-        images = _composed(heads, deltas, _leaf_positions(tree), n, known)
+        images = _composed(heads, deltas, _leaf_positions(tree), known)
         columns.append(list(chain.from_iterable(map(block.__getitem__, at) for block in images)))
     return columns
 
@@ -379,8 +373,8 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             f"phi_enumerate is exhaustive; n={n} exceeds the cap "
             f"{PHI_ESSENTIAL_MAX_N}"
         )
-    # one table from slot head to checked permutation for the search and
-    # the expansion, so each distinct slot permutation is checked once
+    # the search's head table serves the expansion too, so each distinct
+    # slot permutation is built and checked once
     tables = ChunkTables()
     out = search(family, first_only=False, tables=tables)
     count = len(out.solutions) * out.symmetry_factor
@@ -393,7 +387,7 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
     columns = _root_pinned_columns(family, out.solutions, known)
     del out
     variants = [
-        _leaf_variants(tree, column, n, known) for tree, column in zip(family.trees, columns)
+        _leaf_variants(tree, column, known) for tree, column in zip(family.trees, columns)
     ]
     # per slot and rotation x -> x + r, each distinct variant left-composed with it
     turns = [tuple([(x + r) % n for x in range(n)]) for r in range(n)]
@@ -402,7 +396,6 @@ def phi_enumerate(family: AugTreeFamily, mode: str = "essential") -> tuple[list[
             [sig[: k + 1] for sig in dict.fromkeys(chain.from_iterable(table.values()))],
             turns,
             (),
-            n,
             known,
         )
         for k, table in enumerate(variants)

@@ -247,6 +247,27 @@ def test_non_integer_inputs_are_rejected_not_truncated():
         SparsePoly.x(2, 0, 1).evaluate(((0, 1.5), (0, 1)))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: SparsePoly(n=2, terms={(): 0.1}),
+        lambda: SparsePoly(n=2, terms={(): "1/3"}),
+        lambda: SparsePoly(n=2, terms={(): True}),
+        lambda: SparsePoly.const(2, 0.1),
+        lambda: SparsePoly.x(2, 0, 1) * 0.1,
+        lambda: SparsePoly.x(2, 0, 1) + 0.1,
+    ],
+    ids=["float", "string", "bool", "const-float", "times-float", "plus-float"],
+)
+def test_sparse_coefficients_are_exact(build):
+    """A coefficient is an int or a Fraction: 0.1 was stored as
+    3602879701896397/36028797018963968, and "1/3" and True were read as
+    numbers, by the constructor and through `const` and scalar products
+    alike."""
+    with pytest.raises(ValidationError, match="int or a Fraction"):
+        build()
+
+
 def test_evaluation_at_an_inexact_y_is_refused():
     """A float y returned a float (0.5 and 2.0), where every value the
     package computes is exact; an int or a Fraction is evaluated."""
@@ -562,6 +583,14 @@ def test_nonvanishing_equivalence_small_n():
             assert (pack(fam).status == PACKED) == (phi_enumerate(fam)[1] > 0)
     with pytest.raises(BoundExceededError):
         nonvanishing_equivalence_check(star_family(4))
+
+
+def test_nonvanishing_equivalence_is_checked_against_pack(monkeypatch):
+    """The check weighs the canonical form, built from the Phi listing,
+    against `pack`, not against that listing again: a listing that lost
+    every member makes the form zero while the family still packs."""
+    monkeypatch.setattr(certificate, "phi_enumerate", lambda family, mode: ([], 0))
+    assert not nonvanishing_equivalence_check(next(family_enumerate(3)))
 
 
 def test_monomial_support_all_perms():

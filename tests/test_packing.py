@@ -450,7 +450,7 @@ def test_phi_enumerate_checks_each_slot_permutation(monkeypatch, corrupt):
     monkeypatch.setattr(
         _search,
         "_slot_permutations",
-        lambda images, slot_steps, n, known: real(corrupt(images), slot_steps, n, known),
+        lambda images, slot_steps, known: real(corrupt(images), slot_steps, known),
     )
     fam = next(family_enumerate(3))
     with pytest.raises(NotAPermutationError):

@@ -664,6 +664,26 @@ def test_shared_tables_hold_for_any_blocked_pairs():
                     ), (n, classical, blocked)
 
 
+def test_one_set_of_tables_serves_every_n():
+    """A head table holds one n's slot permutations, and the tables make a
+    fresh one whenever n changes.  Packed through one set of tables, every
+    family of `family_enumerate(5, 0, 50)`, then 30 mixed n = 6 families,
+    then an n = 5 family again keep a lone `pack`'s status, labeling and
+    node count, and every slot of every labeling has length n.  A table
+    kept across sizes handed Z_5 slots to most of the n = 6 labelings."""
+    fams = list(family_enumerate(5, 0, 50))
+    fams += [generate_family(6, "mixed", s) for s in range(30)]
+    fams.append(generate_family(5, "mixed", 0))
+    tables = _search.ChunkTables()
+    for family in fams:
+        want = pack(family)
+        got = pack(family, _tables=tables)
+        assert (got.status, got.labeling, got.nodes_expanded) == (
+            want.status, want.labeling, want.nodes_expanded
+        )
+        assert {len(sig) for sig in got.labeling.sigmas} == {family.n}
+
+
 def frontier_like_12():
     """The benchmark's 40 n = 12 frontier families, then eight seeds each
     of three more generator kinds: 64 families, 9 of which restart."""
