@@ -59,22 +59,24 @@ refutations first: more orphan loops (a free loop on a vertex with no
 free pair) than one-vertex trees left, before any list is built, then a
 component with no free loop as soon as the walk closes it.
 
-Both modes memoize tree boundaries.  Below the root step of a tree, the
-search reads nothing but the step, the free pairs and the used loops
-(the soundness note sits at the lookup), and in enumeration most
+Both modes memoize the tree boundaries past step n.  Below the root step
+of a tree, the search reads nothing but the free pairs and the used
+loops (the soundness note sits at the lookup), and in enumeration most
 boundary states recur.  So the engine keys each boundary it leaves by
-``(step, free-pair masks, used loops)`` and stores one entry
-``(rows, nodes)``: the solution rows first found below it, in DFS order,
-and the nodes the subtree took.  The rows are the very tuples of the
-search's solutions, held by reference, so the memo holds no copy of a
-completion.  A later visit with the same key, with j slots unstarted,
-re-emits ``row[:j] + placed`` for each stored row, adds the node count
-and treats the step as exhausted, so solutions, their order and node
-counts are those of the plain search.  Rows are written at the solution
-leaf and at memo hits through a `_HeadTable`, which checks each distinct
-slot permutation once, on the table's n, and which the Phi expansion
-reads too.  A lone first-only search keeps no memo for its cost: on the
-benchmark's frontier set 2 145 of 10 927 attempt-0 boundary lookups
+``(free-pair masks, used loops)`` on level j, the count of unstarted
+slots, which fixes the step, and stores one entry ``(rows, nodes)``: the
+solution rows first found below it, in DFS order, and the nodes the
+subtree took.  The rows are the very tuples of the search's solutions,
+held by reference, so the memo holds no copy of a completion.  A later
+visit with the same key re-emits ``row[:j] + placed`` for each stored
+row, adds the node count and treats the step as exhausted, so solutions,
+their order and node counts are those of the plain search.  Rows are
+written at the solution leaf and at memo hits through a `_HeadTable`,
+which checks each distinct slot permutation once, on the table's n, and
+which the Phi expansion reads too.  Step n is no memo boundary: pinned
+full enumeration enters it once, and in a sweep level n - 1 below
+answers first.  A lone first-only search keeps no memo for its cost: on
+the benchmark's frontier set 2 145 of 10 927 attempt-0 boundary lookups
 would hit, but the bookkeeping made the median pack about 9 % slower.
 
 A sweep is different: its families are small, share n and come in
@@ -91,43 +93,40 @@ per count j of unstarted slots, and what `packing.is_complete` reads
 when `pack` verifies a chunk's labeling: per tail slot k, a dict from
 slot k's permutation to the edge mask its tree covers under it, root
 loop included, so one dict serves both modes and only the largest slot's
-mask is built per family (the soundness note sits in `is_complete`).
-One carry rule serves both: when the tail changes, memo level k + 1 and
-mask dict k are kept while the trees of slots 0..k stay, and start empty
+mask is built per family (the soundness note sits in `is_complete`). One
+carry rule serves both: when the tail changes, memo level k + 1 and mask
+dict k are kept while the trees of slots 0..k stay, and start empty
 otherwise.  Product order changes a suffix of the tail slots, so a mask
 dict is kept exactly while its own tree stays, and it never brings an
-old tail back, so the memo stays bounded and hits as often as an
-unbounded table would.  Only the head table outlives a tail: `_retarget`
-replaces it when n changes.  The memo is used only in attempt 0, where
-every scan offset is zero.  Its entries are enumeration's, with at most
-one row: exhaustion stores none, a solution is stored in every open
-frame, each with the nodes its subtree took up to it, and a budget trip
-or the deadline stores nothing.  A hit adds the stored count, trips the
-budget on the node past it where that count passes the budget, as the
-search it stands for would, and otherwise re-emits its row, which ends
-the search, or treats the step as exhausted.  So statuses, labelings,
-node counts and restarts are those of a lone search (the soundness note
-sits at the lookup).  Within a tail the memo is the chunk's one boundary
-cache, which stores a refuted boundary as an exhausted subtree.  With no
-pair blocked the exact cover is not asked at steps 0 and n, where it
-cannot fail (the proof sits in `search`).
+old tail back, so the memo stays bounded per tail and hits as often as
+an unbounded table would.  A tail may last most of a run: in class order
+at n = 8, levels 3 and 4 do (ROADMAP item 3).  Only the head table
+outlives a tail: `_retarget` replaces it when n changes.  The memo is
+used only in attempt 0, where every scan offset is zero.  Its entries
+are enumeration's, with at most one row: exhaustion stores none, a
+solution is stored in every open frame, each with the nodes its subtree
+took up to it, and a budget trip or the deadline stores nothing.  A hit
+adds the stored count, trips the budget on the node past it where that
+count passes the budget, as the search it stands for would, and
+otherwise re-emits its row, which ends the search, or treats the step as
+exhausted.  So statuses, labelings, node counts and restarts are those
+of a lone search (the soundness note sits at the lookup).  Within a tail
+the memo is the chunk's one boundary cache, which stores a refuted
+boundary as an exhausted subtree.  With no pair blocked the exact cover
+is not asked at steps 0 and n, where it cannot fail (the proof sits in
+`search`).
 
-The memo has one more level, n, for the boundary before step 0, where
-no slot has started.  A search reads its largest tree only through the
-rows ``parent_step`` and ``prev_leaf_step``, and those take Catalan(n - 1)
-values among the (n - 1)! largest trees of a tail: 42 among 120 at
-n = 6, 132 among 720 at n = 7.  So level n holds each shape's finished
-outcome, keyed by those rows and ``classical``, and a repeat returns at
-the search's entry without walking the tree.  A packed outcome stores
-the tail slots' permutations, the images of steps 0..n - 1 and the node
-total over all attempts; the hit builds only the largest slot's
-permutation, through the family's own ``steps``, and adds the nodes
-under the deadline rule of the other levels.  An exhausted outcome
-stores no row, and a timed-out search, or one with a pair blocked,
-stores nothing.  The carry rule would keep level n only while slots
-0..n - 1 stayed, so it starts empty at every tail change and holds at
-most Catalan(n - 1) entries per mode.  `pack` still verifies every row
-a hit builds.
+Level n - 1, the boundary at step n, is keyed by the largest tree's
+``(parent_step, classical)``; that shape takes Catalan(n - 1) values
+among the (n - 1)! largest trees of a tail: 42 among 120 at n = 6, 132
+among 720 at n = 7.  What attempt 0 settles is a function of the key and
+the tail (the argument sits at the lookup), so the level stores it in
+the entry form of every other level, the packed row, by reference, or
+none, and the search's nodes, and reads it at the search's entry, before
+any per-search array is built.  A hit rebuilds the largest slot as
+``known[steps]``.  Like every level it is written from attempt 0 only,
+and a search with a pair blocked neither reads nor writes it.  `pack`
+still verifies every row a hit builds.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -340,12 +339,12 @@ class ChunkTables:
     to ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
     tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
-    which depends on n alone; ``levels[j]``, the first-solution subtree
+    which depends on n alone; ``levels[j]``, j < n, the first-solution
     memo of the boundaries with j unstarted slots, each entry the packed
-    row found below, by reference, or none, and the nodes it took
-    (``levels[0]`` is None: no boundary leaves every slot placed), up to
-    ``levels[n]``, the finished search per largest-tree shape, which every
-    tail change empties, so it holds at most Catalan(n - 1) per mode; and
+    row found below, by reference, or none, and the nodes it took, keyed
+    by free pairs and used loops, but on ``levels[n - 1]`` by largest-tree
+    shape and mode, at most Catalan(n - 1) per mode (``levels[0]`` is
+    read only at n = 1); and
     ``masks[k]``, from slot k's permutation to the edge mask of
     ``tail[k]`` under it, root loop included, which `packing.is_complete`
     fills and reads in both modes."""
@@ -357,7 +356,7 @@ class ChunkTables:
     step_prev: tuple[int, ...] = ()
     slot_steps: tuple[tuple[int, ...], ...] = ()
     factor: int = 1
-    levels: list[dict | None] = field(default_factory=list)
+    levels: list[dict] = field(default_factory=list)
     masks: list[dict] = field(default_factory=list)
 
 
@@ -391,7 +390,8 @@ def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> Non
     tables.step_prev = tuple(step_prev)
     tables.slot_steps = tuple([c.steps for c in compiled])
     tables.factor = factor
-    tables.levels = [None] + [tables.levels[j] if j <= kept else {} for j in range(1, n + 1)]
+    # level 0 is read only at n = 1, where a retarget always means a new n
+    tables.levels = [tables.levels[j] if 0 < j <= kept else {} for j in range(n)]
     tables.masks = [tables.masks[k] if k < kept else {} for k in range(n - 1)]
 
 
@@ -428,12 +428,11 @@ def search(
 
     ``tables`` are a sweep chunk's `ChunkTables`; the search retargets
     them when the family's tail is not theirs.  Without tables it makes
-    its own, and first-only keeps no memo.  Below level n a memo entry
-    holds the rows found below its boundary, by reference, and the nodes
-    it took, so a hit returns what its subtree would, and results and
-    node counts are those without tables; a hit on level n returns at
-    entry what an earlier search of the same tail and largest-tree shape
-    found.
+    its own, and first-only keeps no memo.  A memo entry holds the rows
+    found below its boundary, by reference, and the nodes it took, so a
+    hit returns what its subtree would, and results and node counts are
+    those without tables; a hit on level n - 1 returns at entry what an
+    earlier search of the same tail and largest-tree shape found.
     """
     n = family.n
     full = (1 << n) - 1
@@ -469,28 +468,29 @@ def search(
     known = tables.known  # per slot head its checked permutation
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
-    # level n of a sweep chunk's memo: this tail's finished searches, one
-    # per largest-tree shape, kept only with no pair blocked
-    top = None
+    # level n - 1 of a sweep chunk's memo: this tail's attempt-0 outcomes,
+    # one per largest-tree shape, kept only with no pair blocked
+    shapes = None
     if first_only and not lone and not blocked_pairs:
-        top = tables.levels[n]
-        top_key = (last.parent_step, last.prev_leaf_step, classical)
-        hit = top.get(top_key)
+        shapes = tables.levels[n - 1]
+        shape = (last.parent_step, classical)
+        hit = shapes.get(shape)
         if hit is not None:
-            # The loop reads the largest tree only through its rows
-            # parent_step and prev_leaf_step, which also fix leaf_swaps,
-            # and the tail only through the tables, whose memo hits each
-            # reproduce a lone search; the tree's `steps` only write its
-            # slot's permutation.  So the outcome, restarts and node total
-            # included, is a pure function of this key and the tail: the
-            # hit rebuilds the largest slot from the stored images of
-            # steps 0..n-1 through this family's own steps.
-            row, head, nodes = hit
-            solutions = []
+            # Attempt 0 tries each step's least allowed vertex first, so
+            # the largest tree first takes step s to vertex s, and leaves
+            # that placement only once the tail below is exhausted, when
+            # no placement packs: a packing's largest slot spans Z_n, so
+            # relabeling it to this placement would pack the tail.  The
+            # loop reads the tree only through parent_step and
+            # prev_leaf_step, a function of it (leaves and sibling order
+            # are), and the tail only through the tables, whose hits each
+            # reproduce a lone search.  So what attempt 0 settles is a
+            # function of this key and the tail, and a packed row holds
+            # this placement, whose head is the tree's own steps.
+            rows, nodes = hit
             # the memo's deadline rule: a bulk add past a multiple of 4096
             timed_out = deadline is not None and nodes >> 12 > 0 and monotonic() > deadline
-            if row is not None and not timed_out:
-                solutions.append(row + _slot_permutations(head, (last.steps,), known))
+            solutions = [] if timed_out else [row[:-1] + (known[last.steps],) for row in rows]
             return SearchOutcome(
                 solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
             )
@@ -524,18 +524,18 @@ def search(
     # takes the one-vertex tree.  Either way the other n - 1 vertices form
     # K_(n-1), which passes the pair and loop counts, in both modes.
     skip = () if blocked_pairs else (0, n)
-    # the tree-boundary memo by count j of unstarted slots: a sweep
-    # chunk's attempt 0 reads the tables', a lone first-only search has
-    # none (close_at then stays -1), and full enumeration keeps levels of
-    # its own.  An entry is (rows, nodes): the rows found below the
-    # boundary, the very tuples in solutions (none where the subtree ran
-    # out, at most one in first-only search), and the nodes it took.
-    frames: list[tuple] = []  # open boundaries: (outer close_at, key, first row index, nodes)
+    # the memo of the boundaries past step n, by count j of unstarted
+    # slots: a sweep chunk's attempt 0 reads the tables', a lone first-only
+    # search has none (close_at then stays -1), and full enumeration keeps
+    # its own.  An entry is (rows, nodes): the rows found below, the very
+    # tuples in solutions (none where the subtree ran out, at most one in
+    # first-only search), and the nodes the subtree took.
+    frames: list[tuple] = []  # open boundaries: (outer close_at, j, key, first row index, nodes)
     close_at = -1  # step of the innermost open boundary
     if first_only:
         memos = None if lone else tables.levels
     else:
-        memos = [None] + [{} for _ in range(1, n)]
+        memos = [{} for _ in range(n - 1)]
 
     shift = [0] * (total + 1)  # scan offset per step of work: all 0 in attempt 0
     grant = RESTART_BASE_BUDGET if first_only else UNBOUNDED
@@ -579,24 +579,25 @@ def search(
                             cand &= -2 << images[sp]
                     else:
                         hit = None
-                        if memos is not None and i:
+                        if memos is not None and i > n:
                             # Everything the subtree below this boundary
                             # reads is a function of the key and the level's
                             # tail: the free pairs (blocked pairs included),
                             # the used loops, the unstarted trees' compiled
                             # rows and empty tree_used, all-zero scan
                             # offsets (attempt 0), no pin past the largest tree,
-                            # and n, classical and symmetry pruning, which
-                            # one search or one sweep chunk fixes.  Its
-                            # completions of the unstarted slots, their DFS
-                            # order and its node count (up to the first
-                            # completion, first-only) are therefore the same
-                            # at every visit; only the placed slots differ.
+                            # n, classical and symmetry pruning, which one
+                            # search or one sweep chunk fixes, and the step,
+                            # which j fixes.  Its completions of the
+                            # unstarted slots, their DFS order and its node
+                            # count (up to the first completion, first-only)
+                            # are therefore the same at every visit; only the
+                            # placed slots differ.
                             j = step_slot[i] + 1
-                            key = (i, tuple(pairfree), loops_used)
+                            key = (tuple(pairfree), loops_used)
                             hit = memos[j].get(key)
                             if hit is None:  # closed when step i is exhausted
-                                frames.append((close_at, key, len(solutions), nodes))
+                                frames.append((close_at, j, key, len(solutions), nodes))
                                 close_at = i
                         if hit is not None:
                             rows, took = hit
@@ -650,8 +651,8 @@ def search(
                 enter = True
             elif i:  # step i is exhausted: undo the image of step i - 1
                 if i == close_at:  # store the rows found below its boundary
-                    close_at, key, start, before = frames.pop()
-                    memos[step_slot[i] + 1][key] = (tuple(solutions[start:]), nodes - before)
+                    close_at, j, key, start, before = frames.pop()
+                    memos[j][key] = (tuple(solutions[start:]), nodes - before)
                 i -= 1
                 v = images[i]
                 enter = False
@@ -672,8 +673,8 @@ def search(
             if enter:
                 i += 1
         if first_only and solutions:  # every open boundary led to it
-            for _, key, start, before in frames:
-                memos[step_slot[key[0]] + 1][key] = (tuple(solutions[start:]), nodes - before)
+            for _, j, key, start, before in frames:
+                memos[j][key] = (tuple(solutions[start:]), nodes - before)
         if timed_out or solutions or not budget_tripped:
             break
         # later attempts scan from random offsets: the memo holds only for
@@ -687,10 +688,8 @@ def search(
             rng = random.Random(RESTART_SEED)
         draw = rng.randrange
         shift = [draw(n) if not draw(RESTART_SHIFT_ODDS) else 0 for _ in work]
-    if top is not None and not timed_out:  # a packed row, or exhaustion
-        top[top_key] = (
-            (solutions[0][:-1], tuple(images[:n]), nodes) if solutions else (None, None, nodes)
-        )
+    if shapes is not None and not attempt and not timed_out:  # settled in attempt 0
+        shapes[shape] = (tuple(solutions), nodes)
     return SearchOutcome(
         solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
     )

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from ._search import ChunkTables, search
-from .errors import BadSizeError, BoundExceededError, TreePackError, ValidationError
-from .functree import SWEEP_MAX_N, AugTreeFamily, family_count, family_enumerate, is_int
+from .errors import BoundExceededError, TreePackError, ValidationError
+from .functree import SWEEP_MAX_N, AugTreeFamily, check_size, family_count, family_enumerate, is_int
 from .packing import Labeling, _labeling_from_injections, is_complete
 
 PACKED = "packed"
@@ -160,12 +160,12 @@ def sweep(
     and pool.map keeps the chunks in order.  The pool starts no more
     processes than there are chunks or usable CPUs, however large
     ``workers`` is, and the jobs built before any work stay as few.  The
-    report does not depend on the chunking.  A non-int n is a
-    BadSizeError, and ``workers`` that is no int of at least 1 a
-    ValidationError, both before any family is built.
+    report does not depend on the chunking.  An n that is no int of at
+    least 1 is a BadSizeError, and ``workers`` that is no int of at least
+    1 a ValidationError, both before any family is built or any process
+    started.
     """
-    if not is_int(n):
-        raise BadSizeError(f"a sweep size must be an int, not {type(n).__name__}")
+    check_size(n, "a sweep")
     if n > SWEEP_MAX_N:
         raise BoundExceededError(f"sweep at n={n} exceeds the cap n <= {SWEEP_MAX_N}")
     if not is_int(workers) or workers < 1:

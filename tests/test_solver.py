@@ -597,14 +597,42 @@ def test_sweep_refuses_workers_that_are_no_int_of_at_least_one(monkeypatch, work
 
 
 def test_sweep_parallel_matches_serial():
+    """A sweep's rows do not depend on how it is cut.  The chunk size
+    follows the usable CPUs, so explicit 15-family slices, whose cuts
+    fall inside `sweep(5)`'s tails of 24 families and start each chunk
+    with a cold shape cache mid-tail, give the serial rows on any
+    machine, and so does a sweep across two worker processes."""
     serial = sweep(5)
     assert serial.nodes_total == 5616
-    # 5 workers cut the 288 families into chunks of 15 and a last one of 3
-    for workers in (2, 5):
-        parallel = sweep(5, workers=workers)
-        assert [(r.index, r.status, r.nodes) for r in serial.rows] == [
-            (r.index, r.status, r.nodes) for r in parallel.rows
-        ]
+
+    def cut(rows):
+        return [(r.index, r.status, r.nodes) for r in rows]
+
+    cfg = SolveConfig()
+    sliced = [
+        row
+        for start in range(0, 288, 15)
+        for row in solver._sweep_chunk((5, start, min(start + 15, 288), cfg))
+    ]
+    assert cut(sliced) == cut(serial.rows)
+    assert cut(sweep(5, workers=2).rows) == cut(serial.rows)
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_sweep_refuses_sizes_below_one_before_any_process(monkeypatch, n):
+    """`sweep(0, workers=2)` started a worker process that raised "a
+    family needs at least one vertex" in `family_enumerate`.  A size
+    below one is refused in the caller, serial or pooled, before any
+    chunk is cut or pool built."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("sweep started a pool or built a family")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", refuse)
+    monkeypatch.setattr(solver, "family_enumerate", refuse)
+    for workers in (1, 2):
+        with pytest.raises(BadSizeError, match="a sweep needs at least one vertex"):
+            sweep(n, workers=workers)
 
 
 def test_sweep_tables_change_no_answer(monkeypatch):
@@ -612,7 +640,7 @@ def test_sweep_tables_change_no_answer(monkeypatch):
     status, node count and labeling are those of a lone `pack`, in both
     modes, serial and across two worker processes.  The n = 6 slice of
     two tails (240 families, 42 largest-tree shapes each) answers most
-    of its families from the memo level of finished searches."""
+    of its families from memo level n - 1, one entry per shape."""
     seen = []
     real = solver.pack
 
@@ -761,10 +789,12 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
     the stored subtrees of one tail, the trees of slots 0..j-1: a level
     is replaced exactly when those trees change, and kept while they
     stay, and mask dict j - 1 is kept exactly when level j is: one carry
-    rule.  Level 6, no slot started, is kept exactly while the whole tail
-    stays.  After the sweep the tables hold the last family's tail, and
-    each level holds only boundary states of its own step: the memo is
-    replaced, not grown, as the sweep moves on."""
+    rule, level 5, keyed by largest-tree shape, included.  After the
+    sweep the tables hold the last family's tail, and each level below 5
+    holds only boundary states of its own step, j unstarted slots with
+    j(j - 1)/2 free pairs and 6 - j used loops, and level 5 only
+    largest-tree shapes: the memo is replaced, not grown, as the sweep
+    moves on."""
     seen = []
     real = solver.pack
 
@@ -781,13 +811,16 @@ def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
         for j in range(1, 6):
             assert (before[j] is after[j]) == (f.trees[:j] == g.trees[:j])
             assert (masks_before[j - 1] is masks_after[j - 1]) == (before[j] is after[j])
-        assert (before[6] is after[6]) == (f.trees[:5] == g.trees[:5])
     last, tables, levels, _ = seen[-1]
     assert tables.tail == last.trees[:-1]
-    assert len(levels) == 7 and levels[0] is None
-    total = 6 * 7 // 2
-    for j in range(1, 6):
-        assert {key[0] for key in levels[j]} <= {total - j * (j + 1) // 2}
+    assert len(levels) == 6
+    for j in range(1, 5):
+        assert levels[j]
+        for pairfree, loops_used in levels[j]:
+            assert sum(m.bit_count() for m in pairfree) == j * (j - 1)
+            assert loops_used.bit_count() == 6 - j
+    for parent_step, classical in levels[5]:  # shapes: no boundary state
+        assert len(parent_step) == 6 and parent_step[0] == -1 and classical is False
     assert sum(len(memo) for memo in levels[1:]) < 2000
 
 
@@ -822,18 +855,18 @@ def test_sweep_retargets_once_per_tail(monkeypatch):
 
 
 def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
-    """Level n of a sweep chunk's memo holds this tail's finished
-    searches, one per largest-tree shape.  Through `sweep(6)` in each
-    mode it is empty right after every tail change and ends each tail of
-    120 families with exactly Catalan(5) = 42 entries, so 78 of them are
-    answered from it.  One set of tables shared by both modes keys them
-    apart: 42 entries per mode."""
+    """Level n - 1 of a sweep chunk's memo holds this tail's searches
+    that attempt 0 settled, one per largest-tree shape.  Through
+    `sweep(6)` in each mode it is empty right after every tail change and
+    ends each tail of 120 families with exactly Catalan(5) = 42 entries,
+    so 78 of them are answered from it.  One set of tables shared by
+    both modes keys them apart: 42 entries per mode."""
     real_retarget = _search._retarget
     retargets = []
 
     def checking(tables, n, tail):
         real_retarget(tables, n, tail)
-        assert tables.levels[n] == {}
+        assert tables.levels[n - 1] == {}
         retargets.append(tail)
 
     sizes = []
@@ -841,7 +874,7 @@ def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        sizes.append(len(kwargs["_tables"].levels[6]))
+        sizes.append(len(kwargs["_tables"].levels[5]))
         return res
 
     monkeypatch.setattr(_search, "_retarget", checking)
@@ -858,45 +891,91 @@ def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
     for classical in (False, True):
         for family in family_enumerate(6, 0, 120):
             pack(family, SolveConfig(classical_mode=classical), _tables=tables)
-    modes = [key[-1] for key in tables.levels[6]]
+    modes = [key[-1] for key in tables.levels[5]]
     assert modes.count(False) == modes.count(True) == 42
 
 
 def test_finished_search_hits_are_verified(monkeypatch):
-    """A family answered from level n of the memo is still verified:
-    with the stored entry of its shape corrupted, tail slots swapped or
-    the largest tree's images moved, `pack` raises rather than report
-    the row.  Intact, the entry gives the lone answer."""
+    """A family answered from level n - 1 of the memo is still verified:
+    with the stored row of its shape corrupted, tail slots swapped,
+    `pack` raises rather than report it.  Intact, the entry gives the
+    lone answer, with the largest slot rebuilt from this family's own
+    steps."""
     fams = list(family_enumerate(6, 0, 120))  # one tail
 
     def shape(fam):
-        c = fam.trees[-1].compiled()
-        return c.parent_step, c.prev_leaf_step
+        return fam.trees[-1].compiled().parent_step
 
     a, b = next(
         (f, g) for f, g in itertools.combinations(fams, 2) if shape(f) == shape(g)
     )
+    assert a.trees[-1] != b.trees[-1]
     want = pack(b)
     tables = _search.ChunkTables()
     pack(a, _tables=tables)
-    ((key, entry),) = tables.levels[6].items()
-    row, head, nodes = entry
+    ((key, entry),) = tables.levels[5].items()
+    (row,), nodes = entry
     got = pack(b, _tables=tables)
     assert (got.status, got.nodes_expanded, got.labeling) == (
         want.status, want.nodes_expanded, want.labeling
     )
-    swapped = (row[1], row[0]) + row[2:]
-    moved = (head[0], head[2], head[1]) + head[3:]  # two images of the largest tree
-    for bad in ((swapped, head, nodes), (row, moved, nodes)):
-        tables.levels[6][key] = bad
-        with pytest.raises(TreePackError, match="non-complete"):
-            pack(b, _tables=tables)
+    tables.levels[5][key] = (((row[1], row[0]) + row[2:],), nodes)
+    with pytest.raises(TreePackError, match="non-complete"):
+        pack(b, _tables=tables)
+
+
+def test_attempt_zero_packs_hold_the_largest_tree_at_its_steps():
+    """Level n - 1's placement argument: attempt 0 first takes step s of
+    the largest tree to vertex s, and leaves that placement only once
+    the tail below it is exhausted, when no placement packs.  So in both
+    modes every lone `pack` that ends within ``RESTART_BASE_BUDGET``
+    nodes, over every family with n <= 6 and the n = 12 frontier
+    families, has the tree's own steps as its largest slot."""
+    fams = [fam for n in range(1, 7) for fam in family_enumerate(n)] + frontier_like_12()
+    for classical in (False, True):
+        cfg = SolveConfig(classical_mode=classical)
+        settled = 0
+        for fam in fams:
+            res = pack(fam, cfg)
+            if res.nodes_expanded <= RESTART_BASE_BUDGET:
+                settled += 1
+                assert res.labeling.sigmas[-1] == fam.trees[-1].compiled().steps
+        assert settled > len(fams) - 20
+
+
+def test_restarted_shapes_are_not_stored(monkeypatch):
+    """Level n - 1 is written from attempt 0 only, like every level.
+    With the budget cut to 16 nodes some `sweep(5)` families restart, in
+    both modes: a shape is stored exactly when its search ended within
+    attempt 0, so a restarted family's shape never is, and every answer
+    is that of a lone `pack` under the same budget."""
+    monkeypatch.setattr(_search, "RESTART_BASE_BUDGET", 16)
+    seen = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        shape = (family.trees[-1].compiled().parent_step, config.classical_mode)
+        seen.append((family, config, res, shape in kwargs["_tables"].levels[4]))
+        return res
+
+    monkeypatch.setattr(solver, "pack", recording)
+    for classical in (False, True):
+        sweep(5, SolveConfig(classical_mode=classical))
+    restarted = [res.nodes_expanded > 16 for _, _, res, _ in seen]
+    assert len(seen) == 2 * 288 and 0 < sum(restarted) < len(seen)
+    for (family, config, res, stored), late in zip(seen, restarted):
+        assert stored != late
+        lone = real(family, config)
+        assert (res.status, res.nodes_expanded, res.labeling) == (
+            lone.status, lone.nodes_expanded, lone.labeling
+        )
 
 
 def test_sweep_slice_n7_is_frozen(monkeypatch):
     """A 7 200-family n = 7 sweep chunk from index 3 000 000 (parts of
     11 tails of 720 largest trees, 132 shapes among them, so 5 846
-    families are answered from memo level n) keeps its node total and,
+    families are answered from memo level n - 1) keeps its node total and,
     per family, its status, node count and labeling, frozen as a sha256
     of their reprs."""
     digest = hashlib.sha256()
@@ -1082,7 +1161,8 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     # product order changes every later slot with an earlier one, so the
     # carry rule is by prefix: a tail that changes slot 2 alone keeps the
     # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after,
-    # level 5 (no slot started) included
+    # level 4 (keyed by largest-tree shape) included; level 0, which only
+    # n = 1 reads, starts empty
     fams = list(family_enumerate(5))
     a, b = fams[0].trees[:-1], fams[0].trees[:2] + fams[-1].trees[2:3] + fams[0].trees[3:4]
     assert a[2] != b[2]
@@ -1092,8 +1172,9 @@ def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     _search._retarget(tables, 5, b)
     assert [x is y for x, y in zip(old_masks, tables.masks)] == [True, True, False, False]
     assert [x is y for x, y in zip(old_levels, tables.levels)] == [
-        True, True, True, False, False, False
+        False, True, True, False, False
     ]
+    assert len(tables.levels) == 5 and tables.levels[0] == {}
 
 
 def test_sweep_pool_is_capped(monkeypatch):
