@@ -18,13 +18,17 @@ Together these make node counts a pure function of (family, options).
 
 Symmetry pruning drops labelings that a relabeling or a leaf exchange
 gives from one the search keeps.  Images within each leaf-sibling group
-ascend, and the largest tree is pinned.  A first-only search (`pack`,
-`sweep`) pins only its root, to vertex 0.  Full enumeration pins the whole
+ascend, and the largest tree is pinned.  Full enumeration pins the whole
 largest tree at the identity, slot position p at vertex p, and starts at
-step n, so it lists one row per class of labelings under relabeling.
-``symmetry_factor`` is the exact count each pruned row stands for: n times
-every slot's leaf orders with the root pin, n! times the tail's leaf orders
-with the identity pin.
+step n, so it lists one row per class of labelings under relabeling.  A
+first-only search (`pack`, `sweep`) pins its root to vertex 0.  With no
+pair blocked, its attempt 0 also places the whole tree before the loop,
+step s at vertex s, where its ascending scans put the tree first, counts
+those n placements as nodes and starts at step n; node counts are those
+of the root pin alone (the argument sits at the pin), and later attempts
+pin only the root.  ``symmetry_factor`` is the exact count each pruned
+row stands for: n times every slot's leaf orders with the root pin, n!
+times the tail's leaf orders with the identity pin.
 
 A tree of size m takes the same steps in every family on Z_n, so its step
 rows and leaf-swap factor are compiled once per tree
@@ -73,9 +77,9 @@ row, adds the node count and treats the step as exhausted, so solutions,
 their order and node counts are those of the plain search.  Rows are
 written at the solution leaf and at memo hits through a `_HeadTable`,
 which checks each distinct slot permutation once, on the table's n, and
-which the Phi expansion reads too.  Step n is no memo boundary: pinned
-full enumeration enters it once, and in a sweep level n - 1 below
-answers first.  A lone first-only search keeps no memo for its cost: on
+which the Phi expansion reads too.  Step n is no memo boundary: a
+pinned attempt enters it once, and in a sweep level n - 1 below answers
+first.  A lone first-only search keeps no memo for its cost: on
 the benchmark's frontier set 2 145 of 10 927 attempt-0 boundary lookups
 would hit, but the bookkeeping made the median pack about 9 % slower.
 
@@ -92,16 +96,19 @@ they also hold the boundary memo above in first-solution mode, one dict
 per count j of unstarted slots, and what `packing.is_complete` reads
 when `pack` verifies a chunk's labeling: per tail slot k, a dict from
 slot k's permutation to the edge mask its tree covers under it, root
-loop included, so one dict serves both modes and only the largest slot's
-mask is built per family (the soundness note sits in `is_complete`). One
-carry rule serves both: when the tail changes, memo level k + 1 and mask
-dict k are kept while the trees of slots 0..k stay, and start empty
-otherwise.  Product order changes a suffix of the tail slots, so a mask
-dict is kept exactly while its own tree stays, and it never brings an
-old tail back, so the memo stays bounded per tail and hits as often as
-an unbounded table would.  A tail may last most of a run: in class order
-at n = 8, levels 3 and 4 do (ROADMAP item 3).  Only the head table
-outlives a tail: `_retarget` replaces it when n changes.  The memo is
+loop included, so one dict serves both modes (the soundness note sits in
+`is_complete`).  One carry rule serves both: when the tail changes, memo
+level k + 1 and mask dict k are kept while the trees of slots 0..k stay,
+and start empty otherwise.  Product order changes a suffix of the tail
+slots, so a mask dict is kept exactly while its own tree stays, and it
+never brings an old tail back, so the memo stays bounded per tail and
+hits as often as an unbounded table would.  A tail may last most of a
+run: in class order at n = 8, levels 3 and 4 do (ROADMAP item 3).  Three
+things outlive a tail, and `_retarget` replaces them when n changes: the
+head table, memo level n - 1 (below) and the largest slot's mask dict,
+keyed by the tree's compiled arcs and its permutation, so that it serves
+every largest tree and a family builds no mask once its slots' keys have
+all been seen.  The memo is
 used only in attempt 0, where every scan offset is zero.  Its entries
 are enumeration's, with at most one row: exhaustion stores none, a
 solution is stored in every open frame, each with the nodes its subtree
@@ -116,17 +123,21 @@ boundary as an exhausted subtree.  With no pair blocked the exact cover
 is not asked at steps 0 and n, where it cannot fail (the proof sits in
 `search`).
 
-Level n - 1, the boundary at step n, is keyed by the largest tree's
-``(parent_step, classical)``; that shape takes Catalan(n - 1) values
-among the (n - 1)! largest trees of a tail: 42 among 120 at n = 6, 132
-among 720 at n = 7.  What attempt 0 settles is a function of the key and
-the tail (the argument sits at the lookup), so the level stores it in
-the entry form of every other level, the packed row, by reference, or
-none, and the search's nodes, and reads it at the search's entry, before
-any per-search array is built.  A hit rebuilds the largest slot as
-``known[steps]``.  Like every level it is written from attempt 0 only,
-and a search with a pair blocked neither reads nor writes it.  `pack`
-still verifies every row a hit builds.
+Level n - 1, the boundary at step n, holds what the pinned attempt 0
+settled, keyed by ``(parent_step of slot n - 2, parent_step of the
+largest tree, classical)``: 14 by 42 shapes at n = 6.  What attempt 0
+settles is a function of the key and of the trees of slots 0..n - 3, the
+prefix (the argument sits at the lookup), so an entry holds the packed
+row, by reference, or none; the nodes; the images of slot n - 2's steps;
+and the prefix it was built for.  A hit on the tables' own prefix takes
+slots 0..n - 3 from the row and rebuilds the last two through the head
+table, slot n - 2 from the stored images at its tree's steps.  An entry
+for another prefix is a miss, which the search's store overwrites, so
+`_retarget` keeps the level while n stays, never dropping it in bulk,
+and it holds at most 2 · Catalan(n - 2) · Catalan(n - 1) entries, 1 176
+at n = 6.  It is read at the search's entry, before any per-search
+setup, written from attempt 0 only, and neither read nor written with a
+pair blocked or n <= 2.  `pack` still verifies every row a hit builds.
 
 Backtracking runtimes are heavy-tailed: the rare family whose first few
 embeddings are "nearly right" can cost millions of nodes under any fixed
@@ -154,12 +165,13 @@ import random
 import time
 from dataclasses import dataclass, field
 from functools import reduce
-from operator import or_
+from operator import itemgetter, or_
+from typing import Callable
 
 # leaf_sibling_groups stays a module attribute: perfbench/layers.py counts it here
 from .functree import AugFuncTree, AugTreeFamily, Mapping, check_permutation, leaf_sibling_groups
 
-RESTART_BASE_BUDGET = 1 << 11  # the Luby unit: attempt 0's node budget
+RESTART_BASE_BUDGET = 1 << 11  # the Luby unit, attempt 0's budget: below 4096, the deadline stride
 RESTART_SEED = 1  # seeds the scan offsets of attempts 1, 2, ...
 RESTART_SHIFT_ODDS = 16  # a restarted step gets a random offset with odds 1 in 16
 UNBOUNDED = 1 << 62
@@ -333,21 +345,30 @@ def _cover_fits(rem: list[int], comps: list[list[int]], loops: bool) -> bool:
 class ChunkTables:
     """What every search of one sweep chunk shares (module docstring):
     one ``classical``, first-only with symmetry pruning; a lone search
-    makes its own.  ``known``, the `_HeadTable` of the tables' n, holds
-    across tails, and `_retarget` makes a fresh one when n changes, so
-    one set of tables may serve families of any sizes.  The rest belongs
+    makes its own.  Three fields hold while n does, and `_retarget`
+    replaces them when it changes, so one set of tables may serve
+    families of any sizes: ``known``, the `_HeadTable` of the tables' n;
+    ``levels[n - 1]``, what the pinned attempt 0 settled, keyed by
+    ``(second_shape, parent_step of the largest tree, classical)``, each
+    entry ``(row or None, nodes, images of slot n - 2's steps, prefix)``,
+    at most 2 · Catalan(n - 2) · Catalan(n - 1) of them; and
+    ``largest_masks``, from the largest slot's ``(compiled arcs,
+    permutation)`` to its edge mask, root loop included, which
+    `packing.is_complete` fills and reads in both modes.  The rest belongs
     to ``tail``, the trees of slots 0..n-2, and `_retarget` rebinds it: the
     tail's step rows, ``slot_steps`` and leaf-swap ``factor``, which a
     search prefixes with its largest tree's (steps 0..n-1); ``step_slot``,
-    which depends on n alone; ``levels[j]``, j < n, the first-solution
-    memo of the boundaries with j unstarted slots, each entry the packed
-    row found below, by reference, or none, and the nodes it took, keyed
-    by free pairs and used loops, but on ``levels[n - 1]`` by largest-tree
-    shape and mode, at most Catalan(n - 1) per mode (``levels[0]`` is
-    read only at n = 1); and
-    ``masks[k]``, from slot k's permutation to the edge mask of
-    ``tail[k]`` under it, root loop included, which `packing.is_complete`
-    fills and reads in both modes."""
+    which depends on n alone; ``prefix``, the trees of slots 0..n-3, the
+    same tuple while they stay; ``second_shape``, slot n - 2's
+    ``parent_step``, and ``second_head``, which picks its head out of the
+    images of its steps (both read only where n > 2); ``levels[j]``,
+    0 < j < n - 1, the first-solution memo of the boundaries with j
+    unstarted slots, each entry the packed row found below, by reference,
+    or none, and the nodes it took, keyed by free pairs and used loops
+    (``levels[0]`` is never read); and ``masks[k]``, from slot k's
+    permutation to the edge mask of ``tail[k]`` under it, root loop
+    included, which `packing.is_complete` fills and reads in both
+    modes."""
 
     known: _HeadTable | None = None
     tail: tuple[AugFuncTree, ...] | None = None
@@ -356,16 +377,22 @@ class ChunkTables:
     step_prev: tuple[int, ...] = ()
     slot_steps: tuple[tuple[int, ...], ...] = ()
     factor: int = 1
+    prefix: tuple[AugFuncTree, ...] = ()
+    second_shape: tuple[int, ...] = ()
+    second_head: Callable | None = None
     levels: list[dict] = field(default_factory=list)
     masks: list[dict] = field(default_factory=list)
+    largest_masks: dict = field(default_factory=dict)
 
 
 def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> None:
-    """Rebind the per-tail fields of ``tables`` to ``tail`` on Z_n, with a
-    fresh head table if n changed.  The one carry rule: while the trees of
-    slots 0..k stay, compared by value, memo level k + 1 and mask dict k
-    are kept; every other level and dict starts empty, so each only ever
-    holds what its own trees give."""
+    """Rebind the per-tail fields of ``tables`` to ``tail`` on Z_n.  The
+    head table, memo level n - 1 and the largest slot's mask dict serve
+    one n: they are kept while n stays and start fresh when it changes.
+    The one carry rule for the rest: while the trees of slots 0..k stay,
+    compared by value, memo level k + 1 and mask dict k are kept, and so
+    is ``prefix`` while slots 0..n-3 stay; every other level and dict
+    starts empty, so each only ever holds what its own trees give."""
     compiled = [t.compiled() for t in tail]
     step_slot = [n - 1] * n
     step_parent: list[int] = []  # step of the parent, -1 at roots
@@ -382,16 +409,28 @@ def _retarget(tables: ChunkTables, n: int, tail: tuple[AugFuncTree, ...]) -> Non
         if old != new:
             break
         kept += 1
-    if tables.known is None or tables.known.n != n:  # a head table serves one n
+    same_n = tables.known is not None and tables.known.n == n
+    if not same_n:  # a head table and a largest-slot mask serve one n
         tables.known = _HeadTable(n)
+        tables.largest_masks = {}
+    if not (same_n and kept >= n - 2):  # the same object while slots 0..n-3 stay
+        tables.prefix = tail[:n - 2]
+    if n > 2:  # level n - 1 is read only there: slot n - 2's head is a tuple
+        second = compiled[-1]
+        tables.second_shape = second.parent_step
+        tables.second_head = itemgetter(*[s - n for s in second.steps])
     tables.tail = tail
     tables.step_slot = tuple(step_slot)
     tables.step_parent = tuple(step_parent)
     tables.step_prev = tuple(step_prev)
     tables.slot_steps = tuple([c.steps for c in compiled])
     tables.factor = factor
-    # level 0 is read only at n = 1, where a retarget always means a new n
-    tables.levels = [tables.levels[j] if 0 < j <= kept else {} for j in range(n)]
+    # level n - 1 is keyed by the two largest shapes and checks its entries'
+    # prefix, so it stays while n does; level 0 is never read
+    tables.levels = [
+        tables.levels[j] if 0 < j <= kept or 0 < j == n - 1 and same_n else {}
+        for j in range(n)
+    ]
     tables.masks = [tables.masks[k] if k < kept else {} for k in range(n - 1)]
 
 
@@ -412,10 +451,14 @@ def search(
     first-only search, the whole tree to the identity in full
     enumeration (the argument sits at the pin).  Both cuts preserve
     feasibility (diagonal relabeling, leaf exchange), and the outcome
-    reports the exact count multiplier they remove.  ``blocked_pairs``
-    pre-consumes edges; it exists so tests can force the exhausted
-    branch, which no valid family reaches on its own.  With a pair
-    blocked, full enumeration pins the root as first-only search does.
+    reports the exact count multiplier they remove.  With no pair blocked
+    and n below ``RESTART_BASE_BUDGET``, first-only attempt 0 places the
+    whole tree before its loop, step s at vertex s, as its ascending scans
+    would first, and counts those n nodes, so node counts are unchanged.
+    ``blocked_pairs`` pre-consumes edges; it exists so tests can force the
+    exhausted branch, which no valid family reaches on its own.  With a
+    pair blocked, full enumeration pins the root as first-only search
+    does, and attempt 0 pins only the root.
 
     With ``first_only`` the Luby restart schedule described in the module
     docstring is active and ``nodes`` accumulates over attempts.  Each
@@ -431,12 +474,12 @@ def search(
     its own, and first-only keeps no memo.  A memo entry holds the rows
     found below its boundary, by reference, and the nodes it took, so a
     hit returns what its subtree would, and results and node counts are
-    those without tables; a hit on level n - 1 returns at entry what an
-    earlier search of the same tail and largest-tree shape found.
+    those without tables.  Level n - 1 is looked up first, right after the
+    retarget: a hit there returns what an earlier search with the same
+    trees in slots 0..n-3 and the same shapes in slots n - 2 and n - 1
+    found, its last two slots rebuilt for this family's trees.
     """
     n = family.n
-    full = (1 << n) - 1
-
     lone = tables is None
     if lone:
         tables = ChunkTables()
@@ -444,6 +487,38 @@ def search(
     if tables.tail != tail:
         _retarget(tables, n, tail)
     last = family.trees[-1].compiled()  # the largest tree: steps 0..n-1
+    # Attempt 0 of a first-only search pins the largest tree, step s at
+    # vertex s (the argument sits at the pin), and level n - 1 of a sweep
+    # chunk's memo holds what such attempts settled, with no pair blocked.
+    pin_first = (
+        first_only and symmetry_pruning and not blocked_pairs and n < RESTART_BASE_BUDGET
+    )
+    shapes = None
+    if pin_first and not lone and n > 2:
+        shapes = tables.levels[n - 1]
+        shape = (tables.second_shape, last.parent_step, classical)
+        hit = shapes.get(shape)
+        if hit is not None and hit[3] is tables.prefix:
+            # The pinned attempt 0 reads the two largest trees only
+            # through their parent_step and prev_leaf_step rows, a function
+            # of them (leaves and sibling order are), the trees of slots
+            # 0..n-3 only through the tables, whose hits each reproduce a
+            # lone search, and every tree's steps only to write its row.
+            # So its node count and images are a function of this key and
+            # that prefix, and a packed row's slots 0..n-3 are too; slots
+            # n - 2 and n - 1 are rebuilt from the images of their steps,
+            # step s of the largest tree at vertex s.  An entry is written
+            # only by an attempt 0 that ended within RESTART_BASE_BUDGET
+            # nodes, below the first deadline check, at node 4096, so the
+            # search it stands for never read the clock.
+            row, nodes, second, _ = hit
+            solutions = []
+            if row is not None:
+                known = tables.known
+                head = tables.second_head(second)
+                solutions.append(row[:n - 2] + (known[head], known[last.steps]))
+            # positional: keywords cost a hit about 0.2 µs
+            return SearchOutcome(solutions, nodes, False, n * last.leaf_swaps * tables.factor)
     # Full enumeration with symmetry pruning pins the whole largest tree:
     # slot position p at vertex p, and the loop starts at step n.  Why this
     # loses no member: complete
@@ -468,32 +543,7 @@ def search(
     known = tables.known  # per slot head its checked permutation
     monotonic = time.monotonic
     deadline = None if time_limit_s is None else monotonic() + time_limit_s
-    # level n - 1 of a sweep chunk's memo: this tail's attempt-0 outcomes,
-    # one per largest-tree shape, kept only with no pair blocked
-    shapes = None
-    if first_only and not lone and not blocked_pairs:
-        shapes = tables.levels[n - 1]
-        shape = (last.parent_step, classical)
-        hit = shapes.get(shape)
-        if hit is not None:
-            # Attempt 0 tries each step's least allowed vertex first, so
-            # the largest tree first takes step s to vertex s, and leaves
-            # that placement only once the tail below is exhausted, when
-            # no placement packs: a packing's largest slot spans Z_n, so
-            # relabeling it to this placement would pack the tail.  The
-            # loop reads the tree only through parent_step and
-            # prev_leaf_step, a function of it (leaves and sibling order
-            # are), and the tail only through the tables, whose hits each
-            # reproduce a lone search.  So what attempt 0 settles is a
-            # function of this key and the tail, and a packed row holds
-            # this placement, whose head is the tree's own steps.
-            rows, nodes = hit
-            # the memo's deadline rule: a bulk add past a multiple of 4096
-            timed_out = deadline is not None and nodes >> 12 > 0 and monotonic() > deadline
-            solutions = [] if timed_out else [row[:-1] + (known[last.steps],) for row in rows]
-            return SearchOutcome(
-                solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
-            )
+    full = (1 << n) - 1
     step_slot = tables.step_slot
     step_parent = last.parent_step + tables.step_parent
     slot_steps = tables.slot_steps + (last.steps,)  # per slot: its steps by slot position
@@ -548,9 +598,31 @@ def search(
         budget_abs = nodes + grant
         budget_tripped = False
         i = 0
-        if pin_all:  # the identity pin above: the largest tree's pairs and root loop
-            for p, s in enumerate(last.steps):
-                images[s] = p
+        if pin_all or pin_first and not attempt:
+            if pin_all:  # the identity pin above
+                for p, s in enumerate(last.steps):
+                    images[s] = p
+            else:
+                # Attempt 0 scans every step in ascending order, so it
+                # first takes step s of the largest tree to vertex s: the
+                # root pin holds step 0 at 0, and at step s the vertices
+                # below s are this tree's, while s pairs freely with the
+                # parent's image and lies above any leaf sibling's.  It
+                # leaves that placement only once the tail below is
+                # exhausted, and then no placement packs: a packing's
+                # largest slot spans Z_n, so relabeling it to this
+                # placement, its tail leaves exchanged into ascending
+                # order, would complete the tail.  With no pair blocked
+                # every family packs (the paper's theorem, which the
+                # exhaustive sweeps check), so attempt 0 ends below the
+                # placement, at a solution or its budget, and placing it
+                # here as the same n nodes changes no node count.  (An
+                # exhausted tail would end the search sooner, with the
+                # right status: exhausted.)  n < RESTART_BASE_BUDGET keeps
+                # these nodes inside the budget and below the first
+                # deadline check, at node 4096.
+                images[:n] = range(n)
+                nodes += n
             for s in range(1, n):
                 a, b = images[step_parent[s]], images[s]
                 pairfree[a] ^= 1 << b
@@ -558,9 +630,10 @@ def search(
             tree_used[n - 1] = full
             if not classical:
                 loops_used = 1 << images[0]
-            # steps 0..n-1 are never entered, so they hold no candidates:
-            # once step n is exhausted the loop backs out through them,
-            # undoing the pin, and ends at step 0
+            # steps 0..n-1 are not entered, so they hold no candidates
+            # (attempt 0 leaves every work entry at 0): once step n is
+            # exhausted the loop backs out through them, undoing the pin,
+            # and ends at step 0
             i = n
         enter = True
         while True:
@@ -689,7 +762,10 @@ def search(
         draw = rng.randrange
         shift = [draw(n) if not draw(RESTART_SHIFT_ODDS) else 0 for _ in work]
     if shapes is not None and not attempt and not timed_out:  # settled in attempt 0
-        shapes[shape] = (tuple(solutions), nodes)
+        if solutions:
+            shapes[shape] = (solutions[0], nodes, tuple(images[n:2 * n - 1]), tables.prefix)
+        else:
+            shapes[shape] = (None, nodes, None, tables.prefix)
     return SearchOutcome(
         solutions=solutions, nodes=nodes, timed_out=timed_out, symmetry_factor=factor
     )

@@ -160,14 +160,16 @@ def is_complete(
     classical mode.
 
     ``_tables`` are a sweep chunk's `_search.ChunkTables`, passed by
-    `solver.pack`.  When their tail is the family's, each tail slot's
-    mask is read from the tables, computed on the first labeling that
-    uses that permutation there, and only the largest slot's is built.
-    A mask is a pure function of (tree, sigma, n): the tables' dict for
-    slot k belongs to one tree (`_search._retarget` keeps it only while
-    the trees of slots 0..k stay, compared by value, and a tree fixes n)
-    and is keyed by sigma.  It holds the loop bit in both modes, so the
-    verdict is the one without tables whichever mode filled the dict.
+    `solver.pack`.  When their tail is the family's, every slot's mask is
+    read from the tables, computed on the first labeling that needs it
+    there.  A mask is a pure function of (tree, sigma, n): the tables'
+    dict for tail slot k belongs to one tree (`_search._retarget` keeps it
+    only while the trees of slots 0..k stay, compared by value, and a tree
+    fixes n) and is keyed by sigma; the largest slot's dict serves every
+    largest tree on the tables' n (`_retarget` replaces it when n changes)
+    and is keyed by the tree's compiled arcs and sigma, which with n fix
+    the mask.  Both hold the loop bit in both modes, so the verdict is
+    the one without tables whichever mode filled the dicts.
     """
     if labeling.n != family.n:
         raise DimensionMismatchError(
@@ -177,18 +179,29 @@ def is_complete(
         raise ValueError(f"classical must be a bool, got {classical!r}")
     n = family.n
     trees = family.trees
-    cached = _tables.masks if _tables is not None and _tables.tail == trees[:-1] else ()
-    tail = len(cached)  # slots 0..tail-1 read their masks from the tables
+    sigmas = labeling.sigmas
     # the diagonal bits a * n + a, one per loop: sum of 2**(a * (n + 1))
     keep = ~(((1 << n * (n + 1)) - 1) // ((1 << n + 1) - 1)) if classical else -1
     seen = 0
-    for k, sig in enumerate(labeling.sigmas):
-        if k < tail:
+    cached = None
+    if _tables is not None and _tables.tail == trees[:-1]:
+        # the largest slot first, keyed by (arcs, sigma): one dict serves
+        # every tree of its size
+        key = (trees[-1].compiled().arcs, sigmas[-1])
+        seen = _tables.largest_masks.get(key)
+        if seen is None:
+            seen = _tables.largest_masks[key] = _slot_mask(trees[-1], sigmas[-1], n)
+        if seen < 0:
+            return False
+        cached = _tables.masks
+        sigmas = sigmas[:-1]
+    for k, sig in enumerate(sigmas):
+        if cached is None:
+            m = _slot_mask(trees[k], sig, n)
+        else:
             m = cached[k].get(sig)
             if m is None:
                 m = cached[k][sig] = _slot_mask(trees[k], sig, n)
-        else:
-            m = _slot_mask(trees[k], sig, n)
         if m < 0 or seen & m & keep:
             return False
         seen |= m

@@ -766,8 +766,10 @@ def test_subtree_memo_holds_packed_rows_by_reference():
     the very tuple its search returned, not a copy of the unstarted
     slots.  Packed through one set of tables, every family of
     `family_enumerate(5)` keeps a lone `pack`'s node count; after each
-    pack every row on levels 1..4 is, by identity, the slot tuple of a
-    labeling packed so far, and no entry holds more than one."""
+    pack every row on levels 1..3 and every row on level 4, one per entry
+    or none, is, by identity, the slot tuple of a labeling packed so far,
+    no entry holds more than one, and a level-4 entry holds the images of
+    slot 3's steps exactly when it holds a row."""
     tables = _search.ChunkTables()
     packed = {}  # id to slot tuple: every tuple is kept, so no id is reused
     held = 0
@@ -776,50 +778,64 @@ def test_subtree_memo_holds_packed_rows_by_reference():
         assert got.nodes_expanded == pack(family).nodes_expanded
         sigmas = got.labeling.sigmas
         packed[id(sigmas)] = sigmas
-        for memo in tables.levels[1:5]:
+        for memo in tables.levels[1:4]:
             for rows, _ in memo.values():
                 assert len(rows) <= 1
                 assert all(packed.get(id(row)) is row for row in rows)
                 held += len(rows)
+        for row, _, second, _ in tables.levels[4].values():
+            assert row is None or packed.get(id(row)) is row
+            assert (second is None) == (row is None)
+            held += row is not None
     assert held  # the memo stored solutions, not only exhausted subtrees
 
 
 def test_subtree_memo_keeps_one_tail_per_level(monkeypatch):
-    """Through `sweep(6)` each level j of the chunk's subtree memo holds
-    the stored subtrees of one tail, the trees of slots 0..j-1: a level
-    is replaced exactly when those trees change, and kept while they
-    stay, and mask dict j - 1 is kept exactly when level j is: one carry
-    rule, level 5, keyed by largest-tree shape, included.  After the
-    sweep the tables hold the last family's tail, and each level below 5
-    holds only boundary states of its own step, j unstarted slots with
-    j(j - 1)/2 free pairs and 6 - j used loops, and level 5 only
-    largest-tree shapes: the memo is replaced, not grown, as the sweep
-    moves on."""
+    """Through `sweep(6)` each level j < 5 of the chunk's subtree memo
+    holds the stored subtrees of one tail, the trees of slots 0..j-1: a
+    level is replaced exactly when those trees change, and kept while they
+    stay, and mask dict j - 1 is kept exactly when those trees stay: one
+    carry rule, mask dict 4 included.  Level 5, keyed by the two largest
+    shapes, and the largest slot's mask dict serve the whole sweep, one
+    object each, and the tables' prefix of slots 0..3 is kept exactly
+    while those trees stay.  After the sweep the tables hold the last
+    family's tail, each level below 5 holds only boundary states of its
+    own step, j unstarted slots with j(j - 1)/2 free pairs and 6 - j used
+    loops, and level 5 only shapes, at most 14 · 42 of them: the memo is
+    replaced or overwritten, not grown, as the sweep moves on."""
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        tables = kwargs["_tables"]
-        seen.append((family, tables, list(tables.levels), list(tables.masks)))
+        t = kwargs["_tables"]
+        seen.append((family, t, list(t.levels), list(t.masks), t.largest_masks, t.prefix))
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
     sweep(6)
-    assert len({id(tables) for _, tables, _, _ in seen}) == 1  # one serial chunk
-    for (f, _, before, masks_before), (g, _, after, masks_after) in zip(seen, seen[1:]):
+    assert len({id(tables) for _, tables, *_ in seen}) == 1  # one serial chunk
+    for (f, _, before, masks_before, top_before, prefix_before), (
+        g, _, after, masks_after, top_after, prefix_after
+    ) in zip(seen, seen[1:]):
         for j in range(1, 6):
-            assert (before[j] is after[j]) == (f.trees[:j] == g.trees[:j])
-            assert (masks_before[j - 1] is masks_after[j - 1]) == (before[j] is after[j])
-    last, tables, levels, _ = seen[-1]
-    assert tables.tail == last.trees[:-1]
-    assert len(levels) == 6
+            same = f.trees[:j] == g.trees[:j]
+            assert (masks_before[j - 1] is masks_after[j - 1]) == same
+            if j < 5:
+                assert (before[j] is after[j]) == same
+        assert before[5] is after[5] and top_before is top_after
+        assert (prefix_before is prefix_after) == (f.trees[:4] == g.trees[:4])
+    last, tables, levels, *_ = seen[-1]
+    assert tables.tail == last.trees[:-1] and tables.prefix == last.trees[:4]
+    assert len(levels) == 6 and levels[0] == {}
     for j in range(1, 5):
         assert levels[j]
         for pairfree, loops_used in levels[j]:
             assert sum(m.bit_count() for m in pairfree) == j * (j - 1)
             assert loops_used.bit_count() == 6 - j
-    for parent_step, classical in levels[5]:  # shapes: no boundary state
+    assert 0 < len(levels[5]) <= 14 * 42
+    for second, parent_step, classical in levels[5]:  # shapes: no boundary state
+        assert len(second) == 5 and second[0] == -1
         assert len(parent_step) == 6 and parent_step[0] == -1 and classical is False
     assert sum(len(memo) for memo in levels[1:]) < 2000
 
@@ -854,38 +870,53 @@ def test_sweep_retargets_once_per_tail(monkeypatch):
         assert out == search(family, **kwargs)
 
 
+def shapes_key(family, config):
+    """A family's key on memo level n - 1: the shapes of its two largest
+    trees and the mode."""
+    second, last = (tree.compiled().parent_step for tree in family.trees[-2:])
+    return (second, last, config.classical_mode)
+
+
 def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
-    """Level n - 1 of a sweep chunk's memo holds this tail's searches
-    that attempt 0 settled, one per largest-tree shape.  Through
-    `sweep(6)` in each mode it is empty right after every tail change and
-    ends each tail of 120 families with exactly Catalan(5) = 42 entries,
-    so 78 of them are answered from it.  One set of tables shared by
-    both modes keys them apart: 42 entries per mode."""
-    real_retarget = _search._retarget
-    retargets = []
-
-    def checking(tables, n, tail):
-        real_retarget(tables, n, tail)
-        assert tables.levels[n - 1] == {}
-        retargets.append(tail)
-
-    sizes = []
+    """Level n - 1 of a sweep chunk's memo holds the searches that
+    attempt 0 settled, one per key (the shapes of slots n - 2 and n - 1,
+    and the mode), each for the prefix of slots 0..n-3 it was built for.
+    Through `sweep(6)` in each mode the level is one dict, never dropped
+    in bulk, with at most 14 · 42 entries per mode.  After every pack the
+    family's key holds an entry for its own prefix: a family is answered
+    from an entry of its own prefix, and an entry built for another
+    prefix is never hit, but searched over and overwritten, 11 · 14 · 42
+    times.  So 12 prefixes · 14 · 42 = 7 056 of the 34 560 families
+    search.  One set of tables shared by both modes keys them apart: 42
+    entries per mode over one tail."""
     real = solver.pack
+    counts = {}
+    levels = set()  # the ids of the level-5 dicts one sweep used
 
     def recording(family, config=None, **kwargs):
+        tables = kwargs["_tables"]
+        key = shapes_key(family, config)
+        before = tables.levels[5].get(key) if tables.levels else None
         res = real(family, config, **kwargs)
-        sizes.append(len(kwargs["_tables"].levels[5]))
+        level = tables.levels[5]
+        after = level[key]
+        prefix = family.trees[:4]
+        assert after[3] == prefix
+        if before is not None:
+            outcome = "hit" if after is before else "overwritten"
+            assert (outcome == "hit") == (before[3] == prefix)
+            counts[outcome] += 1
+        levels.add(id(level))
+        counts["most"] = max(counts["most"], len(level))
         return res
 
-    monkeypatch.setattr(_search, "_retarget", checking)
     monkeypatch.setattr(solver, "pack", recording)
     for classical in (False, True):
-        sizes.clear()
+        counts.update(hit=0, overwritten=0, most=0)
+        levels.clear()
         sweep(6, SolveConfig(classical_mode=classical))
-        assert len(sizes) == 34560 and max(sizes) == 42
-        assert sizes[119::120] == [42] * 288
-        assert sizes[::120] == [1] * 288
-    assert len(retargets) == 2 * 288
+        assert len(levels) == 1
+        assert counts == {"hit": 34560 - 7056, "overwritten": 11 * 14 * 42, "most": 14 * 42}
     monkeypatch.undo()
     tables = _search.ChunkTables()
     for classical in (False, True):
@@ -897,31 +928,43 @@ def test_finished_searches_hold_one_entry_per_shape(monkeypatch):
 
 def test_finished_search_hits_are_verified(monkeypatch):
     """A family answered from level n - 1 of the memo is still verified:
-    with the stored row of its shape corrupted, tail slots swapped,
-    `pack` raises rather than report it.  Intact, the entry gives the
-    lone answer, with the largest slot rebuilt from this family's own
-    steps."""
-    fams = list(family_enumerate(6, 0, 120))  # one tail
+    with the stored row of its key corrupted, tail slots 0 and 1 swapped,
+    `pack` raises rather than report it.  Intact, the entry gives the lone
+    answer, with slots n - 2 and n - 1 rebuilt for this family's own
+    trees, which differ from those the entry was built for but have their
+    shapes.  An entry built for another prefix of slots 0..n-3 is no
+    hit: a family with the same key and another prefix gets its lone
+    answer and stores its own entry."""
+    cfg = SolveConfig()
+    fams = list(family_enumerate(6, 0, 2880))  # one prefix: slots 0..3 stay
 
-    def shape(fam):
-        return fam.trees[-1].compiled().parent_step
+    def key(fam):
+        return shapes_key(fam, cfg)
 
     a, b = next(
-        (f, g) for f, g in itertools.combinations(fams, 2) if shape(f) == shape(g)
+        (f, g)
+        for f, g in itertools.combinations(fams, 2)
+        if key(f) == key(g) and f.trees[-2] != g.trees[-2] and f.trees[-1] != g.trees[-1]
     )
-    assert a.trees[-1] != b.trees[-1]
-    want = pack(b)
+    c = next(g for g in family_enumerate(6, 2880, 5760) if key(g) == key(a))
+    assert c.trees[:4] != a.trees[:4]
     tables = _search.ChunkTables()
-    pack(a, _tables=tables)
-    ((key, entry),) = tables.levels[5].items()
-    (row,), nodes = entry
-    got = pack(b, _tables=tables)
-    assert (got.status, got.nodes_expanded, got.labeling) == (
-        want.status, want.nodes_expanded, want.labeling
-    )
-    tables.levels[5][key] = (((row[1], row[0]) + row[2:],), nodes)
+    pack(a, cfg, _tables=tables)
+    level = tables.levels[5]
+    entry = level[key(a)]
+    for fam in (b, c):
+        got = pack(fam, cfg, _tables=tables)
+        want = pack(fam, cfg)
+        assert (got.status, got.nodes_expanded, got.labeling) == (
+            want.status, want.nodes_expanded, want.labeling
+        )
+        assert (level[key(a)] is entry) == (fam is b)  # b hit, c searched
+    assert level[key(a)][3] == c.trees[:4]
+    pack(a, cfg, _tables=tables)  # back on a's prefix: a's entry again
+    row, nodes, second, prefix = level[key(a)]
+    level[key(a)] = ((row[1], row[0]) + row[2:], nodes, second, prefix)
     with pytest.raises(TreePackError, match="non-complete"):
-        pack(b, _tables=tables)
+        pack(b, cfg, _tables=tables)
 
 
 def test_attempt_zero_packs_hold_the_largest_tree_at_its_steps():
@@ -946,17 +989,19 @@ def test_attempt_zero_packs_hold_the_largest_tree_at_its_steps():
 def test_restarted_shapes_are_not_stored(monkeypatch):
     """Level n - 1 is written from attempt 0 only, like every level.
     With the budget cut to 16 nodes some `sweep(5)` families restart, in
-    both modes: a shape is stored exactly when its search ended within
-    attempt 0, so a restarted family's shape never is, and every answer
-    is that of a lone `pack` under the same budget."""
+    both modes: a family's key holds an entry for its own prefix of slots
+    0..2 exactly when its search ended within attempt 0 (stored then, or
+    hit), so a restarted family's never does, and every answer is that of
+    a lone `pack` under the same budget."""
     monkeypatch.setattr(_search, "RESTART_BASE_BUDGET", 16)
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        shape = (family.trees[-1].compiled().parent_step, config.classical_mode)
-        seen.append((family, config, res, shape in kwargs["_tables"].levels[4]))
+        entry = kwargs["_tables"].levels[4].get(shapes_key(family, config))
+        stored = entry is not None and entry[3] == family.trees[:3]
+        seen.append((family, config, res, stored))
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
@@ -972,12 +1017,38 @@ def test_restarted_shapes_are_not_stored(monkeypatch):
         )
 
 
-def test_sweep_slice_n7_is_frozen(monkeypatch):
-    """A 7 200-family n = 7 sweep chunk from index 3 000 000 (parts of
-    11 tails of 720 largest trees, 132 shapes among them, so 5 846
-    families are answered from memo level n - 1) keeps its node total and,
-    per family, its status, node count and labeling, frozen as a sha256
-    of their reprs."""
+def test_level_n_minus_1_is_shared_across_tails(monkeypatch):
+    """Level n - 1 outlives every tail of one n.  The n = 6 chunk from
+    index 2 760 to 5 880 covers the end of one run of fixed slots 0..3
+    (2 880 families each), a whole run and the next run boundary.  In
+    both modes every family gets a lone `pack`'s status, node count and
+    labeling, and level 5 never holds more than 14 · 42 entries."""
+    seen = []
+    real = solver.pack
+
+    def recording(family, config=None, **kwargs):
+        res = real(family, config, **kwargs)
+        seen.append((family, config, res, len(kwargs["_tables"].levels[5])))
+        return res
+
+    monkeypatch.setattr(solver, "pack", recording)
+    for classical in (False, True):
+        seen.clear()
+        cfg = SolveConfig(classical_mode=classical)
+        rows = solver._sweep_chunk((6, 2760, 5880, cfg))
+        assert len(rows) == len(seen) == 3120
+        assert len({fam.trees[:4] for fam, *_ in seen}) == 3  # three prefixes
+        assert max(size for *_, size in seen) <= 14 * 42
+        for family, config, res, _ in seen:
+            lone = real(family, config)
+            assert (res.status, res.nodes_expanded, res.labeling) == (
+                lone.status, lone.nodes_expanded, lone.labeling
+            )
+
+
+def sweep_slice_n7(monkeypatch, cfg):
+    """The 7 200-family n = 7 sweep chunk from index 3 000 000: its rows,
+    and a sha256 of each family's status, node count and labeling."""
     digest = hashlib.sha256()
     real = solver.pack
 
@@ -988,19 +1059,35 @@ def test_sweep_slice_n7_is_frozen(monkeypatch):
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
-    rows = solver._sweep_chunk((7, 3_000_000, 3_007_200, SolveConfig()))
+    rows = solver._sweep_chunk((7, 3_000_000, 3_007_200, cfg))
     assert len(rows) == 7200
+    return rows, digest.hexdigest()
+
+
+def test_sweep_slice_n7_is_frozen(monkeypatch):
+    """A 7 200-family n = 7 sweep chunk from index 3 000 000 (parts of
+    11 tails of 720 largest trees, 132 shapes among them, most families
+    answered from memo level n - 1) keeps its node total and, per family,
+    its status, node count and labeling, frozen as a sha256 of their
+    reprs."""
+    rows, digest = sweep_slice_n7(monkeypatch, SolveConfig())
     assert sum(r.nodes for r in rows) == 315466
-    assert digest.hexdigest() == (
-        "d79c89f667dbae7875d16023dc0ff313966abf5c05fac3774f6073658dc3fc63"
-    )
+    assert digest == "d79c89f667dbae7875d16023dc0ff313966abf5c05fac3774f6073658dc3fc63"
 
 
-def fresh_mask(tree, sig, n):
-    """A slot's edge mask rebuilt from its arcs, root loop included, as
-    `is_complete` numbers edges: bit a * n + b for the edge {a, b} with
-    a <= b."""
-    edges = {tuple(sorted((sig[a], sig[b]))) for a, b in tree.compiled().arcs}
+def test_sweep_slice_n7_classical_is_frozen(monkeypatch):
+    """The same chunk in classical mode, whose memo keys carry the mode,
+    frozen the same way."""
+    rows, digest = sweep_slice_n7(monkeypatch, SolveConfig(classical_mode=True))
+    assert sum(r.nodes for r in rows) == 317851
+    assert digest == "07ed21eed625fa282b437d2011bf7901bf674553d1d0e14ccda4c1b1462bb3b3"
+
+
+def fresh_mask(arcs, sig, n):
+    """A slot's edge mask rebuilt from its tree's compiled arcs, root loop
+    included, as `is_complete` numbers edges: bit a * n + b for the edge
+    {a, b} with a <= b."""
+    edges = {tuple(sorted((sig[a], sig[b]))) for a, b in arcs}
     return sum(1 << a * n + b for a, b in edges)
 
 
@@ -1012,12 +1099,14 @@ def stub_search(monkeypatch, row):
 
 
 def test_slot_masks_never_hide_a_clash(monkeypatch):
-    """Once a chunk's slot masks are warm, `pack` still refuses every
-    non-complete row: two tail slots' permutations swapped, the largest
-    slot's composed with a transposition, and (loop mode) one slot's root
-    moved onto another's root vertex.  A stored clash sentinel always
-    fails.  On every labeling of every family with n <= 3, `is_complete`
-    with the tables gives its verdict without them.  Both modes."""
+    """Once a chunk's slot masks are warm, the largest slot's included,
+    `pack` still refuses every non-complete row: two tail slots'
+    permutations swapped, the largest slot's composed with a
+    transposition, and (loop mode) one slot's root moved onto another's
+    root vertex.  A stored clash sentinel always fails, in a tail slot's
+    dict and in the largest slot's.  On every labeling of every family
+    with n <= 3, `is_complete` with the tables gives its verdict without
+    them.  Both modes."""
     for classical in (False, True):
         cfg = SolveConfig(classical_mode=classical)
         tables = _search.ChunkTables()
@@ -1027,8 +1116,10 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
         fam = fams[-1]
         row = pack(fam, cfg).labeling.sigmas
         masks = tables.masks
+        top_key = (fam.trees[-1].compiled().arcs, row[-1])
         assert tables.tail == fam.trees[:-1]
         assert all(sig in slot for slot, sig in zip(masks, row))  # warm
+        assert top_key in tables.largest_masks
         kinds = {"swapped": [], "transposed": [], "root": []}
         for j, k in itertools.combinations(range(4), 2):
             r = list(row)
@@ -1059,6 +1150,10 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
         assert is_complete(fam, lab, classical, _tables=tables)
         masks[0][row[0]] = -1  # the sentinel of a clash inside one slot
         assert not is_complete(fam, lab, classical, _tables=tables)
+        masks[0][row[0]] = fresh_mask(fam.trees[0].compiled().arcs, row[0], 5)
+        assert is_complete(fam, lab, classical, _tables=tables)
+        tables.largest_masks[top_key] = -1
+        assert not is_complete(fam, lab, classical, _tables=tables)
         # no tree repeats an edge, so only a stand-in stores the sentinel
         repeated = types.SimpleNamespace(
             compiled=lambda: types.SimpleNamespace(arcs=((1, 1), (0, 1), (2, 1), (1, 0)))
@@ -1075,11 +1170,15 @@ def test_slot_masks_never_hide_a_clash(monkeypatch):
                     want = is_complete(fam, other, classical)
                     assert is_complete(fam, other, classical, _tables=tables) == want
                     verdicts.add(want)
-                # the tail's masks are stored; a clash in the largest slot
-                # fails even where the tail covers no edge (n = 1, and
-                # n = 2 in classical mode)
+                # every slot's mask is stored, the largest's too: with its
+                # sentinel there, a clash in the largest slot fails even
+                # where the tail covers no edge (n = 1, and n = 2 in
+                # classical mode)
                 with monkeypatch.context() as patch:
                     patch.setattr(packing, "_slot_mask", lambda *args: -1)
+                    top_key = (fam.trees[-1].compiled().arcs, lab.sigmas[-1])
+                    assert top_key in tables.largest_masks  # warm
+                    tables.largest_masks[top_key] = -1
                     assert not is_complete(fam, lab, classical, _tables=tables)
         assert verdicts == {True, False}
 
@@ -1130,51 +1229,68 @@ def test_slot_masks_serve_both_modes_and_one_tail(monkeypatch):
 def test_slot_masks_keep_one_tree_per_slot(monkeypatch):
     """Through `sweep(5)`, in each mode, the mask dict of tail slot k
     belongs to the tree of slot k: it is replaced exactly when that tree
-    changes, and kept while it stays.  Every stored mask is the slot's
-    edges under its permutation, root loop included, rebuilt from the
-    arcs."""
+    changes, and kept while it stays.  The largest slot's dict, keyed by
+    compiled arcs and permutation, serves the whole sweep.  Every stored
+    mask is the slot's edges under its permutation, root loop included,
+    rebuilt from the arcs."""
     seen = []
     real = solver.pack
 
     def recording(family, config=None, **kwargs):
         res = real(family, config, **kwargs)
-        seen.append((family, config.classical_mode, list(kwargs["_tables"].masks)))
+        tables = kwargs["_tables"]
+        seen.append((family, config.classical_mode, list(tables.masks), tables.largest_masks))
         return res
 
     monkeypatch.setattr(solver, "pack", recording)
     for classical in (False, True):
         sweep(5, SolveConfig(classical_mode=classical))
     assert len(seen) == 2 * 288
-    for (f, cf, before), (g, cg, after) in zip(seen, seen[1:]):
+    for (f, cf, before, top_f), (g, cg, after, top_g) in zip(seen, seen[1:]):
         if cf != cg:
             continue
         for k in range(4):
             assert (before[k] is after[k]) == (f.trees[k] == g.trees[k])
+        assert top_f is top_g
     checked = {}
-    for family, _, masks in seen:
+    for family, _, masks, top in seen:
         for k, slot in enumerate(masks):
-            checked[id(slot)] = (family.trees[k], slot)
-    for tree, slot in checked.values():
+            checked[id(slot)] = (family.trees[k].compiled().arcs, slot)
+        for (arcs, sig), mask in top.items():
+            assert mask == fresh_mask(arcs, sig, 5)
+    for arcs, slot in checked.values():
         assert slot  # its family's verification read it
         for sig, mask in slot.items():
-            assert mask == fresh_mask(tree, sig, 5)
+            assert mask == fresh_mask(arcs, sig, 5)
+    assert {len(top) for _, _, _, top in seen} == {24}  # one per largest tree, 4!
     # product order changes every later slot with an earlier one, so the
     # carry rule is by prefix: a tail that changes slot 2 alone keeps the
-    # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after,
-    # level 4 (keyed by largest-tree shape) included; level 0, which only
-    # n = 1 reads, starts empty
+    # dicts of slots 0 and 1 and memo levels 1 and 2, and nothing after
+    # but what serves one n: level 4, keyed by the two largest shapes, the
+    # head table and the largest slot's mask dict.  The prefix of slots
+    # 0..2 is a new tuple, so level 4's entries for the old one are
+    # misses.  Level 0 is never read and starts empty.  Another n
+    # replaces everything.
     fams = list(family_enumerate(5))
     a, b = fams[0].trees[:-1], fams[0].trees[:2] + fams[-1].trees[2:3] + fams[0].trees[3:4]
     assert a[2] != b[2]
     tables = _search.ChunkTables()
     _search._retarget(tables, 5, a)
-    old_masks, old_levels = list(tables.masks), list(tables.levels)
+
+    def held():
+        return [tables.known, tables.largest_masks, tables.prefix, *tables.levels, *tables.masks]
+
+    old = held()
     _search._retarget(tables, 5, b)
-    assert [x is y for x, y in zip(old_masks, tables.masks)] == [True, True, False, False]
-    assert [x is y for x, y in zip(old_levels, tables.levels)] == [
-        False, True, True, False, False
+    assert [x is y for x, y in zip(old, held())] == [
+        True, True, False,  # known, largest_masks, prefix
+        False, True, True, False, True,  # levels 0..4
+        True, True, False, False,  # masks of slots 0..3
     ]
     assert len(tables.levels) == 5 and tables.levels[0] == {}
+    old = held()
+    _search._retarget(tables, 4, next(family_enumerate(4)).trees[:-1])
+    assert not any(x is y for x, y in zip(old, held()))
 
 
 def test_sweep_pool_is_capped(monkeypatch):
